@@ -528,13 +528,9 @@ def exp_verify_integrated_harnack(cfg, form, preset, workers):
     p = cfg.params
     T = p.get("T", 1.0)
     q_grid = p.get("q_grid", [1.5, 2.0, 3.0])
-    grid = p.get("grid", {})
-    box = tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8))))
-    shape = tuple(grid.get("shape", (96, 96, 128)))
-    cells = grid.get("mollifier_cells", 3.0)
-    cfl = grid.get("cfl_fraction", 0.5)
     grid_tol = p.get("grid_tol", 0.02)
     constants = curvature_constants(form)
+    box, shape, cells, cfl = _grid_config(p)
     density = pde_oracle_h3("delta", T, box=box, shape=shape,
                             cfl_fraction=cfl, mollifier_cells=cells)
     ys = [_point(form, q) for q in p.get("ys", _default_ys())]
@@ -546,9 +542,20 @@ def exp_verify_integrated_harnack(cfg, form, preset, workers):
             records.append(verify_integrated_harnack(
                 density, form, y, q, d2, constants, grid_tol=grid_tol,
                 record_id=f"integrated-harnack-y{i}-q{q:g}", preset=preset.name))
-    extras = {"mass": density.mass, "mass_ok": density.mass_ok,
-              "steps": density.meta["steps"]}
+    extras = {"mass": density.mass, "mass_ok": density.mass_ok, **_solve_facts(density)}
     return records, extras, {}
+
+
+def _grid_config(p):
+    """(box, shape, mollifier cells, CFL fraction) of an H3 grid solve."""
+    grid = p.get("grid", {})
+    box = tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8))))
+    shape = tuple(grid.get("shape", (96, 96, 128)))
+    return box, shape, grid.get("mollifier_cells", 3.0), grid.get("cfl_fraction", 0.5)
+
+
+def _solve_facts(density):
+    return {k: density.meta[k] for k in ("steps", "dt", "stability_bound")}
 
 
 def _default_ys():
@@ -599,11 +606,7 @@ def exp_oracle_h3(cfg, form, preset, workers):
         raise ConfigError("the grid oracle requires the n=2, d=1 group")
     p = cfg.params
     T = p.get("T", 1.0)
-    grid = p.get("grid", {})
-    box = tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8))))
-    shape = tuple(grid.get("shape", (96, 96, 128)))
-    cells = grid.get("mollifier_cells", 3.0)
-    cfl = grid.get("cfl_fraction", 0.5)
+    box, shape, cells, cfl = _grid_config(p)
     density = pde_oracle_h3("delta", T, box=box, shape=shape,
                             cfl_fraction=cfl, mollifier_cells=cells)
     u = density.values
@@ -616,8 +619,7 @@ def exp_oracle_h3(cfg, form, preset, workers):
                            rank=form.n, T=T, lhs=asym, rhs=1e-3,
                            margin=1e-3 - asym, passed=asym < 1e-3),
     ]
-    extras = {"mass": density.mass, "asymmetry": asym, "steps": density.meta["steps"],
-              "dt": density.meta["dt"]}
+    extras = {"mass": density.mass, "asymmetry": asym, **_solve_facts(density)}
     return records, extras, {}
 
 

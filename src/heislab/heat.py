@@ -29,16 +29,9 @@ from .records import VerificationRecord, coords_str
 from .rng import mix64
 from .stochastic import sample_endpoints
 
-try:
-    from numba import njit, prange
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 __all__ = [
     "BumpFunction", "SemigroupEstimate", "SemigroupSampler", "GridDensity",
     "pde_oracle_h3", "apply_h3_generator", "mollified_sampler",
-    "semigroup_mc", "gamma_semigroup_mc",
     "verify_reverse_poincare", "verify_reverse_logsobolev",
     "verify_wang_harnack", "verify_integrated_harnack", "verify_strong_feller",
     "strong_feller_modulus", "density_kde",
@@ -198,20 +191,6 @@ def mollified_sampler(form, T, steps, samples, seed, grid_steps, cells=2.0,
     return SemigroupSampler(form, T, steps, samples, seed, stream=stream, mollifier=sig)
 
 
-def semigroup_mc(form, f, x: GroupElement, T: float, samples: int, steps: int,
-                 seed: int) -> SemigroupEstimate:
-    """One-shot semigroup estimate; build a SemigroupSampler to share draws."""
-    return SemigroupSampler(form, T, steps, samples, seed).estimate(f, x)
-
-
-def gamma_semigroup_mc(form, f, x: GroupElement, T: float, h: float,
-                       samples: int, steps: int, seed: int, rank=None):
-    """One-shot squared-gradient estimate of P_T f at x; returns
-    (value, stderr, differencing slack)."""
-    sampler = SemigroupSampler(form, T, steps, samples, seed)
-    return sampler.gamma_estimate(f, x, h, rank=rank)
-
-
 # --------------------------------------------------------------------------
 # grid PDE oracle for the three-dimensional group
 
@@ -258,41 +237,49 @@ def _stability_bound(w1, w2, c):
     return 0.2 * min(dw1 * dw1, dw2 * dw2, dc * dc / (maxspeed * maxspeed))
 
 
-if _HAVE_NUMBA:
-    @njit(parallel=True, cache=True)
-    def _step_kernel(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt):
-        I, J, L = u.shape
-        for i in prange(1, I - 1):
-            for j in range(1, J - 1):
-                a = w1[i]
-                b = w2[j]
-                vc = (a * a + b * b) * 0.125
-                for k in range(1, L - 1):
-                    uc = u[i, j, k]
-                    lap = (u[i + 1, j, k] - 2 * uc + u[i - 1, j, k]) * idw1sq \
-                        + (u[i, j + 1, k] - 2 * uc + u[i, j - 1, k]) * idw2sq
-                    ucc = (u[i, j, k + 1] - 2 * uc + u[i, j, k - 1]) * idcsq
-                    m2c = (u[i, j + 1, k + 1] - u[i, j - 1, k + 1]
-                           - u[i, j + 1, k - 1] + u[i, j - 1, k - 1]) * i4w2c
-                    m1c = (u[i + 1, j, k + 1] - u[i - 1, j, k + 1]
-                           - u[i + 1, j, k - 1] + u[i - 1, j, k - 1]) * i4w1c
-                    unew[i, j, k] = uc + dt * (0.5 * lap + 0.5 * (a * m2c - b * m1c)
-                                               + vc * ucc)
+def _step_work(shape):
+    """Work buffers for ``_step_numpy``: the vertical central difference of u
+    and three interior-sized arrays."""
+    I, J, L = shape
+    inner = (I - 2, J - 2, L - 2)
+    return (np.empty((I, J, L - 2)), np.empty(inner), np.empty(inner), np.empty(inner))
 
 
-def _step_numpy(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt):
+def _step_numpy(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt, work=None):
+    """One explicit Euler step of du/dt = (X^2 + Y^2)u/2 on the interior of unew.
+
+    Both mixed derivatives come from one vertical central difference, the
+    three second differences share one 2u buffer, and the scalar factors are
+    folded into the multiplies.  Every intermediate goes to ``work`` (see
+    ``_step_work``), so a solve that passes the same buffers at every step
+    allocates only the small per-column coefficients.
+    """
+    dcu, two_u, acc, tmp = _step_work(u.shape) if work is None else work
     ui = u[1:-1, 1:-1, 1:-1]
-    lap = (u[2:, 1:-1, 1:-1] - 2 * ui + u[:-2, 1:-1, 1:-1]) * idw1sq \
-        + (u[1:-1, 2:, 1:-1] - 2 * ui + u[1:-1, :-2, 1:-1]) * idw2sq
-    ucc = (u[1:-1, 1:-1, 2:] - 2 * ui + u[1:-1, 1:-1, :-2]) * idcsq
-    m2c = (u[1:-1, 2:, 2:] - u[1:-1, :-2, 2:] - u[1:-1, 2:, :-2]
-           + u[1:-1, :-2, :-2]) * i4w2c
-    m1c = (u[2:, 1:-1, 2:] - u[:-2, 1:-1, 2:] - u[2:, 1:-1, :-2]
-           + u[:-2, 1:-1, :-2]) * i4w1c
     a = w1[1:-1, None, None]
     b = w2[None, 1:-1, None]
-    vc = (a * a + b * b) * 0.125
-    unew[1:-1, 1:-1, 1:-1] = ui + dt * (0.5 * lap + 0.5 * (a * m2c - b * m1c) + vc * ucc)
+    np.subtract(u[:, :, 2:], u[:, :, :-2], out=dcu)
+    np.add(ui, ui, out=two_u)
+    # second differences along w1, w2 and c
+    np.add(u[2:, 1:-1, 1:-1], u[:-2, 1:-1, 1:-1], out=acc)
+    np.subtract(acc, two_u, out=acc)
+    np.multiply(acc, 0.5 * dt * idw1sq, out=acc)
+    np.add(u[1:-1, 2:, 1:-1], u[1:-1, :-2, 1:-1], out=tmp)
+    np.subtract(tmp, two_u, out=tmp)
+    np.multiply(tmp, 0.5 * dt * idw2sq, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.add(u[1:-1, 1:-1, 2:], u[1:-1, 1:-1, :-2], out=tmp)
+    np.subtract(tmp, two_u, out=tmp)
+    np.multiply(tmp, (a * a + b * b) * (0.125 * dt * idcsq), out=tmp)
+    np.add(acc, tmp, out=acc)
+    # mixed terms a * d2u/dw2dc - b * d2u/dw1dc
+    np.subtract(dcu[1:-1, 2:], dcu[1:-1, :-2], out=tmp)
+    np.multiply(tmp, a * (0.5 * dt * i4w2c), out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.subtract(dcu[2:, 1:-1], dcu[:-2, 1:-1], out=tmp)
+    np.multiply(tmp, b * (0.5 * dt * i4w1c), out=tmp)
+    np.subtract(acc, tmp, out=acc)
+    np.add(ui, acc, out=unew[1:-1, 1:-1, 1:-1])
 
 
 def apply_h3_generator(axes, values) -> np.ndarray:
@@ -327,6 +314,10 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
     0.2 * min(dw^2, dc^2 / maxspeed^2) with maxspeed the largest vertical
     drift speed |w|/2 on the box; the default is half the bound.  Boundary
     values are pinned to zero, so mass leaks only through the box walls.
+
+    There is one stepper, ``_step_numpy``; its work buffers are allocated once
+    per solve, so a step writes only into them and the next grid.
+    ``use_numba`` is ignored and kept so that existing callers still work.
     """
     if not T > 0:
         raise ValueError("terminal time must be positive")
@@ -361,10 +352,10 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
     dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
     args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2,
             1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc), dt)
-    stepper = _step_kernel if (_HAVE_NUMBA and use_numba) else _step_numpy
     unew = np.zeros_like(u)
+    work = _step_work(u.shape)
     for _ in range(steps):
-        stepper(u, unew, *args)
+        _step_numpy(u, unew, *args, work=work)
         u, unew = unew, u
 
     mass = _trapezoid3(axes, u)

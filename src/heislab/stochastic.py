@@ -172,7 +172,6 @@ def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
     ranks = list(ranks)
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
-    mats = form.vertical_matrices()
     acc = {(m, p): [] for m in ranks for p in p_moments}
     acc_e = {(m, p): [] for m in ranks for p in p_moments}
     for start in range(0, samples, chunk):

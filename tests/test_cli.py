@@ -193,6 +193,19 @@ class TestVerifyCommands:
         assert summary["report"]["mass"] > 0.99
         assert code in (0, 1)  # symmetry at the coarse test grid may miss 1e-3
 
+    def test_grid_experiments_report_the_same_solve(self, tmp_path):
+        params = {"T": 0.3, "grid": {"box": [[-3, 3], [-3, 3], [-2, 2]], "shape": [17, 17, 21]}}
+        facts = []
+        for experiment in ("oracle-h3", "verify-integrated-harnack"):
+            cfg = write_config(tmp_path, f"{experiment}.json", {"params": params})
+            out = str(tmp_path / experiment)
+            assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
+            report = read_summary(out)["report"]
+            facts.append({k: report[k] for k in ("steps", "dt", "stability_bound")})
+        assert facts[0] == facts[1]
+        assert facts[0]["steps"] * facts[0]["dt"] == pytest.approx(0.3)
+        assert facts[0]["dt"] <= facts[0]["stability_bound"]
+
 
 class TestListPresets:
     def test_catalog(self, tmp_path):

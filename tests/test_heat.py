@@ -8,7 +8,9 @@ from heislab.groups import GroupElement, make_preset
 from heislab.heat import (
     BumpFunction,
     SemigroupSampler,
+    _stability_bound,
     _step_numpy,
+    _step_work,
     apply_h3_generator,
     density_kde,
     mollified_sampler,
@@ -101,11 +103,33 @@ class TestPdeOracle:
         asym = np.abs(u - u[::-1, ::-1, ::-1]).max() / u.max()
         assert asym < 5e-3
 
-    def test_numba_and_numpy_steppers_agree(self):
-        a = pde_oracle_h3("delta", T=0.02, box=SMALL_BOX, shape=(20, 20, 24))
-        b = pde_oracle_h3("delta", T=0.02, box=SMALL_BOX, shape=(20, 20, 24),
-                          use_numba=False)
-        assert np.array_equal(a.values, b.values)
+    def test_stepper_matches_reference_stencil(self):
+        u, unew, args = _random_stencil_problem()
+        work = _step_work(u.shape)
+        for _ in range(4):
+            ref = _reference_step(u, *args)
+            faces = unew.copy()
+            faces[1:-1, 1:-1, 1:-1] = 0.0
+            _step_numpy(u, unew, *args, work=work)
+            inner = unew[1:-1, 1:-1, 1:-1]
+            assert np.abs(inner - ref).max() <= 1e-14 * np.abs(ref).max()
+            got = unew.copy()
+            got[1:-1, 1:-1, 1:-1] = 0.0
+            assert np.array_equal(got, faces)
+            u, unew = unew, u
+
+    def test_stepper_work_buffers_carry_no_state(self):
+        u0, unew0, args = _random_stencil_problem()
+        work = _step_work(u0.shape)
+        for buf in work:
+            buf.fill(np.nan)
+        shared, fresh = (u0.copy(), unew0.copy()), (u0.copy(), unew0.copy())
+        for _ in range(5):
+            _step_numpy(*shared, *args, work=work)
+            _step_numpy(*fresh, *args)
+            shared, fresh = shared[::-1], fresh[::-1]
+        assert np.array_equal(shared[0], fresh[0])
+        assert np.array_equal(shared[1], fresh[1])
 
     def test_stability_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -300,6 +324,37 @@ class TestKde:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             density_kde(np.zeros((10, 2)), np.zeros((10, 1)), 0.0, np.zeros((1, 3)))
+
+
+def _random_stencil_problem():
+    """A random field with nonzero faces on a non-cubic grid with unequal
+    spacings, a second grid to step into, and stepper arguments at half the
+    stability bound."""
+    rng = np.random.default_rng(11)
+    w1, w2, c = np.linspace(-2.0, 3.0, 11), np.linspace(-1.5, 1.5, 13), np.linspace(-2.0, 2.0, 17)
+    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
+    dt = 0.5 * _stability_bound(w1, w2, c)
+    args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2, 1 / (4 * dw2 * dc),
+            1 / (4 * dw1 * dc), dt)
+    shape = (len(w1), len(w2), len(c))
+    return rng.normal(size=shape), rng.normal(size=shape), args
+
+
+def _reference_step(u, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt):
+    """The stencil written out term by term, one temporary per term; returns
+    the new interior."""
+    ui = u[1:-1, 1:-1, 1:-1]
+    lap = (u[2:, 1:-1, 1:-1] - 2 * ui + u[:-2, 1:-1, 1:-1]) * idw1sq \
+        + (u[1:-1, 2:, 1:-1] - 2 * ui + u[1:-1, :-2, 1:-1]) * idw2sq
+    ucc = (u[1:-1, 1:-1, 2:] - 2 * ui + u[1:-1, 1:-1, :-2]) * idcsq
+    m2c = (u[1:-1, 2:, 2:] - u[1:-1, :-2, 2:] - u[1:-1, 2:, :-2]
+           + u[1:-1, :-2, :-2]) * i4w2c
+    m1c = (u[2:, 1:-1, 2:] - u[:-2, 1:-1, 2:] - u[2:, 1:-1, :-2]
+           + u[:-2, 1:-1, :-2]) * i4w1c
+    a = w1[1:-1, None, None]
+    b = w2[None, 1:-1, None]
+    vc = (a * a + b * b) * 0.125
+    return ui + dt * (0.5 * lap + 0.5 * (a * m2c - b * m1c) + vc * ucc)
 
 
 def test_numpy_stepper_zero_dt_is_identity():
