@@ -1,8 +1,9 @@
 """Command-line driver: configuration, orchestration, and result files.
 
 Every experiment consumes a JSON config (unknown keys are rejected), derives
-one deterministic child seed per work item from the master seed, and writes
-three files to the output directory:
+one deterministic child seed per work item from the master seed (a sweep over
+T is one item: its endpoint set is drawn once and dilated to each T), and
+writes three files to the output directory:
 
 * records.csv   - one VerificationRecord per row; the body is byte-identical
                   across runs and worker counts for equal configs
@@ -434,12 +435,18 @@ def exp_verify_cd(cfg, form, preset, workers):
     return records, {"worst_margin": worst, "vertical_coeff": vc}, {}
 
 
-def _sampler_for(cfg, form, T, p):
+def _sampler_for(cfg, form, T, p, key=None):
     return SemigroupSampler(form, T, p.get("steps", 256), p.get("samples", 30000),
-                            child_seed(cfg.seed, f"sampler-T{T:g}", 0))
+                            child_seed(cfg.seed, key or f"sampler-T{T:g}", 0))
 
 
 def exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=False):
+    """Reverse Poincare (or log-Sobolev) records over a sweep of T.
+
+    One endpoint set is drawn at T = 1 and dilated to every T of the sweep,
+    so the sweep uses common random numbers across T: the records at
+    different T are correlated, each one is still exact in law.
+    """
     p = cfg.params
     T_grid = p.get("T_grid", [0.25, 0.5, 1.0, 2.0])
     default_floor = 0.1 if log_version else 0.0
@@ -452,9 +459,11 @@ def exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=False):
     verify = verify_reverse_logsobolev if log_version else verify_reverse_poincare
     name = "reverse-logsobolev" if log_version else "reverse-poincare"
 
+    base = _sampler_for(cfg, form, 1.0, p, key="sampler-sweep")
+
     def job(T):
         def run():
-            sampler = _sampler_for(cfg, form, T, p)
+            sampler = base.dilated(T)
             out = []
             for j, x in enumerate(points):
                 rec = verify(sampler, bump, x, constants, h,
@@ -465,7 +474,8 @@ def exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=False):
 
     batches = run_items([job(T) for T in T_grid], workers)
     records = [rec for batch in batches for rec in batch]
-    return records, {"T_grid": T_grid, "points": len(points)}, {}
+    return records, {"T_grid": T_grid, "points": len(points),
+                     "paths_drawn": base.samples}, {}
 
 
 def exp_verify_reverse_logsobolev(cfg, form, preset, workers):

@@ -17,6 +17,7 @@ propagated statistical errors, and the stated deterministic slack.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -93,6 +94,9 @@ class SemigroupEstimate:
 class SemigroupSampler:
     """One endpoint set, many semigroup estimates under common random numbers.
 
+    ``dilated`` moves the set to another time on the same paths, so a sweep
+    over T shares its random numbers across T as well.
+
     Optionally composes every endpoint with an independent Gaussian start
     point (diagonal standard deviations ``mollifier``), which matches a grid
     solve whose delta initial condition was mollified by the same Gaussian.
@@ -105,8 +109,9 @@ class SemigroupSampler:
         self.steps = int(steps)
         self.samples = int(samples)
         self.seed = int(seed)
+        self.mollified = mollifier is not None
         W, C = sample_endpoints(form, T, steps, samples, seed, stream=stream)
-        if mollifier is not None:
+        if self.mollified:
             sig = np.asarray(mollifier, dtype=float)
             if sig.shape != (form.n + form.d,):
                 raise ValueError("mollifier needs one standard deviation per coordinate")
@@ -119,6 +124,26 @@ class SemigroupSampler:
     def endpoints(self):
         """The cached endpoint coordinate arrays (W, C); read-only by convention."""
         return self._W, self._C
+
+    def dilated(self, T: float) -> "SemigroupSampler":
+        """The sampler at time T on the same paths, with arrays of its own.
+
+        Brownian scaling is exact for the left-point sums: B_T = sqrt(T) B_1
+        and M_T = T M_1, so the endpoints at T are the group dilation by
+        sqrt(T / self.T) of these, and equal a fresh draw at T with the same
+        seed up to round-off.  A mollified start point does not scale with
+        T, so a mollified sampler cannot be dilated.
+        """
+        if self.mollified:
+            raise ValueError("a mollified sampler cannot be dilated in time")
+        if not T > 0:
+            raise ValueError(f"terminal time must be positive, got {T}")
+        ratio = float(T) / self.T
+        out = copy.copy(self)
+        out.T = float(T)
+        out._W = math.sqrt(ratio) * self._W
+        out._C = ratio * self._C
+        return out
 
     def values(self, func, x: GroupElement) -> np.ndarray:
         """Per-sample values f(x * g_i); the raw material of every estimate."""

@@ -67,6 +67,18 @@ def _accumulate_vertical(form: OmegaForm, B, dB):
     return np.concatenate([zeros, np.cumsum(steps, axis=-2)], axis=-2)
 
 
+def _endpoint_area(form: OmegaForm, left, inc):
+    """The whole left-point sum form(B_k, dB_k), without its running values.
+
+    ``left`` and ``inc`` have shape (..., K, n); the result, shape (..., d),
+    equals the last row of ``_accumulate_vertical``.  The step sum collapses
+    into one batched matrix product S = left^T inc of shape (..., n, n), so
+    no per-step temporary is formed.
+    """
+    S = left.swapaxes(-1, -2) @ inc
+    return np.einsum("...ij,lij->...l", S, form.vertical_matrices())
+
+
 def path_from_increments(form: OmegaForm, T: float, increments,
                          seed: int = -1, stream_index: int = -1) -> BrownianPath:
     """Assemble a path from given horizontal increments (testing hook)."""
@@ -80,29 +92,45 @@ def path_from_increments(form: OmegaForm, T: float, increments,
 def sample_path(form: OmegaForm, T: float, K: int, seed: int,
                 stream_index: int = 0, stream: int = 0) -> BrownianPath:
     """One Brownian path with K steps on [0, T]."""
-    if not T > 0:
-        raise ValueError(f"terminal time must be positive, got {T}")
-    if K < 1:
-        raise ValueError(f"step count must be at least 1, got {K}")
-    rng = path_generator(seed, stream, stream_index)
-    inc = np.sqrt(T / K) * rng.standard_normal((K, form.n))
-    path = path_from_increments(form, T, inc, seed, stream_index)
-    return path
+    _check_grid(T, K)
+    inc = _batch_increments(form, T, K, seed, stream, stream_index, 1)[0]
+    return path_from_increments(form, T, inc, seed, stream_index)
 
 
 def endpoint(form: OmegaForm, T: float, K: int, seed: int, index: int,
              stream: int = 0) -> GroupElement:
-    """Group endpoint (B_K, M_K / 2); a pure function of (seed, index)."""
-    return sample_path(form, T, K, seed, index, stream).group_endpoint()
+    """Group endpoint (B_K, M_K / 2); a pure function of (seed, index).
+
+    Computed exactly as row ``index`` of ``sample_endpoints``.
+    """
+    _check_grid(T, K)
+    W, M = _endpoint_sums(form, _batch_increments(form, T, K, seed, stream, index, 1))
+    return GroupElement(W[0], 0.5 * M[0])
+
+
+def _check_grid(T, K):
+    if not T > 0:
+        raise ValueError(f"terminal time must be positive, got {T}")
+    if K < 1:
+        raise ValueError(f"step count must be at least 1, got {K}")
 
 
 def _batch_increments(form, T, K, seed, stream, start, count):
     inc = np.empty((count, K, form.n))
-    scale = np.sqrt(T / K)
     for p in range(count):
-        rng = path_generator(seed, stream, start + p)
-        inc[p] = scale * rng.standard_normal((K, form.n))
+        path_generator(seed, stream, start + p).standard_normal(out=inc[p])
+    inc *= np.sqrt(T / K)
     return inc
+
+
+def _endpoint_sums(form, inc):
+    """Final values (B_K, M_K) of the paths with increments ``inc`` (count, K, n).
+
+    The first step starts at the origin and adds no area, so the area sum
+    pairs the positions after steps 1..K-1 with the increments 2..K.
+    """
+    B = np.cumsum(inc, axis=1)
+    return B[:, -1, :], _endpoint_area(form, B[:, :-1, :], inc[:, 1:, :])
 
 
 def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
@@ -113,17 +141,13 @@ def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
     uses the generator keyed (seed, stream, p), so results are independent of
     the chunk size.
     """
-    if not T > 0:
-        raise ValueError(f"terminal time must be positive, got {T}")
+    _check_grid(T, K)
     W = np.empty((samples, form.n))
     C = np.empty((samples, form.d))
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
         inc = _batch_increments(form, T, K, seed, stream, start, count)
-        B = np.cumsum(inc, axis=1)
-        W[start:start + count] = B[:, -1, :]
-        left = np.concatenate([np.zeros((count, 1, form.n)), B[:, :-1, :]], axis=1)
-        M = _accumulate_vertical(form, left, inc)[:, -1, :]
+        W[start:start + count], M = _endpoint_sums(form, inc)
         C[start:start + count] = 0.5 * M
     return W, C
 
@@ -236,7 +260,6 @@ def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
     K_max = K_list[-1]
     if any(K_max % k for k in K_list):
         raise ValueError("every step count must divide the largest one")
-    mats = form.vertical_matrices()
     sq_diffs = np.zeros(len(K_list) - 1)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
@@ -245,9 +268,7 @@ def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
         for K in K_list:
             factor = K_max // K
             inc_c = inc.reshape(count, K, factor, form.n).sum(axis=2)
-            B_left = np.concatenate(
-                [np.zeros((count, 1, form.n)), np.cumsum(inc_c, axis=1)[:, :-1, :]], axis=1)
-            m_at_K.append(np.einsum("pki,lij,pkj->pl", B_left, mats, inc_c))
+            m_at_K.append(_endpoint_sums(form, inc_c)[1])
         for i in range(len(K_list) - 1):
             sq_diffs[i] += float(np.sum((m_at_K[i] - m_at_K[i + 1]) ** 2))
     rms = np.sqrt(sq_diffs / samples)

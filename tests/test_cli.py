@@ -232,6 +232,22 @@ class TestDeterminism:
                 bodies.append(fh.read())
         assert bodies[0] == bodies[1]
 
+    def test_sweep_records_identical_across_workers(self, tmp_path):
+        # every T of the sweep is dilated from one shared endpoint set
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 12,
+            "params": {"T_grid": [0.5, 2.0], "samples": 1000, "steps": 32,
+                       "points": [{"w": [0.4, 0.2], "c": [0.1]}]}})
+        bodies = []
+        for workers in (1, 4):
+            out = str(tmp_path / f"o{workers}")
+            assert main(["verify-reverse-poincare", "--config", cfg, "--out", out,
+                         "--workers", str(workers)]) == 0
+            with open(os.path.join(out, "records.csv"), "rb") as fh:
+                bodies.append(fh.read())
+            assert read_summary(out)["report"]["paths_drawn"] == 1000
+        assert bodies[0] == bodies[1]
+
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEISLAB_WORKERS", "2")
         out = str(tmp_path / "o")

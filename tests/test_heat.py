@@ -88,6 +88,22 @@ class TestSemigroupSampler:
         val, se, bias = sampler.gamma_estimate(lambda pts: np.ones(len(pts)), E, 1e-3)
         assert val == 0.0 and se == 0.0 and bias == 0.0
 
+    def test_dilation_matches_a_fresh_draw(self):
+        base = SemigroupSampler(H1, 0.5, 64, 300, seed=5)
+        for T in (0.2, 0.5, 3.0):
+            moved = base.dilated(T)
+            direct = SemigroupSampler(H1, T, 64, 300, seed=5)
+            assert moved.T == T and moved.steps == 64
+            for a, b in zip(moved.endpoints(), direct.endpoints()):
+                assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+            assert moved.endpoints()[0] is not base.endpoints()[0]
+        assert base.T == 0.5
+
+    def test_mollified_sampler_cannot_be_dilated(self):
+        samp = mollified_sampler(H1, 0.5, 16, 100, seed=1, grid_steps=(0.1, 0.1, 0.1))
+        with pytest.raises(ValueError):
+            samp.dilated(1.0)
+
     def test_mollifier_needs_full_width(self):
         with pytest.raises(ValueError):
             SemigroupSampler(H1, 1.0, 16, 100, seed=1, mollifier=[0.1, 0.1])

@@ -3,6 +3,8 @@ import pytest
 
 from heislab.groups import dilate, make_preset
 from heislab.stochastic import (
+    _accumulate_vertical,
+    _endpoint_area,
     approximation_report,
     endpoint,
     path_from_increments,
@@ -56,6 +58,22 @@ class TestDeterminism:
         for i in (0, 4, 10):
             g = endpoint(H1, 1.0, 32, 21, i)
             assert np.array_equal(W3[i], g.w) and np.array_equal(C3[i], g.c)
+
+
+class TestEndpointArea:
+    @pytest.mark.parametrize("name,kw", [("heisenberg", {"pairs": 1}),
+                                         ("block_sum", {"weights": [1, 3]}),
+                                         ("wiener_truncation", {"pairs": 8, "s": 2})])
+    def test_matches_last_running_sum(self, name, kw):
+        form = make_preset(name, **kw).form
+        rng = np.random.default_rng(7)
+        inc = rng.standard_normal((5, 40, form.n))
+        left = np.concatenate([np.zeros((5, 1, form.n)), np.cumsum(inc, axis=1)[:, :-1]],
+                              axis=1)
+        ref = _accumulate_vertical(form, left, inc)[..., -1, :]
+        got = _endpoint_area(form, left, inc)
+        assert got.shape == (5, form.d)
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 class TestMoments:
