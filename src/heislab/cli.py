@@ -548,10 +548,9 @@ def exp_verify_integrated_harnack(cfg, form, preset, workers):
     records = []
     for i, y in enumerate(ys):
         d2 = _oracle_distance_sq_h3(form, y, opts)
-        for q in q_grid:
-            records.append(verify_integrated_harnack(
-                density, form, y, q, d2, constants, grid_tol=grid_tol,
-                record_id=f"integrated-harnack-y{i}-q{q:g}", preset=preset.name))
+        records += verify_integrated_harnack(
+            density, form, y, q_grid, d2, constants, grid_tol=grid_tol,
+            record_id=f"integrated-harnack-y{i}", preset=preset.name)
     extras = {"mass": density.mass, "mass_ok": density.mass_ok, **_solve_facts(density)}
     return records, extras, {}
 
@@ -565,7 +564,8 @@ def _grid_config(p):
 
 
 def _solve_facts(density):
-    return {k: density.meta[k] for k in ("steps", "dt", "stability_bound")}
+    return {k: density.meta[k] for k in ("steps", "dt", "stability_bound", "stages",
+                                         "operator_applications")}
 
 
 def _default_ys():

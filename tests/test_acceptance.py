@@ -324,8 +324,8 @@ def test_criterion_08_functional_inequalities(acceptance_density):
           (GroupElement([0.0, 0.0], [0.25]), 4 * math.pi * 0.25),
           (GroupElement([0.3, 0.3], [0.1]),
            cc_distance(H1, E2, GroupElement([0.3, 0.3], [0.1]), opts=opts).distance ** 2)]
-    ih = [verify_integrated_harnack(acceptance_density, H1, y, q, d2, cc)
-          for q in (1.5, 2.0, 3.0) for (y, d2) in ys]
+    ih = [rec for (y, d2) in ys
+          for rec in verify_integrated_harnack(acceptance_density, H1, y, (1.5, 2.0, 3.0), d2, cc)]
     ih_ok = all(r.passed for r in ih)
 
     sf_recs, shrinking, diffs = strong_feller_modulus(

@@ -201,10 +201,12 @@ class TestVerifyCommands:
             out = str(tmp_path / experiment)
             assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
             report = read_summary(out)["report"]
-            facts.append({k: report[k] for k in ("steps", "dt", "stability_bound")})
+            facts.append({k: report[k] for k in ("steps", "dt", "stability_bound", "stages",
+                                                 "operator_applications")})
         assert facts[0] == facts[1]
         assert facts[0]["steps"] * facts[0]["dt"] == pytest.approx(0.3)
         assert facts[0]["dt"] <= facts[0]["stability_bound"]
+        assert facts[0]["operator_applications"] == facts[0]["stages"] * facts[0]["steps"]
 
 
 class TestListPresets:

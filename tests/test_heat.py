@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from heislab import heat
 from heislab.curvature import curvature_constants
 from heislab.groups import GroupElement, make_preset
 from heislab.heat import (
     BumpFunction,
     SemigroupSampler,
-    _stability_bound,
+    _mollified_delta,
+    _spectral_radius_bound,
     _step_numpy,
     _step_work,
     apply_h3_generator,
@@ -29,6 +31,13 @@ E = GroupElement([0.0, 0.0], [0.0])
 
 SMALL_BOX = ((-4.0, 4.0), (-4.0, 4.0), (-5.0, 5.0))
 SMALL_SHAPE = (40, 40, 48)
+
+# the benchmark's coarse grid-h3 box; on its 33x33x41 grid at T = 0.25 the
+# trapezoid moments are within 2e-4 of their closed forms
+COARSE_BOX = ((-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0))
+COARSE_T = 0.25
+MOMENT_SHAPE = (33, 33, 41)
+ACCURACY_SHAPE = (21, 21, 27)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +185,98 @@ class TestPdeOracle:
         assert val == pytest.approx(small_density.values[20, 20, 24], rel=1e-12)
 
 
+def _power_estimate(axes, iters):
+    """||L v|| / ||v|| after ``iters`` power iterations of apply_h3_generator;
+    a lower bound on the spectral radius of the symmetric operator."""
+    v = np.zeros(tuple(len(a) for a in axes))
+    v[1:-1, 1:-1, 1:-1] = np.random.default_rng(5).normal(size=tuple(len(a) - 2 for a in axes))
+    for _ in range(iters):
+        g = apply_h3_generator(axes, v)
+        est = np.linalg.norm(g) / np.linalg.norm(v)
+        v = g / np.linalg.norm(g)
+    return est
+
+
+def _explicit_euler(axes, T, dt, cells):
+    """pde_oracle_h3's mollified delta, solved by explicit Euler steps of _step_numpy."""
+    w1, w2, c = axes
+    u = _mollified_delta(axes, cells)
+    u[[0, -1], :, :] = 0.0
+    u[:, [0, -1], :] = 0.0
+    u[:, :, [0, -1]] = 0.0
+    u /= heat._trapezoid3(axes, u)
+    steps = math.ceil(T / dt)
+    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
+    args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2, 1 / (4 * dw2 * dc),
+            1 / (4 * dw1 * dc), T / steps)
+    unew, work = np.zeros_like(u), _step_work(u.shape)
+    for _ in range(steps):
+        _step_numpy(u, unew, *args, work=work)
+        u, unew = unew, u
+    return u
+
+
+@pytest.fixture(scope="module")
+def explicit_references():
+    """Explicit Euler at half the heuristic bound 0.2 min(dw^2, dc^2/maxspeed^2),
+    with maxspeed the largest drift |w|/2 on the box, and at a tenth of that
+    step as the reference."""
+    axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(COARSE_BOX, ACCURACY_SHAPE))
+    w1, w2, c = axes
+    maxspeed = 0.5 * math.hypot(w1[-1], w2[-1])
+    dt = 0.5 * 0.2 * min((w1[1] - w1[0]) ** 2, (c[1] - c[0]) ** 2 / maxspeed**2)
+    return _explicit_euler(axes, COARSE_T, dt, 2.0), _explicit_euler(axes, COARSE_T, dt / 10, 2.0)
+
+
+def _deviations(explicit_references):
+    """(RKL2, explicit) maximum deviation from the fine reference, over its peak."""
+    coarse, fine = explicit_references
+    sol = pde_oracle_h3("delta", COARSE_T, box=COARSE_BOX, shape=ACCURACY_SHAPE,
+                        mollifier_cells=2.0)
+    peak = fine.max()
+    return np.abs(sol.values - fine).max() / peak, np.abs(coarse - fine).max() / peak
+
+
+def _mass_and_moment_errors():
+    """|mass - 1| and the relative errors of E[w1^2], E[w2^2], E[c^2] against
+    sigma_i^2 + T and sigma_c^2 + T^2/4 + T(sigma_1^2 + sigma_2^2)/4."""
+    sol = pde_oracle_h3("delta", COARSE_T, box=COARSE_BOX, shape=MOMENT_SHAPE,
+                        mollifier_cells=2.0)
+    T = COARSE_T
+    s1, s2, sc = (2.0 * h for h in sol.steps())
+    exact = (s1 * s1 + T, s2 * s2 + T, sc * sc + T * T / 4 + T * (s1 * s1 + s2 * s2) / 4)
+    moments = [sol.quadrature(sol.values * x * x) / sol.mass for x in sol.grid_coords()]
+    return [abs(sol.mass - 1.0)] + [abs(m / e - 1.0) for m, e in zip(moments, exact)]
+
+
+class TestRkl2Solve:
+    @pytest.mark.parametrize("box,shape", [
+        (((-2.0, 3.0), (-1.5, 1.5), (-2.0, 2.0)), (11, 13, 17)),
+        (((-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0)), (17, 17, 21)),
+        (((-1.0, 4.0), (-2.0, 2.5), (-3.0, 1.0)), (16, 20, 24)),
+    ])
+    def test_gershgorin_bound_covers_the_spectrum(self, box, shape):
+        axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape))
+        rng = np.random.default_rng(9)
+        u, v = (np.pad(rng.normal(size=tuple(n - 2 for n in shape)), 1) for _ in range(2))
+        lu, lv = apply_h3_generator(axes, u), apply_h3_generator(axes, v)
+        assert np.sum(lu * v) == pytest.approx(np.sum(u * lv), rel=1e-12)
+        assert _spectral_radius_bound(*axes) >= _power_estimate(axes, 200)
+
+    def test_no_less_accurate_than_explicit_euler(self, explicit_references):
+        rkl, explicit = _deviations(explicit_references)
+        assert rkl <= explicit
+
+    def test_mass_and_second_moments(self):
+        assert max(_mass_and_moment_errors()) <= 2e-3
+
+    def test_mutant_coefficient_fails(self, monkeypatch, explicit_references):
+        true_b = heat._rkl2_b
+        monkeypatch.setattr(heat, "_rkl2_b", lambda s: 1.01 * true_b(s))
+        rkl, explicit = _deviations(explicit_references)
+        assert rkl > explicit or max(_mass_and_moment_errors()) > 2e-3
+
+
 class TestMcPdeConsistency:
     def test_mollified_sampler_matches_quadrature(self, small_density):
         gs = small_density.steps()
@@ -300,13 +401,21 @@ class TestVerifiers:
 
     def test_integrated_harnack(self, small_density):
         y = GroupElement([0.4, 0.0], [0.0])
-        rec = verify_integrated_harnack(small_density, H1, y, 2.0, 0.16, CC)
-        assert rec.passed
+        [rec] = verify_integrated_harnack(small_density, H1, y, [2.0], 0.16, CC)
+        assert rec.passed and rec.record_id == "integrated-harnack-q2"
         assert rec.detail["excluded_mass"] < 0.01
-        rec_e = verify_integrated_harnack(small_density, H1, E, 1.5, 0.0, CC)
+        [rec_e] = verify_integrated_harnack(small_density, H1, E, [1.5], 0.0, CC)
         assert rec_e.lhs == pytest.approx(1.0, abs=1e-3)
         with pytest.raises(ValueError):
-            verify_integrated_harnack(small_density, H1, y, 1.0, 0.16, CC)
+            verify_integrated_harnack(small_density, H1, y, [2.0, 1.0], 0.16, CC)
+
+    def test_integrated_harnack_shares_the_shift_across_q(self, small_density):
+        y = GroupElement([0.3, -0.2], [0.1])
+        recs = verify_integrated_harnack(small_density, H1, y, [1.5, 2.0, 3.0], 0.2, CC)
+        assert [r.p_or_q for r in recs] == [1.5, 2.0, 3.0]
+        for rec in recs:
+            [alone] = verify_integrated_harnack(small_density, H1, y, [rec.p_or_q], 0.2, CC)
+            assert alone == rec
 
 
 class TestKde:
@@ -349,7 +458,7 @@ def _random_stencil_problem():
     rng = np.random.default_rng(11)
     w1, w2, c = np.linspace(-2.0, 3.0, 11), np.linspace(-1.5, 1.5, 13), np.linspace(-2.0, 2.0, 17)
     dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    dt = 0.5 * _stability_bound(w1, w2, c)
+    dt = 0.5 * 2.0 / _spectral_radius_bound(w1, w2, c)   # half the Euler limit
     args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2, 1 / (4 * dw2 * dc),
             1 / (4 * dw1 * dc), dt)
     shape = (len(w1), len(w2), len(c))
