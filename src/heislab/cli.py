@@ -34,7 +34,9 @@ from . import __version__
 from .curvature import curvature_constants
 from .differential import check_cd_inequality
 from .geometry import DistanceOptions, SolverError, cc_distance
-from .groups import GroupElement, HormanderError, make_preset, preset_catalog
+from .groups import (
+    GroupElement, HormanderError, identity, inverse, make_preset, multiply, preset_catalog,
+)
 from .heat import (
     BumpFunction,
     SemigroupSampler,
@@ -131,6 +133,15 @@ _GRID = {
         "mollifier_cells": _POSNUM,
     },
 }
+_REVERSE = {
+    "type": "object", "additionalProperties": False,
+    "properties": {
+        "T_grid": {"type": "array", "items": _POSNUM},
+        "samples": _POSINT, "steps": _POSINT,
+        "points": {"type": "array", "items": _POINT},
+        "bump": _BUMP, "h": _POSNUM,
+    },
+}
 
 PARAMS_SCHEMAS = {
     "curvature": {"type": "object", "additionalProperties": False, "properties": {}},
@@ -176,24 +187,8 @@ PARAMS_SCHEMAS = {
             "bump": _BUMP,
         },
     },
-    "verify-reverse-poincare": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T_grid": {"type": "array", "items": _POSNUM},
-            "samples": _POSINT, "steps": _POSINT,
-            "points": {"type": "array", "items": _POINT},
-            "bump": _BUMP, "h": _POSNUM,
-        },
-    },
-    "verify-reverse-logsobolev": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T_grid": {"type": "array", "items": _POSNUM},
-            "samples": _POSINT, "steps": _POSINT,
-            "points": {"type": "array", "items": _POINT},
-            "bump": _BUMP, "h": _POSNUM,
-        },
-    },
+    "verify-reverse-poincare": _REVERSE,
+    "verify-reverse-logsobolev": _REVERSE,
     "verify-integrated-harnack": {
         "type": "object", "additionalProperties": False,
         "properties": {
@@ -320,7 +315,7 @@ def exp_distance(cfg, form, preset, workers):
     target = _point(form, p["target"])
     opts = DistanceOptions(segments=p.get("segments", 64),
                            restarts=p.get("restarts", 16), seed=cfg.seed)
-    e = GroupElement(np.zeros(form.n), np.zeros(form.d))
+    e = identity(form)
     try:
         res = cc_distance(form, e, target, opts=opts)
     except (SolverError, HormanderError) as exc:
@@ -492,14 +487,6 @@ def _default_points(form):
     return pts
 
 
-def _pair_distance_sq(cfg, form, pair, opts):
-    if "dist_sq" in pair:
-        return float(pair["dist_sq"])
-    x = _point(form, pair["x"])
-    y = _point(form, pair["y"])
-    return cc_distance(form, x, y, opts=opts).distance ** 2
-
-
 def exp_verify_harnack(cfg, form, preset, workers):
     p = cfg.params
     T = p.get("T", 1.0)
@@ -512,7 +499,7 @@ def exp_verify_harnack(cfg, form, preset, workers):
     records = []
     for i, pair in enumerate(pairs):
         x, y = _point(form, pair["x"]), _point(form, pair["y"])
-        d2 = _pair_distance_sq(cfg, form, pair, opts)
+        d2 = float(pair["dist_sq"]) if "dist_sq" in pair else _distance_sq(form, x, y, opts)
         for pv in p_grid:
             records.append(verify_wang_harnack(
                 sampler, bump, x, y, pv, d2, constants,
@@ -523,49 +510,73 @@ def exp_verify_harnack(cfg, form, preset, workers):
 def _default_pairs(form):
     zero = {"w": [0.0], "c": [0.0]}
     return [
-        {"x": zero, "y": zero, "dist_sq": 0.0},
-        {"x": zero, "y": {"w": [1.0], "c": [0.0]}, "dist_sq": 1.0},
-        {"x": zero, "y": {"w": [0.0, 0.5], "c": [0.0]}, "dist_sq": 0.25},
-        {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}, "dist_sq": 0.36},
+        {"x": zero, "y": zero},
+        {"x": zero, "y": {"w": [1.0], "c": [0.0]}},
+        {"x": zero, "y": {"w": [0.0, 0.5], "c": [0.0]}},
+        {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}},
         {"x": zero, "y": {"w": [0.4, 0.4], "c": [0.1]}},
         {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}},
     ]
 
 
+def _distance_sq(form, x, y, opts):
+    """Squared CC distance from x to y, exact where a closed form is known.
+
+    With z = x^-1 y: a horizontal z is reached by the straight segment, so
+    d^2 = |z.w|^2 on every form.  A vertical z on a d = 1 form of weighted
+    coordinate pairs (each row of the matrix has at most one nonzero entry,
+    as in every preset) is reached by a circle in the plane of the heaviest
+    pair: c = q_max * area and a loop of length L encloses area at most
+    L^2 / (4 pi), so d^2 = 4 pi |c| / q_max, with q_max the largest weight,
+    the spectral norm of the matrix.  Otherwise ``cc_distance``, an upper
+    bound.
+    """
+    z = multiply(form, inverse(x), y)
+    if not np.any(z.c):
+        wn = float(np.linalg.norm(z.w))
+        return wn * wn
+    paired = form.d == 1 and np.count_nonzero(form.coeffs, axis=1).max() <= 1
+    if paired and not np.any(z.w):
+        q_max = float(np.abs(form.coeffs).max())
+        return 4.0 * math.pi * float(np.linalg.norm(z.c)) / q_max
+    return cc_distance(form, x, y, opts=opts).distance ** 2
+
+
+def _grid_solve(form, p):
+    """The H3 grid solve of a grid experiment, and the facts it reports.
+
+    The stencil discretizes X = d/dw1 - (w2/2) d/dc and Y = d/dw2 + (w1/2) d/dc,
+    so it solves only the n = 2, d = 1 form of unit weight.
+    """
+    if form.n != 2 or form.d != 1 or form.coeffs[0, 1, 0] != 1.0:
+        raise ConfigError("the grid experiments require the n=2, d=1 group with "
+                          "unit form coefficient")
+    grid = p.get("grid", {})
+    density = pde_oracle_h3(
+        "delta", p.get("T", 1.0),
+        box=tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8)))),
+        shape=tuple(grid.get("shape", (96, 96, 128))),
+        cfl_fraction=grid.get("cfl_fraction", 0.5),
+        mollifier_cells=grid.get("mollifier_cells", 3.0))
+    facts = ("steps", "dt", "stability_bound", "stages", "operator_applications")
+    return density, {"mass": density.mass, **{k: density.meta[k] for k in facts}}
+
+
 def exp_verify_integrated_harnack(cfg, form, preset, workers):
-    if form.n != 2 or form.d != 1:
-        raise ConfigError("the integrated Harnack check requires the n=2, d=1 group")
     p = cfg.params
-    T = p.get("T", 1.0)
     q_grid = p.get("q_grid", [1.5, 2.0, 3.0])
     grid_tol = p.get("grid_tol", 0.02)
     constants = curvature_constants(form)
-    box, shape, cells, cfl = _grid_config(p)
-    density = pde_oracle_h3("delta", T, box=box, shape=shape,
-                            cfl_fraction=cfl, mollifier_cells=cells)
+    density, extras = _grid_solve(form, p)
     ys = [_point(form, q) for q in p.get("ys", _default_ys())]
     opts = DistanceOptions(restarts=8, seed=child_seed(cfg.seed, "ih-dist", 0))
     records = []
     for i, y in enumerate(ys):
-        d2 = _oracle_distance_sq_h3(form, y, opts)
+        d2 = _distance_sq(form, identity(form), y, opts)
         records += verify_integrated_harnack(
             density, form, y, q_grid, d2, constants, grid_tol=grid_tol,
             record_id=f"integrated-harnack-y{i}", preset=preset.name)
-    extras = {"mass": density.mass, "mass_ok": density.mass_ok, **_solve_facts(density)}
-    return records, extras, {}
-
-
-def _grid_config(p):
-    """(box, shape, mollifier cells, CFL fraction) of an H3 grid solve."""
-    grid = p.get("grid", {})
-    box = tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8))))
-    shape = tuple(grid.get("shape", (96, 96, 128)))
-    return box, shape, grid.get("mollifier_cells", 3.0), grid.get("cfl_fraction", 0.5)
-
-
-def _solve_facts(density):
-    return {k: density.meta[k] for k in ("steps", "dt", "stability_bound", "stages",
-                                         "operator_applications")}
+    return records, {**extras, "mass_ok": density.mass_ok}, {}
 
 
 def _default_ys():
@@ -576,18 +587,6 @@ def _default_ys():
         {"w": [0.0], "c": [0.25]},
         {"w": [0.3, 0.3], "c": [0.1]},
     ]
-
-
-def _oracle_distance_sq_h3(form, y, opts):
-    """Exact distances for purely horizontal or purely vertical targets."""
-    wn = float(np.linalg.norm(y.w))
-    cn = float(np.abs(y.c).max()) if form.d else 0.0
-    if cn == 0.0:
-        return wn * wn
-    if wn == 0.0:
-        return 4.0 * math.pi * float(np.linalg.norm(y.c))
-    e = GroupElement(np.zeros(form.n), np.zeros(form.d))
-    return cc_distance(form, e, y, opts=opts).distance ** 2
 
 
 def exp_verify_strong_feller(cfg, form, preset, workers):
@@ -612,13 +611,8 @@ def exp_verify_strong_feller(cfg, form, preset, workers):
 
 
 def exp_oracle_h3(cfg, form, preset, workers):
-    if form.n != 2 or form.d != 1:
-        raise ConfigError("the grid oracle requires the n=2, d=1 group")
-    p = cfg.params
-    T = p.get("T", 1.0)
-    box, shape, cells, cfl = _grid_config(p)
-    density = pde_oracle_h3("delta", T, box=box, shape=shape,
-                            cfl_fraction=cfl, mollifier_cells=cells)
+    density, extras = _grid_solve(form, cfg.params)
+    T = density.T
     u = density.values
     asym = float(np.abs(u - u[::-1, ::-1, ::-1]).max() / u.max())
     records = [
@@ -629,8 +623,7 @@ def exp_oracle_h3(cfg, form, preset, workers):
                            rank=form.n, T=T, lhs=asym, rhs=1e-3,
                            margin=1e-3 - asym, passed=asym < 1e-3),
     ]
-    extras = {"mass": density.mass, "asymmetry": asym, **_solve_facts(density)}
-    return records, extras, {}
+    return records, {**extras, "asymmetry": asym}, {}
 
 
 def exp_list_presets(cfg, form, preset, workers):
@@ -652,20 +645,8 @@ def exp_list_presets(cfg, form, preset, workers):
     return records, {"presets": catalog}, {}
 
 
-RUNNERS = {
-    "curvature": exp_curvature,
-    "distance": exp_distance,
-    "simulate": exp_simulate,
-    "convergence": exp_convergence,
-    "verify-cd": exp_verify_cd,
-    "verify-harnack": exp_verify_harnack,
-    "verify-reverse-poincare": exp_verify_reverse_poincare,
-    "verify-reverse-logsobolev": exp_verify_reverse_logsobolev,
-    "verify-integrated-harnack": exp_verify_integrated_harnack,
-    "verify-strong-feller": exp_verify_strong_feller,
-    "oracle-h3": exp_oracle_h3,
-    "list-presets": exp_list_presets,
-}
+# every experiment runs the function named exp_<name, with "-" as "_">
+RUNNERS = {name: globals()["exp_" + name.replace("-", "_")] for name in EXPERIMENTS}
 
 
 def run(cfg: RunConfig, workers: int) -> int:
@@ -679,16 +660,9 @@ def run(cfg: RunConfig, workers: int) -> int:
         raise ConfigError(f"rank exceeds horizontal dimension {form.n}")
     records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form, preset, workers)
 
-    os.makedirs(cfg.out, exist_ok=True)
-    csv_text = records_to_csv(records)
-    with open(os.path.join(cfg.out, "records.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
     summary = summarize(records)
     summary["experiment"] = cfg.experiment
     summary["report"] = extras
-    with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     manifest = {
         "config": cfg.echo(),
         "version": __version__,
@@ -698,10 +672,12 @@ def run(cfg: RunConfig, workers: int) -> int:
         "failed": summary["failed"],
         "failures": summary["failures"],
     }
-    with open(os.path.join(cfg.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, text in artifacts.items():
+    files = {"records.csv": records_to_csv(records),
+             "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+             "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+             **artifacts}
+    os.makedirs(cfg.out, exist_ok=True)
+    for name, text in files.items():
         with open(os.path.join(cfg.out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     print(json.dumps({k: summary[k] for k in ("experiment", "records", "passed", "failed")}))
@@ -732,10 +708,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.experiment, args.config, args.seed, args.out)
         return run(cfg, workers)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (HormanderError, ValueError) as exc:
+    except ValueError as exc:     # ConfigError and HormanderError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

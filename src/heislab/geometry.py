@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
 
-from .groups import GroupElement, OmegaForm, dilate, homogeneous_norm, inverse, multiply
+from .groups import GroupElement, OmegaForm, dilate, homogeneous_norm, identity, inverse, multiply
 from .rng import mix64
 
 __all__ = [
@@ -100,18 +100,22 @@ def vertical_displacement(form: OmegaForm, path: HorizontalPath) -> np.ndarray:
     return 0.5 * form.pair(path.nodes[:-1], inc).sum(axis=0)
 
 
+# Augmented Lagrangian: initial penalty, and the L-BFGS-B gradient tolerance
+# and iteration cap of each inner solve.  Vertical residual targets on the
+# dilation-normalized problem: of a feasible witness, and of the outer loop.
+_MU0 = 100.0
+_GTOL = 1e-10
+_MAX_INNER = 400
+_VERT_TOL = 1e-12
+_AL_TOL = 1e-9
+
+
 @dataclass
 class DistanceOptions:
     segments: int = 64
     restarts: int = 16
     seed: int = 0
     max_outer: int = 30
-    mu0: float = 100.0
-    gtol: float = 1e-10
-    max_inner: int = 400
-    # vertical residual targets on the dilation-normalized problem
-    vert_tol: float = 1e-12
-    al_tol: float = 1e-9
 
 
 @dataclass
@@ -198,21 +202,21 @@ def _solve_normalized(mats, rank, K, w_t, c_t, opts: DistanceOptions, warm=None)
     best_infeasible = None
     for idx, disp0 in enumerate(starts):
         lam = np.zeros(len(mats))
-        mu = opts.mu0
+        mu = _MU0
         u = disp0.ravel()
         prev_r = np.inf
         for _ in range(opts.max_outer):
             res = scipy_minimize(
                 _al_objective, u, args=(mats, w_t, c_t, lam, mu, K),
                 method="L-BFGS-B", jac=True,
-                options={"maxiter": opts.max_inner, "gtol": opts.gtol, "ftol": 1e-16},
+                options={"maxiter": _MAX_INNER, "gtol": _GTOL, "ftol": 1e-16},
             )
             u = res.x
             disp = u.reshape(K, -1)
             disp = disp - disp.mean(axis=0) + w_t / K
             r, _ = _residual_and_positions(mats, disp, w_t, c_t)
             rnorm = float(np.linalg.norm(r))
-            if rnorm <= opts.al_tol:
+            if rnorm <= _AL_TOL:
                 break
             lam = lam + mu * r
             if rnorm > 0.25 * prev_r:
@@ -220,7 +224,7 @@ def _solve_normalized(mats, rank, K, w_t, c_t, opts: DistanceOptions, warm=None)
             prev_r = rnorm
         disp, rnorm = _newton_project(mats, disp, w_t, c_t)
         energy = K * float(np.sum(disp * disp))
-        feasible = rnorm <= opts.vert_tol
+        feasible = rnorm <= _VERT_TOL
         entry = (energy, idx, disp, rnorm)
         if feasible:
             if best is None or energy < best[0]:
@@ -307,7 +311,7 @@ def check_distance_norm_equivalence(form, targets, opts=None,
     empirical envelope and only asserts it stays inside a loose positive band.
     """
     opts = opts or DistanceOptions()
-    e = GroupElement(np.zeros(form.n), np.zeros(form.d))
+    e = identity(form)
     ratios = []
     failures = 0
     for tgt in targets:
@@ -350,22 +354,18 @@ def projected_distance_convergence(form, x: GroupElement, ranks,
     support = np.nonzero(x.w)[0]
     if len(support) and support.max() >= ranks[0]:
         raise ValueError("target horizontal support must fit inside the smallest rank")
-    e = GroupElement(np.zeros(form.n), np.zeros(form.d))
+    e = identity(form)
     distances = []
     witness = None
     for rank in ranks:
         res = cc_distance(form, e, x, rank=rank, opts=opts, warm=witness)
         distances.append(res.distance)
         witness = res.witness
-    tol = 2.0 * _distance_tolerance(opts, distances[0])
+    # endpoint feasibility is met to _VERT_TOL on the normalized problem, so
+    # sqrt of it is the homogeneous-norm error scale of the witness
+    tol = 2.0 * float(np.sqrt(_VERT_TOL) * max(distances[0], 1.0))
     mono = all(b <= a + tol for a, b in zip(distances, distances[1:]))
     full = cc_distance(form, e, x, opts=opts, warm=witness)
     matches = abs(distances[-1] - full.distance) <= max(tol, 1e-9) \
         if ranks[-1] == form.n else True
     return ConvergenceReport(ranks, distances, tol, mono, matches)
-
-
-def _distance_tolerance(opts: DistanceOptions, scale: float) -> float:
-    # endpoint feasibility is met to vert_tol on the normalized problem, so
-    # sqrt of it is the homogeneous-norm error scale of the witness
-    return float(np.sqrt(opts.vert_tol) * max(scale, 1.0))

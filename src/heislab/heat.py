@@ -104,19 +104,18 @@ class SemigroupSampler:
     """
 
     def __init__(self, form: OmegaForm, T: float, steps: int, samples: int,
-                 seed: int, stream: int = 0, mollifier=None):
+                 seed: int, mollifier=None):
         self.form = form
         self.T = float(T)
         self.steps = int(steps)
         self.samples = int(samples)
-        self.seed = int(seed)
         self.mollified = mollifier is not None
-        W, C = sample_endpoints(form, T, steps, samples, seed, stream=stream)
+        W, C = sample_endpoints(form, T, steps, samples, seed)
         if self.mollified:
             sig = np.asarray(mollifier, dtype=float)
             if sig.shape != (form.n + form.d,):
                 raise ValueError("mollifier needs one standard deviation per coordinate")
-            rng = np.random.Generator(np.random.Philox(key=mix64(seed, "mollifier", stream)))
+            rng = np.random.Generator(np.random.Philox(key=mix64(seed, "mollifier", 0)))
             start = rng.standard_normal((samples, form.n + form.d)) * sig[None, :]
             W, C = multiply_arrays(form, start[:, :form.n], start[:, form.n:], W, C)
         self._W = W
@@ -152,46 +151,39 @@ class SemigroupSampler:
         return np.asarray(func(np.concatenate([W, C], axis=1)), dtype=float)
 
     def estimate(self, func, x: GroupElement) -> SemigroupEstimate:
-        vals = self.values(func, x)
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-        return SemigroupEstimate(float(vals.mean()), se, self.samples, self.T,
-                                 self.steps, x)
+        value, se = _mean_se(self.values(func, x))
+        return SemigroupEstimate(value, se, self.samples, self.T, self.steps, x)
 
     # -- common-random-number derivative estimates ---------------------------
 
-    def _shift(self, x, direction, h):
-        w = np.zeros(self.form.n)
-        c = np.zeros(self.form.d)
+    def _difference(self, func, x, direction, h, use_log):
+        """Central difference of P_T f (or of ln P_T f) at x along ``direction``.
+
+        ``direction`` is ("w", i) or ("c", l); both sides read the same
+        endpoints, so the difference is itself a mean estimate.  Returns the
+        estimate and its standard error.
+        """
         kind, idx = direction
-        if kind == "w":
-            w[idx] = h
-        else:
-            c[idx] = h
-        return multiply(self.form, x, GroupElement(w, c))
-
-    def _difference(self, func, x, direction, h):
-        vp = self.values(func, self._shift(x, direction, h))
-        vm = self.values(func, self._shift(x, direction, -h))
-        diff = (vp - vm) / (2.0 * h)
-        return float(diff.mean()), float(diff.std(ddof=1) / np.sqrt(len(diff)))
-
-    def _log_difference(self, func, x, direction, h):
-        vp = self.values(func, self._shift(x, direction, h))
-        vm = self.values(func, self._shift(x, direction, -h))
+        vals = []
+        for step in (h, -h):
+            w, c = np.zeros(self.form.n), np.zeros(self.form.d)
+            (w if kind == "w" else c)[idx] = step
+            vals.append(self.values(func, multiply(self.form, x, GroupElement(w, c))))
+        vp, vm = vals
+        if not use_log:
+            return _mean_se((vp - vm) / (2.0 * h))
         up, um = vp.mean(), vm.mean()
         if up <= 0 or um <= 0:
             raise ValueError("semigroup estimate not positive; log derivative undefined")
-        est = (math.log(up) - math.log(um)) / (2.0 * h)
-        lin = vp / up - vm / um
-        se = float(lin.std(ddof=1) / np.sqrt(len(lin)) / (2.0 * h))
-        return est, se
+        # delta method: the log difference linearizes to the mean of vp/up - vm/um
+        return ((math.log(up) - math.log(um)) / (2.0 * h),
+                _mean_se(vp / up - vm / um)[1] / (2.0 * h))
 
     def _squared_gradient(self, func, x, h, directions, use_log):
-        one = self._log_difference if use_log else self._difference
         total, var, bias = 0.0, 0.0, 0.0
         for direction in directions:
-            d_h, se = one(func, x, direction, h)
-            d_half, _ = one(func, x, direction, 0.5 * h)
+            d_h, se = self._difference(func, x, direction, h, use_log)
+            d_half, _ = self._difference(func, x, direction, 0.5 * h, use_log)
             total += d_half * d_half
             var += (2.0 * d_half * se) ** 2
             # Richardson gap bounds the residual O(h^2) differencing bias
@@ -210,11 +202,11 @@ class SemigroupSampler:
         return self._squared_gradient(func, x, h, dirs, use_log)
 
 
-def mollified_sampler(form, T, steps, samples, seed, grid_steps, cells=2.0,
-                      stream: int = 0) -> SemigroupSampler:
+def mollified_sampler(form, T, steps, samples, seed, grid_steps,
+                      cells=2.0) -> SemigroupSampler:
     """Sampler whose start point matches a grid delta mollified by ``cells``."""
     sig = np.array([cells * grid_steps[0], cells * grid_steps[1], cells * grid_steps[2]])
-    return SemigroupSampler(form, T, steps, samples, seed, stream=stream, mollifier=sig)
+    return SemigroupSampler(form, T, steps, samples, seed, mollifier=sig)
 
 
 # --------------------------------------------------------------------------
@@ -401,8 +393,8 @@ def _mollified_delta(axes, cells):
 
 
 def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0)),
-                  shape=(96, 96, 128), dt: float | None = None,
-                  cfl_fraction: float = 0.5, mollifier_cells: float = 2.0) -> GridDensity:
+                  shape=(96, 96, 128), cfl_fraction: float = 0.5,
+                  mollifier_cells: float = 2.0) -> GridDensity:
     """Grid solve of the group heat equation on the n=2, d=1 group.
 
     ``initial`` is "delta" (a Gaussian of ``mollifier_cells`` cells per axis,
@@ -416,9 +408,9 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
     ``_step_numpy``.  The stencil operator is symmetric with spectral radius
     at most the closed-form Gershgorin bound rho_G
     (``_spectral_radius_bound``), so a super step is stable up to
-    tau_max = (2/rho_G)(s^2+s-2)/4.  ``dt`` is the super step and must not
-    exceed tau_max; the default is ``cfl_fraction * tau_max``, shortened so
-    that a whole number of super steps reaches T.  ``meta`` reports the
+    tau_max = (2/rho_G)(s^2+s-2)/4.  The super step is ``cfl_fraction``
+    (at most 1) times tau_max, shortened so that a whole number of super
+    steps reaches T.  ``meta`` reports the
     super step ``dt``, the number of super ``steps`` (steps * dt = T), the
     ``stages`` per step, the ``operator_applications`` (stages * steps) and
     tau_max as ``stability_bound``.
@@ -432,10 +424,10 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
     w1, w2, c = axes
     stages = _RKL_STAGES
     bound = float(2.0 / _spectral_radius_bound(w1, w2, c)) * (stages * stages + stages - 2) / 4.0
-    if dt is None:
-        dt = cfl_fraction * bound
-    if dt > bound * (1 + 1e-12):
-        raise ValueError(f"dt={dt:.3e} exceeds the stability bound {bound:.3e}")
+    if not 0 < cfl_fraction <= 1:
+        raise ValueError(f"cfl_fraction={cfl_fraction} must lie in (0, 1]: a super step "
+                         f"above the stability bound {bound:.3e} is unstable")
+    dt = cfl_fraction * bound
     steps = max(1, int(math.ceil(T / dt)))
     dt = T / steps
 
@@ -480,8 +472,46 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
 # inequality verifiers
 
 
-def _combined(se_list):
-    return math.sqrt(sum(se * se for se in se_list))
+def _mean_se(v):
+    """Sample mean of v and its standard error (0 for a single sample)."""
+    se = v.std(ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0
+    return float(v.mean()), float(se)
+
+
+def _record(lhs, rhs, se_lhs, se_rhs, slack, **fields) -> VerificationRecord:
+    """The record of lhs <= rhs, with margin rhs - lhs.
+
+    It passes unless the margin falls below three combined standard errors
+    plus the deterministic ``slack``.
+    """
+    margin = rhs - lhs
+    tolerance = 3.0 * math.sqrt(se_lhs * se_lhs + se_rhs * se_rhs) + slack
+    return VerificationRecord(lhs=lhs, rhs=rhs, stderr_lhs=se_lhs, stderr_rhs=se_rhs,
+                              margin=margin, passed=bool(margin >= -tolerance), **fields)
+
+
+def _reverse_record(sampler, f, x, constants, h, rank, use_log, core, se_core,
+                    record_id, preset, **detail) -> VerificationRecord:
+    """Gamma(g) + rho2 T Gamma^Z(g) against (harnack_coeff / T) core at x.
+
+    g is P_T f, or ln P_T f when ``use_log``; ``core`` is the variance or
+    entropy term with standard error ``se_core``.  The Richardson gap of the
+    squared gradients is the slack.
+    """
+    T = sampler.T
+    grad, se_g, bias_g = sampler.gamma_estimate(f, x, h, rank=rank, use_log=use_log)
+    gradz, se_gz, bias_gz = sampler.gamma_z_estimate(f, x, h, use_log=use_log)
+    coeff = constants.harnack_coeff / T
+    vertical = constants.rho2 * T
+    se_v = vertical * se_gz
+    slack = bias_g + vertical * bias_gz
+    return _record(
+        grad + vertical * gradz, coeff * core, math.sqrt(se_g * se_g + se_v * se_v),
+        coeff * se_core, slack, record_id=record_id, preset=preset,
+        rank=rank or sampler.form.n, T=T, x=coords_str(x.coords()),
+        detail={"grad_sq": grad, "grad_z_sq": gradz, "richardson_slack": slack,
+                "h": h, "samples": sampler.samples, **detail},
+    )
 
 
 def verify_reverse_poincare(sampler: SemigroupSampler, f, x: GroupElement,
@@ -490,30 +520,13 @@ def verify_reverse_poincare(sampler: SemigroupSampler, f, x: GroupElement,
                             record_id: str = "reverse-poincare",
                             preset: str = "") -> VerificationRecord:
     """Squared gradients of P_T f against the variance bound at x."""
-    T = sampler.T
-    grad, se_g, bias_g = sampler.gamma_estimate(f, x, h, rank=rank)
-    gradz, se_gz, bias_gz = sampler.gamma_z_estimate(f, x, h)
     vals = sampler.values(f, x)
     # centred form: E[f^2] - E[f]^2 cancels to a negative value on constant f
     dev_sq = (vals - vals.mean()) ** 2
     var_est = dev_sq.mean()
-    lin = dev_sq - var_est
-    se_var = float(lin.std(ddof=1) / np.sqrt(len(lin)))
-    coeff = constants.harnack_coeff / T
-    lhs = grad + constants.rho2 * T * gradz
-    rhs = coeff * var_est
-    se_lhs = _combined([se_g, constants.rho2 * T * se_gz])
-    se_rhs = coeff * se_var
-    slack = bias_g + constants.rho2 * T * bias_gz
-    margin = rhs - lhs
-    return VerificationRecord(
-        record_id=record_id, preset=preset, rank=rank or sampler.form.n, T=T,
-        x=coords_str(x.coords()), lhs=lhs, rhs=rhs,
-        stderr_lhs=se_lhs, stderr_rhs=se_rhs, margin=margin,
-        passed=bool(margin >= -3.0 * _combined([se_lhs, se_rhs]) - slack),
-        detail={"grad_sq": grad, "grad_z_sq": gradz, "variance": var_est,
-                "richardson_slack": slack, "h": h, "samples": sampler.samples},
-    )
+    return _reverse_record(sampler, f, x, constants, h, rank, False, var_est,
+                           _mean_se(dev_sq - var_est)[1], record_id, preset,
+                           variance=var_est)
 
 
 def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
@@ -524,9 +537,6 @@ def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
     """Squared gradients of ln P_T f against the entropy bound at x."""
     if not getattr(f, "floor", 0.0) > 0.0:
         raise ValueError("reverse log-Sobolev needs a strictly positive test function")
-    T = sampler.T
-    grad, se_g, bias_g = sampler.gamma_estimate(f, x, h, rank=rank, use_log=True)
-    gradz, se_gz, bias_gz = sampler.gamma_z_estimate(f, x, h, use_log=True)
     fv = sampler.values(f, x)
     b = fv.mean()
     if b <= 0:
@@ -536,23 +546,10 @@ def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
     # constant f
     u = fv / b
     terms = u * np.log(u) - u + 1.0
-    rhs_core = terms.mean()
-    lin = (terms - rhs_core) - rhs_core * (u - 1.0)
-    se_core = float(lin.std(ddof=1) / np.sqrt(len(lin)))
-    coeff = constants.harnack_coeff / T
-    lhs = grad + constants.rho2 * T * gradz
-    rhs = coeff * rhs_core
-    se_lhs = _combined([se_g, constants.rho2 * T * se_gz])
-    se_rhs = coeff * se_core
-    slack = bias_g + constants.rho2 * T * bias_gz
-    margin = rhs - lhs
-    return VerificationRecord(
-        record_id=record_id, preset=preset, rank=rank or sampler.form.n, T=T,
-        x=coords_str(x.coords()), lhs=lhs, rhs=rhs,
-        stderr_lhs=se_lhs, stderr_rhs=se_rhs, margin=margin,
-        passed=bool(margin >= -3.0 * _combined([se_lhs, se_rhs]) - slack),
-        detail={"entropy_core": rhs_core, "richardson_slack": slack, "h": h},
-    )
+    core = terms.mean()
+    lin = (terms - core) - core * (u - 1.0)
+    return _reverse_record(sampler, f, x, constants, h, rank, True, core,
+                           _mean_se(lin)[1], record_id, preset, entropy_core=core)
 
 
 def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
@@ -564,21 +561,13 @@ def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
     if not p > 1:
         raise ValueError("the exponent must exceed one")
     T = sampler.T
-    vx = sampler.values(f, x)
-    vyp = sampler.values(f, y) ** p
-    mx, sx = vx.mean(), vx.std(ddof=1) / math.sqrt(len(vx))
-    my, sy = vyp.mean(), vyp.std(ddof=1) / math.sqrt(len(vyp))
+    mx, sx = _mean_se(sampler.values(f, x))
+    my, sy = _mean_se(sampler.values(f, y) ** p)
     factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
-    lhs = mx ** p
-    se_lhs = p * mx ** (p - 1.0) * sx
-    rhs = my * factor
-    se_rhs = factor * sy
-    margin = rhs - lhs
-    return VerificationRecord(
+    return _record(
+        mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy, 0.0,
         record_id=record_id, preset=preset, rank=sampler.form.n, T=T, p_or_q=p,
         x=coords_str(x.coords()), y=coords_str(y.coords()),
-        lhs=lhs, rhs=rhs, stderr_lhs=se_lhs, stderr_rhs=se_rhs, margin=margin,
-        passed=bool(margin >= -3.0 * _combined([se_lhs, se_rhs])),
         detail={"dist_sq": dist_sq, "factor": factor},
     )
 
@@ -593,8 +582,8 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
 
     One record per q in ``q_grid``, with id ``{record_id}-q{q:g}``.  LHS is
     the 1/q power of the trapezoid integral of (p(z y^-1) / p(z))^q p(z);
-    p(z y^-1) is trilinear-interpolated, zero outside the box, once per call
-    and shared by every q.  A record is flagged when the density mass
+    p(z y^-1) is trilinear-interpolated, undefined outside the box, once per
+    call and shared by every q.  A record is flagged when the density mass
     excluded by the shifted evaluation or the positivity floor exceeds one
     percent.
     """
@@ -610,14 +599,11 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
         (w1 - wy1).ravel(), (w2 - wy2).ravel(),
         (c - y.c[0] - 0.5 * pairing).ravel(),
     ], axis=1)
-    interp = density.interpolator()
+    interp = RegularGridInterpolator(density.axes, density.values, bounds_error=False,
+                                     fill_value=np.nan)
     p_shift = interp(shifted).reshape(density.values.shape)
-    inside = ((shifted[:, 0] >= density.axes[0][0]) & (shifted[:, 0] <= density.axes[0][-1])
-              & (shifted[:, 1] >= density.axes[1][0]) & (shifted[:, 1] <= density.axes[1][-1])
-              & (shifted[:, 2] >= density.axes[2][0]) & (shifted[:, 2] <= density.axes[2][-1]))
-    inside = inside.reshape(density.values.shape)
     floor = 1e-15 * float(density.values.max())
-    valid = inside & (density.values > floor)
+    valid = ~np.isnan(p_shift) & (density.values > floor)
     pv = density.values[valid]
     ratio = p_shift[valid] / pv
     excluded_mass = density.quadrature(np.where(valid, 0.0, density.values))
@@ -646,20 +632,12 @@ def verify_strong_feller(sampler: SemigroupSampler, f, x: GroupElement,
                          preset: str = "") -> VerificationRecord:
     """|P_T f(x) - P_T f(y)|^2 against the distance-modulus bound."""
     T = sampler.T
-    vx = sampler.values(f, x)
-    vy = sampler.values(f, y)
-    diff = vx - vy
-    m = diff.mean()
-    se_m = diff.std(ddof=1) / math.sqrt(len(diff))
-    lhs = m * m
-    se_lhs = 2.0 * abs(m) * se_m
+    m, se_m = _mean_se(sampler.values(f, x) - sampler.values(f, y))
     rhs = sup_bound**2 * math.expm1(constants.harnack_coeff * dist_sq / (2.0 * T))
-    margin = rhs - lhs
-    return VerificationRecord(
+    return _record(
+        m * m, rhs, 2.0 * abs(m) * se_m, 0.0, 0.0,
         record_id=record_id, preset=preset, rank=sampler.form.n, T=T,
         x=coords_str(x.coords()), y=coords_str(y.coords()),
-        lhs=lhs, rhs=rhs, stderr_lhs=se_lhs, margin=margin,
-        passed=bool(margin >= -3.0 * se_lhs),
         detail={"dist_sq": dist_sq, "difference": m, "sup_bound": sup_bound},
     )
 

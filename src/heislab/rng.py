@@ -1,7 +1,7 @@
 """Deterministic counter-based random streams.
 
 Every sample path owns a Philox generator keyed by a hash of
-(seed, stream, path index), so the values drawn for a given path never depend
+(seed, path index), so the values drawn for a given path never depend
 on batch size, worker count, or evaluation order.  Child seeds for experiment
 records are derived the same way from (master seed, experiment, index).
 """
@@ -30,7 +30,7 @@ def child_seed(master_seed: int, experiment: str, index: int) -> int:
     return mix64(master_seed, experiment, index)
 
 
-def path_generator(seed: int, stream: int, path_index: int) -> np.random.Generator:
+def path_generator(seed: int, path_index: int) -> np.random.Generator:
     """Generator for one sample path; reproducible bit-for-bit from its key."""
-    key = mix64(seed, stream, path_index)
+    key = mix64(seed, 0, path_index)   # the 0 is part of the fixed key layout
     return np.random.Generator(np.random.Philox(key=key))

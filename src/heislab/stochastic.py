@@ -5,7 +5,7 @@ The running vertical process M accumulates form(B_k, B_{k+1} - B_k) over grid
 steps.  Because the form is antisymmetric the Ito and Stratonovich integrals
 coincide, so this left-point sum targets the group Brownian motion whose
 endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
-(seed, stream, path index); batch size and worker partitioning never change
+(seed, path index); batch size and worker partitioning never change
 the draws.
 """
 
@@ -90,21 +90,20 @@ def path_from_increments(form: OmegaForm, T: float, increments,
 
 
 def sample_path(form: OmegaForm, T: float, K: int, seed: int,
-                stream_index: int = 0, stream: int = 0) -> BrownianPath:
+                stream_index: int = 0) -> BrownianPath:
     """One Brownian path with K steps on [0, T]."""
     _check_grid(T, K)
-    inc = _batch_increments(form, T, K, seed, stream, stream_index, 1)[0]
+    inc = _batch_increments(form, T, K, seed, stream_index, 1)[0]
     return path_from_increments(form, T, inc, seed, stream_index)
 
 
-def endpoint(form: OmegaForm, T: float, K: int, seed: int, index: int,
-             stream: int = 0) -> GroupElement:
+def endpoint(form: OmegaForm, T: float, K: int, seed: int, index: int) -> GroupElement:
     """Group endpoint (B_K, M_K / 2); a pure function of (seed, index).
 
     Computed exactly as row ``index`` of ``sample_endpoints``.
     """
     _check_grid(T, K)
-    W, M = _endpoint_sums(form, _batch_increments(form, T, K, seed, stream, index, 1))
+    W, M = _endpoint_sums(form, _batch_increments(form, T, K, seed, index, 1))
     return GroupElement(W[0], 0.5 * M[0])
 
 
@@ -115,10 +114,10 @@ def _check_grid(T, K):
         raise ValueError(f"step count must be at least 1, got {K}")
 
 
-def _batch_increments(form, T, K, seed, stream, start, count):
+def _batch_increments(form, T, K, seed, start, count):
     inc = np.empty((count, K, form.n))
     for p in range(count):
-        path_generator(seed, stream, start + p).standard_normal(out=inc[p])
+        path_generator(seed, start + p).standard_normal(out=inc[p])
     inc *= np.sqrt(T / K)
     return inc
 
@@ -134,11 +133,11 @@ def _endpoint_sums(form, inc):
 
 
 def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
-                     stream: int = 0, chunk: int = 2048):
+                     chunk: int = 2048):
     """Endpoints of ``samples`` independent paths as arrays (W, C).
 
     W has shape (samples, n) and C = M_K/2 shape (samples, d).  Path p always
-    uses the generator keyed (seed, stream, p), so results are independent of
+    uses the generator keyed (seed, p), so results are independent of
     the chunk size.
     """
     _check_grid(T, K)
@@ -146,7 +145,7 @@ def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
     C = np.empty((samples, form.d))
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        inc = _batch_increments(form, T, K, seed, stream, start, count)
+        inc = _batch_increments(form, T, K, seed, start, count)
         W[start:start + count], M = _endpoint_sums(form, inc)
         C[start:start + count] = 0.5 * M
     return W, C
@@ -184,7 +183,7 @@ class ApproximationReport:
 
 
 def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
-                         p_moments=(1, 2, 4), seed: int = 0, stream: int = 0,
+                         p_moments=(1, 2, 4), seed: int = 0,
                          chunk: int = 512) -> ApproximationReport:
     """Monte Carlo sup-over-grid error between projected and full paths.
 
@@ -200,7 +199,7 @@ def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
     acc_e = {(m, p): [] for m in ranks for p in p_moments}
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        inc = _batch_increments(form, T, K, seed, stream, start, count)
+        inc = _batch_increments(form, T, K, seed, start, count)
         B = np.concatenate([np.zeros((count, 1, form.n)), np.cumsum(inc, axis=1)], axis=1)
         M = _accumulate_vertical(form, B[:, :-1, :], inc)
         for m in ranks:
@@ -245,8 +244,7 @@ class RefinementReport:
 
 
 def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
-                           seed: int = 0, stream: int = 0,
-                           chunk: int = 512) -> RefinementReport:
+                           seed: int = 0, chunk: int = 512) -> RefinementReport:
     """Coupled refinement study of the vertical integral discretization.
 
     All resolutions reuse the same underlying increments (coarser levels sum
@@ -263,7 +261,7 @@ def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
     sq_diffs = np.zeros(len(K_list) - 1)
     for start in range(0, samples, chunk):
         count = min(chunk, samples - start)
-        inc = _batch_increments(form, T, K_max, seed, stream, start, count)
+        inc = _batch_increments(form, T, K_max, seed, start, count)
         m_at_K = []
         for K in K_list:
             factor = K_max // K

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from heislab.cli import load_config, main
+from heislab.cli import _distance_sq, load_config, main
+from heislab.geometry import DistanceOptions, cc_distance
+from heislab.groups import GroupElement, OmegaForm, identity, make_preset, multiply
 
 SMALL_GRID = {"box": [[-4, 4], [-4, 4], [-5, 5]], "shape": [32, 32, 40],
               "mollifier_cells": 3.0}
@@ -179,10 +181,10 @@ class TestVerifyCommands:
         assert main(["verify-integrated-harnack", "--config", cfg, "--out", out]) == 0
 
     def test_integrated_harnack_needs_h3(self, tmp_path):
-        cfg = write_config(tmp_path, "c.json", {
-            "preset": {"name": "heisenberg", "params": {"pairs": 2}}})
-        assert main(["verify-integrated-harnack", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 2
+        _assert_grid_rejects_non_unit_h3(tmp_path, "verify-integrated-harnack")
+
+    def test_oracle_h3_needs_h3(self, tmp_path):
+        _assert_grid_rejects_non_unit_h3(tmp_path, "oracle-h3")
 
     def test_oracle_h3_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -207,6 +209,77 @@ class TestVerifyCommands:
         assert facts[0]["steps"] * facts[0]["dt"] == pytest.approx(0.3)
         assert facts[0]["dt"] <= facts[0]["stability_bound"]
         assert facts[0]["operator_applications"] == facts[0]["stages"] * facts[0]["steps"]
+
+
+def _assert_grid_rejects_non_unit_h3(tmp_path, experiment):
+    """The grid solves only the unit-weight n=2, d=1 group: heisenberg(2) has
+    the wrong dimensions, and block_sum([3]) the right ones with weight 3."""
+    for name, params in (("heisenberg", {"pairs": 2}), ("block_sum", {"weights": [3]})):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "preset": {"name": name, "params": params},
+            "params": {"T": 0.25, "grid": {"box": [[-3, 3], [-3, 3], [-2, 2]],
+                                           "shape": [9, 9, 11]}}})
+        out = tmp_path / f"o-{name}"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestDistanceSq:
+    """The squared distances of the Harnack checks: exact where z = x^-1 y is
+    horizontal, or vertical on a d = 1 form; ``cc_distance`` otherwise."""
+
+    PRESETS = [pytest.param("heisenberg", {"pairs": 2}, 1.0, id="heisenberg(2)"),
+               pytest.param("wiener_truncation", {"pairs": 3, "s": 2}, 1.0,
+                            id="wiener_truncation(3,2)"),
+               pytest.param("block_sum", {"weights": [3]}, 3.0, id="block_sum([3])")]
+    OPTS = DistanceOptions(restarts=4, seed=3)
+
+    @staticmethod
+    def _x(form):
+        # dyadic coordinates keep x * (h, 0) and x * (0, c) exactly horizontal
+        # and vertical after x^-1
+        return GroupElement(np.resize([0.5, -0.25, 0.75], form.n), [0.125])
+
+    @pytest.mark.parametrize("name,params,q_max", PRESETS)
+    def test_horizontal_is_the_segment(self, name, params, q_max):
+        form = make_preset(name, **params).form
+        x = self._x(form)
+        h = np.resize([0.25, 0.5, -0.75], form.n)
+        y = multiply(form, x, GroupElement(h, [0.0]))
+        assert _distance_sq(form, x, y, self.OPTS) == pytest.approx(h @ h, rel=1e-15)
+
+    @pytest.mark.parametrize("name,params,q_max", PRESETS)
+    def test_vertical_is_the_circle(self, name, params, q_max):
+        form = make_preset(name, **params).form
+        x, c = self._x(form), 0.375
+        y = multiply(form, x, GroupElement(np.zeros(form.n), [c]))
+        exact = _distance_sq(form, x, y, self.OPTS)
+        assert exact == pytest.approx(4.0 * np.pi * c / q_max, rel=1e-15)
+        # the solver's best 64-segment loop is the regular 64-gon, longer than
+        # the circle by the factor K tan(pi / K) / pi in squared length
+        solver = cc_distance(form, x, y, opts=self.OPTS).distance ** 2
+        assert solver / exact == pytest.approx(64 * np.tan(np.pi / 64) / np.pi, rel=1e-9)
+
+    def test_vertical_on_an_unpaired_form_uses_the_solver(self):
+        # heisenberg(2) weighted (1, 2) and rotated by 45 degrees in (w1, w3):
+        # no entry reaches the spectral norm 2, so the circle formula would
+        # read q_max off the entries wrongly
+        rot = np.eye(4)
+        rot[np.ix_([0, 2], [0, 2])] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        pairs = np.zeros((4, 4))
+        pairs[0, 1], pairs[2, 3] = 1.0, 2.0
+        form = OmegaForm(4, 1, (rot @ (pairs - pairs.T) @ rot.T)[:, :, None])
+        x, y = identity(form), GroupElement(np.zeros(4), [0.375])
+        assert _distance_sq(form, x, y, self.OPTS) == \
+            cc_distance(form, x, y, opts=self.OPTS).distance ** 2
+
+    @pytest.mark.parametrize("name,params,q_max", PRESETS)
+    def test_other_targets_use_the_solver(self, name, params, q_max):
+        form = make_preset(name, **params).form
+        x = self._x(form)
+        y = multiply(form, x, GroupElement(np.resize([0.25, 0.5], form.n), [0.375]))
+        assert _distance_sq(form, x, y, self.OPTS) == \
+            cc_distance(form, x, y, opts=self.OPTS).distance ** 2
 
 
 class TestListPresets:

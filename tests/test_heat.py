@@ -158,7 +158,7 @@ class TestPdeOracle:
 
     def test_stability_bound_enforced(self):
         with pytest.raises(ValueError):
-            pde_oracle_h3("delta", T=0.1, box=SMALL_BOX, shape=SMALL_SHAPE, dt=1.0)
+            pde_oracle_h3("delta", T=0.1, box=SMALL_BOX, shape=SMALL_SHAPE, cfl_fraction=1.5)
 
     def test_small_time_taylor_expansion(self):
         bump = BumpFunction(GroupElement([0.3, 0.0], [0.0]), radius=2.0)
