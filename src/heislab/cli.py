@@ -6,7 +6,7 @@ T is one item: its endpoint set is drawn once and dilated to each T), and
 writes three files to the output directory:
 
 * records.csv   - one VerificationRecord per row; the body is byte-identical
-                  across runs and worker counts for equal configs
+                  across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
 * manifest.json - config echo, artifact version, wall clock, failure list
                   (the only file carrying timing)
@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import jsonschema
 
 from . import __version__
-from .curvature import curvature_constants
+from .curvature import curvature_constants, rho2
 from .differential import check_cd_inequality
 from .geometry import DistanceOptions, SolverError, cc_distance
 from .groups import (
@@ -52,8 +52,6 @@ from .records import VerificationRecord, coords_str, fmt_float, records_to_csv, 
 from .rng import child_seed
 from .stochastic import refinement_convergence, approximation_report, sample_endpoints
 
-WORKERS_ENV = "HEISLAB_WORKERS"
-
 EXPERIMENTS = [
     "curvature", "distance", "simulate", "convergence", "verify-cd",
     "verify-harnack", "verify-reverse-poincare", "verify-reverse-logsobolev",
@@ -69,12 +67,12 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     experiment: str
-    preset_name: str = "heisenberg"
-    preset_params: dict = field(default_factory=lambda: {"pairs": 1})
-    ranks: list = field(default_factory=list)
-    seed: int = 20240801
-    out: str | None = None
-    params: dict = field(default_factory=dict)
+    preset_name: str
+    preset_params: dict
+    ranks: list
+    seed: int
+    out: str
+    params: dict
 
     def echo(self) -> dict:
         return {
@@ -110,6 +108,7 @@ CONFIG_SCHEMA = {
 _NUM = {"type": "number"}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
+_EXPONENT = {"type": "number", "exclusiveMinimum": 1}
 _VEC = {"type": "array", "items": _NUM}
 _POINT = {
     "type": "object", "additionalProperties": False,
@@ -136,9 +135,9 @@ _GRID = {
 _REVERSE = {
     "type": "object", "additionalProperties": False,
     "properties": {
-        "T_grid": {"type": "array", "items": _POSNUM},
+        "T_grid": {"type": "array", "items": _POSNUM, "minItems": 1},
         "samples": _POSINT, "steps": _POSINT,
-        "points": {"type": "array", "items": _POINT},
+        "points": {"type": "array", "items": _POINT, "minItems": 1},
         "bump": _BUMP, "h": _POSNUM,
     },
 }
@@ -162,14 +161,14 @@ PARAMS_SCHEMAS = {
         "properties": {
             "T": _POSNUM, "samples": _POSINT,
             "K_list": {"type": "array", "items": _POSINT, "minItems": 2},
-            "p_moments": {"type": "array", "items": _POSINT},
+            "p_moments": {"type": "array", "items": _POSINT, "minItems": 1},
         },
     },
     "verify-cd": {
         "type": "object", "additionalProperties": False,
         "properties": {
             "functions": _POSINT, "points": _POSINT, "max_degree": _POSINT,
-            "terms": _POSINT, "nu_grid": {"type": "array", "items": _POSNUM},
+            "terms": _POSINT, "nu_grid": {"type": "array", "items": _POSNUM, "minItems": 1},
             "box_half_width": _POSNUM,
             "vertical_coeff_scale": _POSNUM,
         },
@@ -178,8 +177,8 @@ PARAMS_SCHEMAS = {
         "type": "object", "additionalProperties": False,
         "properties": {
             "T": _POSNUM, "samples": _POSINT, "steps": _POSINT,
-            "p_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1}},
-            "pairs": {"type": "array", "items": {
+            "p_grid": {"type": "array", "items": _EXPONENT, "minItems": 1},
+            "pairs": {"type": "array", "minItems": 1, "items": {
                 "type": "object", "additionalProperties": False,
                 "properties": {"x": _POINT, "y": _POINT, "dist_sq": {"type": "number", "minimum": 0}},
                 "required": ["x", "y"],
@@ -193,8 +192,8 @@ PARAMS_SCHEMAS = {
         "type": "object", "additionalProperties": False,
         "properties": {
             "T": _POSNUM,
-            "q_grid": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 1}},
-            "ys": {"type": "array", "items": _POINT},
+            "q_grid": {"type": "array", "items": _EXPONENT, "minItems": 1},
+            "ys": {"type": "array", "items": _POINT, "minItems": 1},
             "grid": _GRID, "grid_tol": _POSNUM,
         },
     },
@@ -203,7 +202,7 @@ PARAMS_SCHEMAS = {
         "properties": {
             "T": _POSNUM, "samples": _POSINT, "steps": _POSINT,
             "x": _POINT, "direction": _VEC,
-            "offsets": {"type": "array", "items": _POSNUM},
+            "offsets": {"type": "array", "items": _POSNUM, "minItems": 1},
             "bump": _BUMP,
         },
     },
@@ -236,22 +235,15 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid params for {experiment}: {exc.message}") from exc
     preset = raw.get("preset", {"name": "heisenberg", "params": {"pairs": 1}})
-    cfg = RunConfig(
+    return RunConfig(
         experiment=experiment,
         preset_name=preset["name"],
         preset_params=preset.get("params", {}),
         ranks=list(raw.get("ranks", [])),
-        seed=int(raw.get("seed", 20240801)),
-        out=raw.get("out"),
+        seed=int(raw.get("seed", 20240801)) if seed_flag is None else seed_flag,
+        out=raw.get("out", os.path.join("runs", experiment)) if out_flag is None else out_flag,
         params=copy.deepcopy(params),
     )
-    if seed_flag is not None:
-        cfg.seed = seed_flag
-    if out_flag is not None:
-        cfg.out = out_flag
-    if cfg.out is None:
-        cfg.out = os.path.join("runs", experiment)
-    return cfg
 
 
 def _point(form, spec) -> GroupElement:
@@ -273,20 +265,12 @@ def _bump(form, spec) -> BumpFunction:
                         spec.get("height", 1.0), spec.get("floor", 0.0))
 
 
-def run_items(items, workers: int):
-    """Evaluate callables in submission order; results do not depend on workers."""
-    if workers <= 1:
-        return [item() for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda item: item(), items))
-
-
 # --------------------------------------------------------------------------
 # experiments; each returns (records, summary_extras, artifacts)
 # artifacts maps filename -> text content
 
 
-def exp_curvature(cfg, form, preset, workers):
+def exp_curvature(cfg, form, preset):
     ranks = cfg.ranks or [form.n]
     records, rows = [], ["rank,hs_norm_sq,rho2,harnack_coeff"]
     constants = {}
@@ -310,7 +294,7 @@ def exp_curvature(cfg, form, preset, workers):
     return records, {"constants": constants}, {"constants.csv": "\n".join(rows) + "\n"}
 
 
-def exp_distance(cfg, form, preset, workers):
+def exp_distance(cfg, form, preset):
     p = cfg.params
     target = _point(form, p["target"])
     opts = DistanceOptions(segments=p.get("segments", 64),
@@ -344,7 +328,7 @@ def exp_distance(cfg, form, preset, workers):
     return [rec], extras, {"witness.csv": "\n".join(lines) + "\n"}
 
 
-def exp_simulate(cfg, form, preset, workers):
+def exp_simulate(cfg, form, preset):
     p = cfg.params
     T, steps, samples = p.get("T", 1.0), p.get("steps", 256), p.get("samples", 10000)
     W, C = sample_endpoints(form, T, steps, samples, cfg.seed)
@@ -364,7 +348,7 @@ def exp_simulate(cfg, form, preset, workers):
         {"endpoints.csv": "\n".join(lines) + "\n"}
 
 
-def exp_convergence(cfg, form, preset, workers):
+def exp_convergence(cfg, form, preset):
     p = cfg.params
     T = p.get("T", 1.0)
     K_list = p.get("K_list", [16, 32, 64, 128, 256])
@@ -395,7 +379,7 @@ def exp_convergence(cfg, form, preset, workers):
     return records, extras, {}
 
 
-def exp_verify_cd(cfg, form, preset, workers):
+def exp_verify_cd(cfg, form, preset):
     p = cfg.params
     n_funcs = p.get("functions", 50)
     n_points = p.get("points", 20)
@@ -405,27 +389,18 @@ def exp_verify_cd(cfg, form, preset, workers):
     half_width = p.get("box_half_width", 3.0)
     vc_scale = p.get("vertical_coeff_scale", 1.0)
     nvars = form.n + form.d
-    from .curvature import rho2 as _rho2
-    vc = vc_scale * _rho2(form)
+    vc = vc_scale * rho2(form)
 
-    def job(idx):
-        def run():
-            rng = np.random.default_rng(child_seed(cfg.seed, "verify-cd", idx))
-            f = random_polynomial(nvars, max_degree, rng, terms=terms)
-            pts = rng.uniform(-half_width, half_width, size=(n_points, nvars))
-            out = []
-            for j in range(n_points):
-                x = GroupElement(pts[j, :form.n], pts[j, form.n:])
-                for nu in nu_grid:
-                    rec = check_cd_inequality(form, f, x, nu, vertical_coeff=vc)
-                    rec.record_id = f"cd-f{idx}-x{j}-nu{nu:g}"
-                    rec.preset = preset.name
-                    out.append(rec)
-            return out
-        return run
-
-    batches = run_items([job(i) for i in range(n_funcs)], workers)
-    records = [rec for batch in batches for rec in batch]
+    records = []
+    for idx in range(n_funcs):
+        rng = np.random.default_rng(child_seed(cfg.seed, "verify-cd", idx))
+        f = random_polynomial(nvars, max_degree, rng, terms=terms)
+        pts = rng.uniform(-half_width, half_width, size=(n_points, nvars))
+        recs = check_cd_inequality(form, f, pts, nu_grid, vertical_coeff=vc)
+        for rec, (j, nu) in zip(recs, itertools.product(range(n_points), nu_grid)):
+            rec.record_id = f"cd-f{idx}-x{j}-nu{nu:g}"
+            rec.preset = preset.name
+        records += recs
     worst = min((r.margin for r in records), default=float("nan"))
     return records, {"worst_margin": worst, "vertical_coeff": vc}, {}
 
@@ -435,7 +410,7 @@ def _sampler_for(cfg, form, T, p, key=None):
                             child_seed(cfg.seed, key or f"sampler-T{T:g}", 0))
 
 
-def exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=False):
+def exp_verify_reverse_poincare(cfg, form, preset, log_version=False):
     """Reverse Poincare (or log-Sobolev) records over a sweep of T.
 
     One endpoint set is drawn at T = 1 and dilated to every T of the sweep,
@@ -455,26 +430,18 @@ def exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=False):
     name = "reverse-logsobolev" if log_version else "reverse-poincare"
 
     base = _sampler_for(cfg, form, 1.0, p, key="sampler-sweep")
-
-    def job(T):
-        def run():
-            sampler = base.dilated(T)
-            out = []
-            for j, x in enumerate(points):
-                rec = verify(sampler, bump, x, constants, h,
-                             record_id=f"{name}-T{T:g}-x{j}", preset=preset.name)
-                out.append(rec)
-            return out
-        return run
-
-    batches = run_items([job(T) for T in T_grid], workers)
-    records = [rec for batch in batches for rec in batch]
+    records = []
+    for T in T_grid:
+        sampler = base.dilated(T)
+        for j, x in enumerate(points):
+            records.append(verify(sampler, bump, x, constants, h,
+                                  record_id=f"{name}-T{T:g}-x{j}", preset=preset.name))
     return records, {"T_grid": T_grid, "points": len(points),
                      "paths_drawn": base.samples}, {}
 
 
-def exp_verify_reverse_logsobolev(cfg, form, preset, workers):
-    return exp_verify_reverse_poincare(cfg, form, preset, workers, log_version=True)
+def exp_verify_reverse_logsobolev(cfg, form, preset):
+    return exp_verify_reverse_poincare(cfg, form, preset, log_version=True)
 
 
 def _default_points(form):
@@ -487,7 +454,7 @@ def _default_points(form):
     return pts
 
 
-def exp_verify_harnack(cfg, form, preset, workers):
+def exp_verify_harnack(cfg, form, preset):
     p = cfg.params
     T = p.get("T", 1.0)
     p_grid = p.get("p_grid", [1.5, 2.0, 4.0])
@@ -562,7 +529,7 @@ def _grid_solve(form, p):
     return density, {"mass": density.mass, **{k: density.meta[k] for k in facts}}
 
 
-def exp_verify_integrated_harnack(cfg, form, preset, workers):
+def exp_verify_integrated_harnack(cfg, form, preset):
     p = cfg.params
     q_grid = p.get("q_grid", [1.5, 2.0, 3.0])
     grid_tol = p.get("grid_tol", 0.02)
@@ -589,7 +556,7 @@ def _default_ys():
     ]
 
 
-def exp_verify_strong_feller(cfg, form, preset, workers):
+def exp_verify_strong_feller(cfg, form, preset):
     p = cfg.params
     T = p.get("T", 1.0)
     bump = _bump(form, p.get("bump"))
@@ -610,7 +577,7 @@ def exp_verify_strong_feller(cfg, form, preset, workers):
     return records, {"diffs": diffs, "offsets": list(offsets)}, {}
 
 
-def exp_oracle_h3(cfg, form, preset, workers):
+def exp_oracle_h3(cfg, form, preset):
     density, extras = _grid_solve(form, cfg.params)
     T = density.T
     u = density.values
@@ -626,7 +593,7 @@ def exp_oracle_h3(cfg, form, preset, workers):
     return records, {**extras, "asymmetry": asym}, {}
 
 
-def exp_list_presets(cfg, form, preset, workers):
+def exp_list_presets(cfg, form, preset):
     catalog = []
     records = []
     for name, params, entry in preset_catalog():
@@ -649,7 +616,7 @@ def exp_list_presets(cfg, form, preset, workers):
 RUNNERS = {name: globals()["exp_" + name.replace("-", "_")] for name in EXPERIMENTS}
 
 
-def run(cfg: RunConfig, workers: int) -> int:
+def run(cfg: RunConfig) -> int:
     t0 = time.time()
     try:
         preset = make_preset(cfg.preset_name, **cfg.preset_params)
@@ -658,7 +625,7 @@ def run(cfg: RunConfig, workers: int) -> int:
     form = preset.form
     if any(m > form.n for m in cfg.ranks):
         raise ConfigError(f"rank exceeds horizontal dimension {form.n}")
-    records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form, preset, workers)
+    records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form, preset)
 
     summary = summarize(records)
     summary["experiment"] = cfg.experiment
@@ -694,20 +661,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help=f"worker count (default: ${WORKERS_ENV} or 1)")
+                        help="ignored; accepted so that older scripts keep working "
+                             "(every experiment runs sequentially)")
     args = parser.parse_args(argv)
-
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        except ValueError:
-            workers = 1
-    workers = max(1, workers)
 
     try:
         cfg = load_config(args.experiment, args.config, args.seed, args.out)
-        return run(cfg, workers)
+        return run(cfg)
     except ValueError as exc:     # ConfigError and HormanderError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

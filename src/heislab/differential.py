@@ -13,6 +13,8 @@ check below compares exact coefficient dicts, not samples.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .groups import GroupElement, OmegaForm
 from .curvature import hs_norm_sq, rho2
 from .polynomials import PolynomialFunction, constant
@@ -133,13 +135,16 @@ def cd_terms(form, f, m: int | None = None):
     )
 
 
-def check_cd_inequality(form, f, x: GroupElement, nu: float, m: int | None = None,
-                        vertical_coeff: float | None = None) -> VerificationRecord:
-    """Pointwise curvature-dimension margin at x for coupling constant nu.
+def check_cd_inequality(form, f, points, nu_grid, m: int | None = None,
+                        vertical_coeff: float | None = None) -> list[VerificationRecord]:
+    """Pointwise curvature-dimension margins of f at points, for each coupling nu.
 
-    margin = G2 + nu*G2Z - vc*GZ + (hs/nu)*G evaluated at x, with the
-    vertical coefficient vc defaulting to the group constant rho2; the record
-    passes when the margin is above -1e-8 times the scale of the terms.
+    ``points`` holds one row (w, c) per point.  The four polynomials of
+    ``cd_terms`` are built once and evaluated at all points in one batch.
+    Each record carries margin = G2 + nu*G2Z - vc*GZ + (hs/nu)*G at one
+    (point, nu), points in the outer loop, with the vertical coefficient vc
+    defaulting to the group constant rho2; it passes when the margin is
+    above -1e-8 times the scale of the terms.
 
     The default nominal rho2 is not a valid curvature-dimension constant: the
     vertical coordinate along the smallest Gram eigenvector has margin
@@ -147,29 +152,34 @@ def check_cd_inequality(form, f, x: GroupElement, nu: float, m: int | None = Non
     margin is exactly 0; pass vertical_coeff=rho2/4 to check the inequality
     that holds.
     """
-    if not nu > 0:
-        raise ValueError(f"coupling constant must be positive, got {nu}")
+    for nu in nu_grid:
+        if not nu > 0:
+            raise ValueError(f"coupling constant must be positive, got {nu}")
     m = form.n if m is None else m
-    g2, g2z, gz, g = cd_terms(form, f, m)
+    pts = np.asarray(points, dtype=float)
+    values = zip(*(t(pts).tolist() for t in cd_terms(form, f, m)))
     vc = rho2(form, m) if vertical_coeff is None else float(vertical_coeff)
     hs = hs_norm_sq(form, m)
-    pt = x.coords()
-    t_g2, t_g2z, t_gz, t_g = g2(pt), g2z(pt), gz(pt), g(pt)
-    lhs = t_g2 + nu * t_g2z
-    rhs = vc * t_gz - (hs / nu) * t_g
-    scale = abs(t_g2) + nu * abs(t_g2z) + vc * abs(t_gz) + (hs / nu) * abs(t_g)
-    margin = lhs - rhs
-    return VerificationRecord(
-        record_id="cd-inequality",
-        rank=m,
-        p_or_q=nu,
-        x=coords_str(pt),
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=bool(margin >= -CD_RTOL * scale),
-        detail={"scale": scale, "vertical_coeff": vc},
-    )
+    records = []
+    for pt, (t_g2, t_g2z, t_gz, t_g) in zip(pts, values):
+        x = coords_str(pt)
+        for nu in nu_grid:
+            lhs = t_g2 + nu * t_g2z
+            rhs = vc * t_gz - (hs / nu) * t_g
+            scale = abs(t_g2) + nu * abs(t_g2z) + vc * abs(t_gz) + (hs / nu) * abs(t_g)
+            margin = lhs - rhs
+            records.append(VerificationRecord(
+                record_id="cd-inequality",
+                rank=m,
+                p_or_q=nu,
+                x=x,
+                lhs=lhs,
+                rhs=rhs,
+                margin=margin,
+                passed=bool(margin >= -CD_RTOL * scale),
+                detail={"scale": scale, "vertical_coeff": vc},
+            ))
+    return records
 
 
 def _identity_record(record_id, lhs_poly, rhs_poly, x=None, rank=0) -> VerificationRecord:

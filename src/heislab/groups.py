@@ -83,16 +83,6 @@ class OmegaForm:
         """The d antisymmetric n x n matrices coeffs[:, :, l]."""
         return np.moveaxis(self.coeffs, 2, 0)
 
-    def restrict(self, m: int) -> "OmegaForm":
-        """Form with all coefficients touching horizontal coordinates > m zeroed."""
-        if not 1 <= m <= self.n:
-            raise ValueError(f"rank must be in [1, {self.n}], got {m}")
-        if m == self.n:
-            return self
-        coeffs = np.zeros_like(self.coeffs)
-        coeffs[:m, :m, :] = self.coeffs[:m, :m, :]
-        return OmegaForm(self.n, self.d, coeffs)
-
     def pair_matrix(self, m: int | None = None) -> np.ndarray:
         """d x m(m-1)/2 matrix whose columns are coeffs[i, j, :] for i < j <= m."""
         m = self.n if m is None else m

@@ -652,7 +652,10 @@ def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
     satisfy the modulus bound and decrease as the offset shrinks.
     """
     direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        raise ValueError("strong Feller offsets need a nonzero direction")
+    direction = direction / norm
     records = []
     diffs = []
     for h in offsets:

@@ -2,7 +2,7 @@
 
 Every sample path owns a Philox generator keyed by a hash of
 (seed, path index), so the values drawn for a given path never depend
-on batch size, worker count, or evaluation order.  Child seeds for experiment
+on batch size or evaluation order.  Child seeds for experiment
 records are derived the same way from (master seed, experiment, index).
 """
 

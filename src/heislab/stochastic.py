@@ -5,8 +5,7 @@ The running vertical process M accumulates form(B_k, B_{k+1} - B_k) over grid
 steps.  Because the form is antisymmetric the Ito and Stratonovich integrals
 coincide, so this left-point sum targets the group Brownian motion whose
 endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
-(seed, path index); batch size and worker partitioning never change
-the draws.
+(seed, path index); the batch size never changes the draws.
 """
 
 from __future__ import annotations
@@ -28,6 +27,9 @@ __all__ = [
     "approximation_report",
     "refinement_convergence",
 ]
+
+# paths per batch of the convergence studies, which keep whole paths in memory
+STUDY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -183,8 +185,7 @@ class ApproximationReport:
 
 
 def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
-                         p_moments=(1, 2, 4), seed: int = 0,
-                         chunk: int = 512) -> ApproximationReport:
+                         p_moments=(1, 2, 4), seed: int = 0) -> ApproximationReport:
     """Monte Carlo sup-over-grid error between projected and full paths.
 
     For each rank, estimates E[sup_k |g^rank_k - g_k|^p] in the homogeneous
@@ -197,8 +198,8 @@ def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
         raise ValueError("ranks must be strictly increasing")
     acc = {(m, p): [] for m in ranks for p in p_moments}
     acc_e = {(m, p): [] for m in ranks for p in p_moments}
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, STUDY_CHUNK):
+        count = min(STUDY_CHUNK, samples - start)
         inc = _batch_increments(form, T, K, seed, start, count)
         B = np.concatenate([np.zeros((count, 1, form.n)), np.cumsum(inc, axis=1)], axis=1)
         M = _accumulate_vertical(form, B[:, :-1, :], inc)
@@ -244,7 +245,7 @@ class RefinementReport:
 
 
 def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
-                           seed: int = 0, chunk: int = 512) -> RefinementReport:
+                           seed: int = 0) -> RefinementReport:
     """Coupled refinement study of the vertical integral discretization.
 
     All resolutions reuse the same underlying increments (coarser levels sum
@@ -259,8 +260,8 @@ def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
     if any(K_max % k for k in K_list):
         raise ValueError("every step count must divide the largest one")
     sq_diffs = np.zeros(len(K_list) - 1)
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, STUDY_CHUNK):
+        count = min(STUDY_CHUNK, samples - start)
         inc = _batch_increments(form, T, K_max, seed, start, count)
         m_at_K = []
         for K in K_list:

@@ -48,6 +48,24 @@ class TestConfigValidation:
         path.write_text("{nope")
         assert main(["curvature", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("experiment, params", [
+        ("verify-strong-feller", {"offsets": []}),
+        ("verify-strong-feller", {"direction": [0.0], "samples": 50, "steps": 4}),
+        ("verify-cd", {"nu_grid": []}),
+        ("verify-reverse-poincare", {"T_grid": []}),
+        ("verify-reverse-logsobolev", {"points": []}),
+        ("verify-harnack", {"p_grid": []}),
+        ("verify-harnack", {"pairs": []}),
+        ("verify-integrated-harnack", {"q_grid": []}),
+        ("verify-integrated-harnack", {"ys": []}),
+        ("convergence", {"p_moments": []}),
+    ])
+    def test_config_that_cannot_fail_is_rejected(self, tmp_path, experiment, params):
+        cfg = write_config(tmp_path, "c.json", {"params": params})
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_seed_and_out_flags_override(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", {"seed": 1, "out": "ignored"})
         cfg = load_config("curvature", cfg_path, 999, str(tmp_path / "real"))
@@ -139,6 +157,24 @@ class TestVerifyCommands:
         assert main(["verify-cd", "--config", cfg, "--out", out]) == 1
         summary = read_summary(out)
         assert summary["failed"] > 0
+
+    def test_verify_cd_builds_the_calculus_once_per_function(self, tmp_path, monkeypatch):
+        import heislab.differential as differential
+
+        calls, real = [], differential.cd_terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(differential, "cd_terms", counted)
+        cfg = write_config(tmp_path, "c.json", {
+            "params": {"functions": 3, "points": 4, "nu_grid": [0.5, 1.0, 2.0],
+                       "vertical_coeff_scale": 0.25}})
+        out = str(tmp_path / "o")
+        assert main(["verify-cd", "--config", cfg, "--out", out]) == 0
+        assert len(calls) == 3
+        assert read_summary(out)["records"] == 36
 
     def test_reverse_poincare_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -212,13 +212,13 @@ def test_identities_hold_at_the_degree_cap():
 
 class TestCurvatureDimension:
     def test_constant_function(self):
-        rec = check_cd_inequality(H1, constant(3, 2.0), GroupElement([1, 1], [1]), 1.0)
+        [rec] = check_cd_inequality(H1, constant(3, 2.0), [[1, 1, 1]], [1.0])
         assert rec.passed and rec.margin == 0.0
 
     def test_horizontal_coordinate(self):
         # all iterated terms vanish, leaving the positive hs/nu * Gamma term
         nu = 0.7
-        rec = check_cd_inequality(H1, W1, GroupElement([0.5, -1], [2]), nu)
+        [rec] = check_cd_inequality(H1, W1, [[0.5, -1, 2]], [nu])
         assert rec.passed
         assert rec.margin == pytest.approx(hs_norm_sq(H1) / nu)
 
@@ -226,10 +226,10 @@ class TestCurvatureDimension:
         # at the identity the iterated form of c equals exactly one quarter of
         # rho2 times its vertical form, so the quarter-weighted bound is tight
         # and the unweighted one is violated
-        e = GroupElement([0, 0], [0])
-        quarter = check_cd_inequality(H1, C, e, 1.0, vertical_coeff=rho2(H1) / 4)
+        e = [[0, 0, 0]]
+        [quarter] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=rho2(H1) / 4)
         assert quarter.passed and quarter.margin == pytest.approx(0.0, abs=1e-15)
-        full = check_cd_inequality(H1, C, e, 1.0)
+        [full] = check_cd_inequality(H1, C, e, [1.0])
         assert not full.passed
         assert full.margin == pytest.approx(0.5 - rho2(H1))
 
@@ -240,12 +240,11 @@ class TestCurvatureDimension:
             for _ in range(15):
                 f = random_polynomial(nv, 4, rng, terms=8)
                 pts = rng.uniform(-3, 3, size=(10, nv))
-                for p in pts[:3]:
-                    x = GroupElement(p[: form.n], p[form.n:])
-                    for nu in (0.1, 1.0, 10.0):
-                        rec = check_cd_inequality(form, f, x, nu, vertical_coeff=vc)
-                        assert rec.passed
+                recs = check_cd_inequality(form, f, pts[:3], (0.1, 1.0, 10.0),
+                                           vertical_coeff=vc)
+                assert [rec.p_or_q for rec in recs] == [0.1, 1.0, 10.0] * 3
+                assert all(rec.passed for rec in recs)
 
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
-            check_cd_inequality(H1, W1, GroupElement([0, 0], [0]), 0.0)
+            check_cd_inequality(H1, W1, [[0, 0, 0]], [1.0, 0.0])
