@@ -6,21 +6,31 @@ component is slaved to the path through the exact piecewise-linear rule
     a_{k+1} = a_k + 0.5 * form(A_k, A_{k+1} - A_k),
 
 which reproduces the line integral of the form exactly for polygonal paths.
-The distance solver minimizes the path energy over increments with the
-horizontal endpoint eliminated analytically (increments are optimized in the
-affine subspace of fixed sum) and the vertical endpoint enforced by an
-augmented Lagrangian whose penalty doubles until the residual is met, plus a
-final least-norm Newton projection onto the constraint manifold.  Distance is
-the square root of the minimized energy; over the unit time interval the two
+
+``cc_distance`` has two routes.  When the form (restricted to the allowed
+rank) is a direct sum of weighted symplectic pairs, as every preset is, the
+distance is exact (Gaveau 1977, Acta Math. 139; Beals, Gaveau & Greiner
+2000, J. Math. Pures Appl. 79): the geodesic of vertical coordinate l turns
+the velocity of each of its pairs at angular speed q_j * theta_l, one shared
+multiplier per coordinate, so pair j traces a circular arc over its chord,
+and a heaviest pair whose chord is zero may carry a whole loop.  A
+horizontal target is reached by the straight segment on every form.  Every
+other target goes to a numerical solver, which minimizes the path energy
+over increments with the horizontal endpoint eliminated analytically
+(increments are optimized in the affine subspace of fixed sum) and the
+vertical endpoint enforced by an augmented Lagrangian whose penalty doubles
+until the residual is met, plus a final least-norm Newton projection onto
+the constraint manifold; its result is an upper bound.  Distance is the
+square root of the minimized energy; over the unit time interval the two
 agree at constant-speed minimizers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .groups import GroupElement, OmegaForm, dilate, homogeneous_norm, identity, inverse, multiply
 from .rng import mix64
@@ -195,6 +205,9 @@ def _initial_increments(rank, K, w_t, restart, seed):
 
 def _solve_normalized(mats, rank, K, w_t, c_t, opts: DistanceOptions, warm=None):
     """Energy minimization for a target of homogeneous norm about one."""
+    # the only scipy user; presets never reach it
+    from scipy.optimize import minimize as scipy_minimize
+
     starts = [_initial_increments(rank, K, w_t, r, opts.seed) for r in range(opts.restarts)]
     if warm is not None:
         starts.append(np.array(warm, dtype=float))
@@ -239,10 +252,15 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
                 warm: HorizontalPath | None = None) -> DistanceResult:
     """Horizontal distance between x and y with a witness path.
 
-    The result is an upper bound on the true distance that tightens as the
-    segment count and restart budget grow.  When ``rank`` is given, only the
-    first ``rank`` horizontal directions may be used; the restricted form must
-    then still satisfy the bracket-generating rank condition.
+    Exact when the form restricted to the first ``rank`` coordinates is a
+    direct sum of weighted pairs, or when x^-1 y is horizontal; the witness
+    is then the geodesic sampled at ``opts.segments`` + 1 uniform times, and
+    ``constraint_residual`` is that polygon's vertical miss.  Otherwise the
+    numerical solver gives an upper bound that tightens as the segment count
+    and restart budget grow.  ``diagnostics["method"]`` says which route
+    ran.  When ``rank`` is given, only the first ``rank`` horizontal
+    directions may be used; the restricted form must then still satisfy the
+    bracket-generating rank condition.
     """
     opts = opts or DistanceOptions()
     rank = form.n if rank is None else rank
@@ -255,7 +273,11 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
     scale = homogeneous_norm(z)
     if scale == 0.0:
         witness = HorizontalPath(x.w[None, :], x.c)
-        return DistanceResult(0.0, witness, 0.0, 0.0, -1, {"shortcut": "coincident"})
+        return DistanceResult(0.0, witness, 0.0, 0.0, -1,
+                              {"shortcut": "coincident", "method": "closed-form"})
+    pairs = _weighted_pairs(form, rank)
+    if pairs is not None or not np.any(z.c):
+        return _closed_form_distance(form, x, z, pairs or [], opts.segments)
 
     lam = 1.0 / scale
     zn = dilate(lam, z)
@@ -273,7 +295,7 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
             f"(best residual {entry[3]:.3e})",
             best=DistanceResult(np.sqrt(entry[0]) / lam,
                                 HorizontalPath(nodes, x.c), entry[0] / lam**2,
-                                entry[3] / lam**2, entry[1]),
+                                entry[3] / lam**2, entry[1], {"method": "solver"}),
         )
     energy_n, idx, disp_n, rnorm_n = best
     disp = disp_n / lam
@@ -283,8 +305,122 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
     witness = HorizontalPath(nodes, x.c)
     return DistanceResult(
         distance, witness, energy, rnorm_n / lam**2, idx,
-        {"normalization": lam, "residual_normalized": rnorm_n},
+        {"method": "solver", "normalization": lam, "residual_normalized": rnorm_n},
     )
+
+
+def _weighted_pairs(form: OmegaForm, rank: int):
+    """[(i, j, l, q_ij)] with i < j if the form restricted to the first
+    ``rank`` coordinates is a direct sum of weighted pairs, else None.
+
+    It is one exactly when every horizontal row holds at most one nonzero
+    entry over all (j, l); coordinates in no pair are free.
+    """
+    coeffs = form.coeffs[:rank, :rank, :]
+    if np.count_nonzero(coeffs.reshape(rank, -1), axis=1).max() > 1:
+        return None
+    return [(i, j, l, float(coeffs[i, j, l])) for i, j, l in zip(*np.nonzero(coeffs)) if i < j]
+
+
+def _arc_area(phi):
+    """(phi - sin phi) / (8 sin^2(phi/2)): area between an arc turning by phi
+    in (0, 2 pi) and its chord, per unit squared chord."""
+    num = np.where(phi < 1e-2, phi**3 / 6 - phi**5 / 120 + phi**7 / 5040, phi - np.sin(phi))
+    return num / (8.0 * np.sin(0.5 * phi) ** 2)
+
+
+def _arc_energy(phi):
+    """(phi/2)^2 / sin^2(phi/2): squared length of that arc per unit squared chord."""
+    return (0.5 * phi / np.sin(0.5 * phi)) ** 2
+
+
+def _multiplier(q, chord_sq, c):
+    """The geodesic of one vertical coordinate of a d = 1 sum of pairs.
+
+    ``q`` holds the pair weights (positive), ``chord_sq`` the squared chords
+    |w_j|^2 and ``c`` > 0 the vertical target.  Returns the multiplier theta
+    in (0, 2 pi / q_max], the area of the loop carried by a heaviest pair,
+    and d^2.  Pair j turns by phi_j = q_j theta and contributes q_j times its
+    arc area to c; the sum S(theta) rises from 0 to infinity on
+    (0, 2 pi / q_max) unless every heaviest pair has a zero chord.  Then, for
+    c >= S(2 pi / q_max), the cut-locus branch loops in a heaviest pair,
+    where area costs squared length 4 pi / q_max per unit.
+    """
+    q_max = float(q.max())
+    top = 2.0 * math.pi / q_max
+    moving = chord_sq > 0
+    q, chord_sq = q[moving], chord_sq[moving]
+
+    def area(theta):
+        return float(np.sum(q * chord_sq * _arc_area(q * theta)))
+
+    excess = 0.0
+    if not np.any(q == q_max) and c >= area(top):
+        theta = top
+        excess = c - area(top)
+    else:
+        lo, hi = 0.0, top
+        for _ in range(2000):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if area(mid) < c:
+                lo = mid
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+    energy = float(np.sum(chord_sq * _arc_energy(q * theta))) + 4.0 * math.pi * excess / q_max
+    return theta, excess / q_max, energy
+
+
+def _closed_form_distance(form, x, z, pairs, K) -> DistanceResult:
+    """Exact distance from x to x z on a sum of weighted pairs (or for a
+    horizontal z on any form), and the geodesic sampled at K + 1 times."""
+    t = np.arange(K + 1) / K
+    rel = t[:, None] * z.w[None, :]         # free coordinates: straight segments
+    free = np.ones(form.n, dtype=bool)
+    free[[k for i, j, _, _ in pairs for k in (i, j)]] = False
+    energy = float(np.sum(z.w[free] ** 2))
+    thetas, loops = [], []
+    for l in range(form.d):
+        mine = [(i, j, q) for i, j, ll, q in pairs if ll == l]
+        chords = np.array([z.w[i] + 1j * z.w[j] for i, j, _ in mine], dtype=complex)
+        chord_sq = chords.real ** 2 + chords.imag ** 2
+        weights = np.array([abs(q) for _, _, q in mine])
+        c = abs(float(z.c[l]))
+        theta, loop, e_l = (_multiplier(weights, chord_sq, c) if c > 0.0
+                            else (0.0, 0.0, float(np.sum(chord_sq))))
+        energy += e_l
+        thetas.append(theta)
+        loops.append(loop)
+        looped = loop == 0.0
+        for (i, j, q), chord in zip(mine, chords):
+            # a pair turning counterclockwise in (w_i, w_j) encloses positive
+            # area, which adds q times it to c_l
+            turn = math.copysign(1.0, q * z.c[l])
+            phi = turn * abs(q) * theta
+            if chord != 0.0 and phi != 0.0:
+                path = chord * _unit_arc(phi * t) / _unit_arc(phi)
+            elif not looped and abs(q) == weights.max():
+                # the circle through the origin of area ``loop``
+                path = -1j * turn * math.sqrt(loop / math.pi) * _unit_arc(turn * 2 * math.pi * t)
+                looped = True
+            else:
+                continue
+            rel[:, i], rel[:, j] = path.real, path.imag
+    rel[-1] = z.w
+    residual = float(np.linalg.norm(
+        vertical_displacement(form, HorizontalPath(rel, np.zeros(form.d))) - z.c))
+    distance = math.sqrt(energy)
+    return DistanceResult(
+        distance, HorizontalPath(rel + x.w[None, :], x.c), energy, residual, -1,
+        {"method": "closed-form", "theta": thetas, "loop_area": loops},
+    )
+
+
+def _unit_arc(x):
+    """exp(i x) - 1, without cancellation at small x."""
+    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
 
 
 def _witness_nodes(disp, n, rank, x: GroupElement):

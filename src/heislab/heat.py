@@ -23,10 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .curvature import CurvatureConstants
-from .groups import GroupElement, OmegaForm, multiply, multiply_arrays, translate_endpoints
+from .geometry import cc_distance
+from .groups import (
+    GroupElement, OmegaForm, identity, multiply, multiply_arrays, translate_endpoints,
+)
 from .records import VerificationRecord, coords_str
 from .rng import mix64
 from .stochastic import sample_endpoints
@@ -230,16 +232,44 @@ class GridDensity:
         vals = self.values if integrand is None else integrand
         return _trapezoid3(self.axes, vals)
 
-    def interpolator(self):
-        return RegularGridInterpolator(self.axes, self.values, bounds_error=False,
-                                       fill_value=0.0)
+    def interpolate(self, points, fill=0.0) -> np.ndarray:
+        """Trilinear interpolation at (N, 3) ``points``; ``fill`` outside the box.
+
+        A point is outside when a coordinate lies below the first or above
+        the last node of its axis, compared in coordinates, so the outside set
+        and the values are those of scipy's ``RegularGridInterpolator``.  The
+        axes are uniform, so a point's cell is a floor, not a search.
+        """
+        pts = np.asarray(points, dtype=float)
+        out = np.full(len(pts), fill, dtype=float)
+        inside = np.ones(len(pts), dtype=bool)
+        for k, a in enumerate(self.axes):
+            inside &= (pts[:, k] >= a[0]) & (pts[:, k] <= a[-1])
+        cells, fracs = [], []
+        for k, a in enumerate(self.axes):
+            x = pts[inside, k]
+            i = np.clip(np.floor((x - a[0]) / (a[1] - a[0])).astype(np.intp), 0, len(a) - 2)
+            cells.append(i)
+            fracs.append((x - a[i]) / (a[i + 1] - a[i]))
+        _, J, L = self.values.shape
+        flat = self.values.ravel()
+        (i, j, l), (t, u, s) = cells, fracs
+        base = (i * J + j) * L + l
+
+        def along_c(offset):
+            return flat[base + offset] * (1.0 - s) + flat[base + offset + 1] * s
+
+        lo = along_c(0) * (1.0 - u) + along_c(L) * u
+        hi = along_c(J * L) * (1.0 - u) + along_c(J * L + L) * u
+        out[inside] = lo * (1.0 - t) + hi * t
+        return out
 
     def grid_coords(self):
         w1, w2, c = np.meshgrid(*self.axes, indexing="ij")
         return w1, w2, c
 
     def value_at(self, point) -> float:
-        return float(self.interpolator()(np.asarray(point, dtype=float)[None, :])[0])
+        return float(self.interpolate(np.asarray(point, dtype=float)[None, :])[0])
 
 
 def _trapezoid3(axes, vals) -> float:
@@ -599,9 +629,7 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
         (w1 - wy1).ravel(), (w2 - wy2).ravel(),
         (c - y.c[0] - 0.5 * pairing).ravel(),
     ], axis=1)
-    interp = RegularGridInterpolator(density.axes, density.values, bounds_error=False,
-                                     fill_value=np.nan)
-    p_shift = interp(shifted).reshape(density.values.shape)
+    p_shift = density.interpolate(shifted, fill=np.nan).reshape(density.values.shape)
     floor = 1e-15 * float(density.values.max())
     valid = ~np.isnan(p_shift) & (density.values > floor)
     pv = density.values[valid]
@@ -648,24 +676,34 @@ def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
                           preset: str = ""):
     """Bound records over shrinking horizontal offsets, plus the shrink flag.
 
-    Offsets move y = x * (h * direction, 0); the CRN differences must both
-    satisfy the modulus bound and decrease as the offset shrinks.
+    Offsets move y = x * (h * direction, 0), at CC distance h from x.  Every
+    CRN difference |P_T f(x) - P_T f(y)| must satisfy the modulus bound, and
+    it must not rise from one offset to the next by more than three
+    standard errors of the paired per-path rise: every offset reads the same
+    endpoints, so consecutive differences share most of their noise.
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0.0:
         raise ValueError("strong Feller offsets need a nonzero direction")
     direction = direction / norm
-    records = []
-    diffs = []
+    form = sampler.form
+    fx = sampler.values(f, x)
+    records, diffs, paths = [], [], []
     for h in offsets:
-        y = multiply(sampler.form, x,
-                     GroupElement(h * direction, np.zeros(sampler.form.d)))
-        rec = verify_strong_feller(sampler, f, x, y, h * h, constants, sup_bound,
+        step = GroupElement(h * direction, np.zeros(form.d))
+        y = multiply(form, x, step)
+        # d(x, x * step) = d(e, step) by left invariance
+        rec = verify_strong_feller(sampler, f, x, y,
+                                   cc_distance(form, identity(form), step).energy,
+                                   constants, sup_bound,
                                    record_id=f"strong-feller-h{h:g}", preset=preset)
         records.append(rec)
         diffs.append(abs(rec.detail["difference"]))
-    shrinking = all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
+        # per path, the summand of |difference|
+        paths.append(math.copysign(1.0, rec.detail["difference"]) * (fx - sampler.values(f, y)))
+    rises = [_mean_se(b - a) for a, b in zip(paths, paths[1:])]
+    shrinking = all(rise <= 3.0 * se + 1e-12 for rise, se in rises)
     return records, shrinking, diffs
 
 

@@ -10,11 +10,37 @@ from heislab.geometry import (
     projected_distance_convergence,
     vertical_displacement,
 )
-from heislab.groups import GroupElement, HormanderError, dilate, inverse, make_preset, multiply
+from heislab.groups import (
+    GroupElement, HormanderError, OmegaForm, dilate, identity, inverse, make_preset, multiply,
+)
 
 H1 = make_preset("heisenberg", pairs=1).form
 E = GroupElement([0.0, 0.0], [0.0])
 FAST = DistanceOptions(restarts=8)
+
+# heisenberg(2) weighted (1, 2), and a copy rotated by 45 degrees in (w1, w3):
+# no row of the rotated form is one pair, so cc_distance solves numerically
+# there, while the exact distance is the closed form on PAIRED at ROT^T w
+ROT = np.eye(4)
+ROT[np.ix_([0, 2], [0, 2])] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+_PAIRS = np.zeros((4, 4))
+_PAIRS[0, 1], _PAIRS[2, 3] = 1.0, 2.0
+PAIRED = OmegaForm(4, 1, (_PAIRS - _PAIRS.T)[:, :, None])
+ROTATED = OmegaForm(4, 1, (ROT @ (_PAIRS - _PAIRS.T) @ ROT.T)[:, :, None])
+E4 = identity(ROTATED)
+
+
+def rotated_target(w, c):
+    """The ROTATED-form image of the PAIRED-form point (w, c)."""
+    return GroupElement(ROT @ np.asarray(w, dtype=float), [c])
+
+
+def assert_solver_above_closed_form(res, target):
+    """The solver's distance to ``target`` on ROTATED lies between the exact
+    one and 1e-3 above it."""
+    assert res.diagnostics["method"] == "solver"
+    exact = cc_distance(PAIRED, E4, GroupElement(ROT.T @ target.w, target.c)).distance
+    assert exact <= res.distance <= exact * (1 + 1e-3)
 
 
 def circle_loop_oracle(area, K=64):
@@ -111,37 +137,64 @@ class TestDistance:
         assert res.distance == pytest.approx(2 * np.sqrt(np.pi), rel=1e-2)
 
     def test_witness_feasible_and_constant_speed(self):
-        res = cc_distance(H1, E, GroupElement([0.4, -0.3], [0.3]), opts=FAST)
-        end = res.witness.endpoint(H1)
-        assert np.allclose(end.w, [0.4, -0.3], atol=1e-9)
+        target = rotated_target([0.4, -0.3, 0.2, 0.1], 0.3)
+        res = cc_distance(ROTATED, E4, target, opts=FAST)
+        end = res.witness.endpoint(ROTATED)
+        assert np.allclose(end.w, target.w, atol=1e-9)
         assert abs(end.c[0] - 0.3) < 1e-9
         assert res.witness.length() == pytest.approx(np.sqrt(res.energy), rel=1e-6)
+        assert_solver_above_closed_form(res, target)
+
+    @pytest.mark.parametrize("c", [0.3, -0.3, 2.0])
+    def test_closed_form_witness_is_the_sampled_geodesic(self, c):
+        # the arc's K-gon reaches the horizontal endpoint, encloses a little
+        # less area (the miss falls like 1/K^2) and is a little shorter
+        x = GroupElement([0.2, 0.1], [0.05])
+        target = multiply(H1, x, GroupElement([0.4, -0.3], [c]))
+        misses = []
+        for K in (64, 256):
+            res = cc_distance(H1, x, target, opts=DistanceOptions(segments=K))
+            assert res.diagnostics["method"] == "closed-form"
+            end = res.witness.endpoint(H1)
+            assert np.allclose(end.w, target.w, atol=1e-15)
+            assert abs(end.c[0] - target.c[0]) == pytest.approx(res.constraint_residual,
+                                                                rel=1e-6)
+            assert np.sign(end.c[0] - x.c[0] - 0.5 * (x.w[0] * end.w[1] - x.w[1] * end.w[0])) \
+                == np.sign(c)
+            assert res.distance * (1 - 1e-3) < res.witness.length() <= res.distance
+            misses.append(res.constraint_residual)
+        assert misses[1] == pytest.approx(misses[0] / 16, rel=0.01)
 
     def test_dilation_homogeneity(self):
-        x = GroupElement([0.5, 0.2], [0.4])
-        base = cc_distance(H1, E, x, opts=FAST).distance
+        x = rotated_target([0.5, 0.2, 0.1, -0.3], 0.4)
+        base = cc_distance(ROTATED, E4, x, opts=FAST)
+        assert_solver_above_closed_form(base, x)
         for lam in (0.5, 2.0, 4.0):
-            d = cc_distance(H1, E, dilate(lam, x), opts=FAST).distance
-            assert d == pytest.approx(lam * base, rel=1e-2)
+            res = cc_distance(ROTATED, E4, dilate(lam, x), opts=FAST)
+            assert res.distance == pytest.approx(lam * base.distance, rel=1e-2)
+            assert_solver_above_closed_form(res, dilate(lam, x))
 
     def test_symmetry_and_left_invariance(self):
-        x = GroupElement([0.3, -0.2], [0.1])
-        y = GroupElement([-0.5, 0.8], [-0.3])
-        dxy = cc_distance(H1, x, y, opts=FAST).distance
-        dyx = cc_distance(H1, y, x, opts=FAST).distance
-        dz = cc_distance(H1, E, multiply(H1, inverse(x), y), opts=FAST).distance
+        x = rotated_target([0.3, -0.2, 0.1, 0.2], 0.1)
+        y = rotated_target([-0.5, 0.8, 0.3, -0.1], -0.3)
+        dxy = cc_distance(ROTATED, x, y, opts=FAST).distance
+        dyx = cc_distance(ROTATED, y, x, opts=FAST).distance
+        z = multiply(ROTATED, inverse(x), y)
+        res = cc_distance(ROTATED, E4, z, opts=FAST)
         assert dxy == pytest.approx(dyx, rel=1e-6)
-        assert dxy == pytest.approx(dz, rel=1e-9)
+        assert dxy == pytest.approx(res.distance, rel=1e-9)
+        assert_solver_above_closed_form(res, z)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
         for _ in range(3):
-            x = GroupElement(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 1))
-            y = GroupElement(rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 1))
-            dx = cc_distance(H1, E, x, opts=FAST).distance
-            dy = cc_distance(H1, E, y, opts=FAST).distance
-            dxy = cc_distance(H1, E, multiply(H1, x, y), opts=FAST).distance
-            assert dxy <= dx + dy + 1e-6
+            x = rotated_target(rng.uniform(-1, 1, 4), rng.uniform(-0.5, 0.5))
+            y = rotated_target(rng.uniform(-1, 1, 4), rng.uniform(-0.5, 0.5))
+            xy = multiply(ROTATED, x, y)
+            dx, dy, dxy = (cc_distance(ROTATED, E4, t, opts=FAST) for t in (x, y, xy))
+            assert dxy.distance <= dx.distance + dy.distance + 1e-6
+            for res, t in ((dx, x), (dy, y), (dxy, xy)):
+                assert_solver_above_closed_form(res, t)
 
     def test_coincident_points(self):
         x = GroupElement([1.0, 2.0], [3.0])
@@ -165,7 +218,7 @@ class TestDistance:
         # saddle; with no perturbed restarts the solver must report failure
         opts = DistanceOptions(restarts=1, max_outer=3)
         with pytest.raises(SolverError) as err:
-            cc_distance(H1, E, GroupElement([0, 0], [1.0]), opts=opts)
+            cc_distance(ROTATED, E4, GroupElement(np.zeros(4), [1.0]), opts=opts)
         assert err.value.best is not None
         assert err.value.best.constraint_residual > 0
 

@@ -184,6 +184,27 @@ class TestPdeOracle:
         val = small_density.value_at([w1[20], w2[20], c[24]])
         assert val == pytest.approx(small_density.values[20, 20, 24], rel=1e-12)
 
+    def test_interpolation_matches_scipy(self, small_density):
+        from scipy.interpolate import RegularGridInterpolator
+
+        rng = np.random.default_rng(12)
+        w1, w2, c = small_density.grid_coords()
+        nodes = np.stack([w1.ravel(), w2.ravel(), c.ravel()], axis=1)
+        # random points over a box larger than the grid's, every node, and
+        # points one rounding step off the nodes, the faces among them
+        pts = np.vstack([rng.uniform(-1.2, 1.2, (20000, 3)) * [4.0, 4.0, 5.0],
+                         nodes, nodes * (1 + 1e-16), nodes + 1e-16])
+        for fill in (0.0, np.nan):
+            ref = RegularGridInterpolator(small_density.axes, small_density.values,
+                                          bounds_error=False, fill_value=fill)(pts)
+            got = small_density.interpolate(pts, fill)
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            inside = ~np.isnan(ref)
+            assert np.abs(got[inside] - ref[inside]).max() <= \
+                1e-12 * np.abs(small_density.values).max()
+        outside = np.isnan(small_density.interpolate(pts, np.nan))
+        assert 0 < outside.sum() < len(pts)
+
 
 def _power_estimate(axes, iters):
     """||L v|| / ||v|| after ``iters`` power iterations of apply_h3_generator;
@@ -299,10 +320,8 @@ class TestMcPdeConsistency:
         sol = pde_oracle_h3(bump, T=T, box=SMALL_BOX, shape=(64, 64, 72))
         x = np.array([0.25, 0.1, 0.05])
         h = 0.05
-        interp = sol.interpolator()
-
         def u(pt):
-            return float(interp(np.asarray(pt)[None, :])[0])
+            return sol.value_at(pt)
 
         # group translations x * (h e_i, 0) move the vertical slot too
         def shift(pt, i, s):
@@ -398,6 +417,43 @@ class TestVerifiers:
         assert all(r.passed for r in recs)
         assert shrinking
         assert diffs[0] > diffs[-1]
+
+    def test_strong_feller_shrink_allows_noise(self, sampler):
+        # a high-frequency term in f adds per-path noise to every difference
+        # but nothing to their means, so the true differences fall with the
+        # offsets; the noise makes them rise on some seeds, which three paired
+        # standard errors absorb
+        bump = BumpFunction(E, radius=2.0)
+
+        def f(coords):
+            return bump(coords) + 0.05 * np.sin(1000.0 * np.asarray(coords)[:, 2])
+
+        rose = 0
+        for seed in range(5):
+            samp = SemigroupSampler(H1, 1.0, 16, 2000, seed=seed)
+            _, shrinking, diffs = strong_feller_modulus(
+                samp, f, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
+                [0.2, 0.19, 0.18], CC, bump.sup_bound() + 0.05)
+            rose += any(b > a for a, b in zip(diffs, diffs[1:]))
+            assert shrinking
+        assert rose
+
+    def test_strong_feller_shrink_fails_on_a_true_rise(self):
+        # x + h e1 crosses the maximum of P_T f in w1: at 200,000 paths the
+        # differences are 0.0080, 0.0008 and 0.0016 at h = 0.5, 0.25, 0.125
+        # (paired standard error of the last rise 3e-5), so the rise is real
+        bump = BumpFunction(E, radius=2.5)
+        samp = SemigroupSampler(H1, 0.582, 64, 20000, seed=3)
+        x = GroupElement([-0.137, 0.150], [0.161])
+        recs, shrinking, diffs = strong_feller_modulus(
+            samp, bump, x, np.array([1.0, 0.0]), [0.5, 0.25, 0.125], CC, bump.sup_bound())
+        assert all(r.passed for r in recs)
+        assert not shrinking and diffs[2] > diffs[1]
+        # and offsets in rising order fail wherever the differences grow
+        _, rising, _ = strong_feller_modulus(
+            samp, bump, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
+            [0.125, 0.25, 0.5], CC, bump.sup_bound())
+        assert not rising
 
     def test_integrated_harnack(self, small_density):
         y = GroupElement([0.4, 0.0], [0.0])
