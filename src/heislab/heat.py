@@ -12,8 +12,9 @@ Two independent routes to the semigroup P_T = exp(T L / 2) live here:
   by second-order centered stencils and Runge-Kutta-Legendre super steps in
   time.
 
-Each inequality check produces one VerificationRecord with both sides, the
-propagated statistical errors, and the stated deterministic slack.
+Each inequality check reads P_T f once per point and returns VerificationRecords,
+one per value of its p, q or offset grid, with both sides, the propagated
+statistical errors, and the stated deterministic slack.
 """
 
 from __future__ import annotations
@@ -181,27 +182,19 @@ class SemigroupSampler:
         return ((math.log(up) - math.log(um)) / (2.0 * h),
                 _mean_se(vp / up - vm / um)[1] / (2.0 * h))
 
-    def _squared_gradient(self, func, x, h, directions, use_log):
+    def squared_gradient(self, func, x, h, directions, use_log=False):
+        """Sum of squared derivatives of P_T f (or of ln P_T f) at x along
+        ``directions``: ("w", i) for Gamma, ("c", l) for Gamma^Z.  Returns the
+        sum, its standard error, and the Richardson gap of steps h and h/2,
+        which bounds the O(h^2) differencing bias."""
         total, var, bias = 0.0, 0.0, 0.0
         for direction in directions:
             d_h, se = self._difference(func, x, direction, h, use_log)
             d_half, _ = self._difference(func, x, direction, 0.5 * h, use_log)
             total += d_half * d_half
             var += (2.0 * d_half * se) ** 2
-            # Richardson gap bounds the residual O(h^2) differencing bias
             bias += abs(d_half * d_half - d_h * d_h)
         return total, math.sqrt(var), bias
-
-    def gamma_estimate(self, func, x, h, rank=None, use_log=False):
-        """Squared horizontal gradient of P_T f (or of ln P_T f) at x."""
-        rank = self.form.n if rank is None else rank
-        dirs = [("w", i) for i in range(rank)]
-        return self._squared_gradient(func, x, h, dirs, use_log)
-
-    def gamma_z_estimate(self, func, x, h, use_log=False):
-        """Squared vertical gradient of P_T f (or of ln P_T f) at x."""
-        dirs = [("c", l) for l in range(self.form.d)]
-        return self._squared_gradient(func, x, h, dirs, use_log)
 
 
 def mollified_sampler(form, T, steps, samples, seed, grid_steps,
@@ -520,25 +513,27 @@ def _record(lhs, rhs, se_lhs, se_rhs, slack, **fields) -> VerificationRecord:
                               margin=margin, passed=bool(margin >= -tolerance), **fields)
 
 
-def _reverse_record(sampler, f, x, constants, h, rank, use_log, core, se_core,
-                    record_id, preset, **detail) -> VerificationRecord:
+def _reverse_record(sampler, f, x, constants, h, use_log, core, se_core,
+                    record_id, **detail) -> VerificationRecord:
     """Gamma(g) + rho2 T Gamma^Z(g) against (harnack_coeff / T) core at x.
 
     g is P_T f, or ln P_T f when ``use_log``; ``core`` is the variance or
     entropy term with standard error ``se_core``.  The Richardson gap of the
     squared gradients is the slack.
     """
-    T = sampler.T
-    grad, se_g, bias_g = sampler.gamma_estimate(f, x, h, rank=rank, use_log=use_log)
-    gradz, se_gz, bias_gz = sampler.gamma_z_estimate(f, x, h, use_log=use_log)
+    T, form = sampler.T, sampler.form
+    grad, se_g, bias_g = sampler.squared_gradient(
+        f, x, h, [("w", i) for i in range(form.n)], use_log)
+    gradz, se_gz, bias_gz = sampler.squared_gradient(
+        f, x, h, [("c", l) for l in range(form.d)], use_log)
     coeff = constants.harnack_coeff / T
     vertical = constants.rho2 * T
     se_v = vertical * se_gz
     slack = bias_g + vertical * bias_gz
     return _record(
         grad + vertical * gradz, coeff * core, math.sqrt(se_g * se_g + se_v * se_v),
-        coeff * se_core, slack, record_id=record_id, preset=preset,
-        rank=rank or sampler.form.n, T=T, x=coords_str(x.coords()),
+        coeff * se_core, slack, record_id=record_id, rank=form.n, T=T,
+        x=coords_str(x.coords()),
         detail={"grad_sq": grad, "grad_z_sq": gradz, "richardson_slack": slack,
                 "h": h, "samples": sampler.samples, **detail},
     )
@@ -546,24 +541,20 @@ def _reverse_record(sampler, f, x, constants, h, rank, use_log, core, se_core,
 
 def verify_reverse_poincare(sampler: SemigroupSampler, f, x: GroupElement,
                             constants: CurvatureConstants, h: float,
-                            rank: int | None = None,
-                            record_id: str = "reverse-poincare",
-                            preset: str = "") -> VerificationRecord:
+                            record_id: str = "reverse-poincare") -> VerificationRecord:
     """Squared gradients of P_T f against the variance bound at x."""
     vals = sampler.values(f, x)
     # centred form: E[f^2] - E[f]^2 cancels to a negative value on constant f
     dev_sq = (vals - vals.mean()) ** 2
     var_est = dev_sq.mean()
-    return _reverse_record(sampler, f, x, constants, h, rank, False, var_est,
-                           _mean_se(dev_sq - var_est)[1], record_id, preset,
-                           variance=var_est)
+    return _reverse_record(sampler, f, x, constants, h, False, var_est,
+                           _mean_se(dev_sq - var_est)[1], record_id, variance=var_est)
 
 
 def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
                               x: GroupElement, constants: CurvatureConstants,
-                              h: float, rank: int | None = None,
-                              record_id: str = "reverse-logsobolev",
-                              preset: str = "") -> VerificationRecord:
+                              h: float,
+                              record_id: str = "reverse-logsobolev") -> VerificationRecord:
     """Squared gradients of ln P_T f against the entropy bound at x."""
     if not getattr(f, "floor", 0.0) > 0.0:
         raise ValueError("reverse log-Sobolev needs a strictly positive test function")
@@ -578,36 +569,41 @@ def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
     terms = u * np.log(u) - u + 1.0
     core = terms.mean()
     lin = (terms - core) - core * (u - 1.0)
-    return _reverse_record(sampler, f, x, constants, h, rank, True, core,
-                           _mean_se(lin)[1], record_id, preset, entropy_core=core)
+    return _reverse_record(sampler, f, x, constants, h, True, core,
+                           _mean_se(lin)[1], record_id, entropy_core=core)
 
 
 def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
-                        y: GroupElement, p: float, dist_sq: float,
+                        y: GroupElement, p_grid, dist_sq: float,
                         constants: CurvatureConstants,
-                        record_id: str = "wang-harnack",
-                        preset: str = "") -> VerificationRecord:
-    """(P_T f)^p(x) against P_T f^p(y) times the distance-exponential factor."""
-    if not p > 1:
+                        record_id: str = "wang-harnack") -> list:
+    """(P_T f)^p(x) against P_T f^p(y) times the distance-exponential factor:
+    one record ``{record_id}-p{p:g}`` per p in ``p_grid``, from one read of x
+    and one of y."""
+    p_grid = list(p_grid)
+    if not all(p > 1 for p in p_grid):
         raise ValueError("the exponent must exceed one")
     T = sampler.T
     mx, sx = _mean_se(sampler.values(f, x))
-    my, sy = _mean_se(sampler.values(f, y) ** p)
-    factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
-    return _record(
-        mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy, 0.0,
-        record_id=record_id, preset=preset, rank=sampler.form.n, T=T, p_or_q=p,
-        x=coords_str(x.coords()), y=coords_str(y.coords()),
-        detail={"dist_sq": dist_sq, "factor": factor},
-    )
+    fy = sampler.values(f, y)
+    records = []
+    for p in p_grid:
+        my, sy = _mean_se(fy ** p)
+        factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
+        records.append(_record(
+            mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy, 0.0,
+            record_id=f"{record_id}-p{p:g}", rank=sampler.form.n, T=T, p_or_q=p,
+            x=coords_str(x.coords()), y=coords_str(y.coords()),
+            detail={"dist_sq": dist_sq, "factor": factor},
+        ))
+    return records
 
 
 def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
                               y: GroupElement, q_grid, dist_sq: float,
                               constants: CurvatureConstants,
                               grid_tol: float = 0.02,
-                              record_id: str = "integrated-harnack",
-                              preset: str = "") -> list:
+                              record_id: str = "integrated-harnack") -> list:
     """L^q norms of the density ratio under right translation, from the grid.
 
     One record per q in ``q_grid``, with id ``{record_id}-q{q:g}``.  LHS is
@@ -644,7 +640,7 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
         rhs = math.exp(constants.harnack_coeff * q * dist_sq / (4.0 * T))
         margin = rhs * (1.0 + grid_tol) - lhs
         records.append(VerificationRecord(
-            record_id=f"{record_id}-q{q:g}", preset=preset, rank=form.n, T=T, p_or_q=q,
+            record_id=f"{record_id}-q{q:g}", rank=form.n, T=T, p_or_q=q,
             y=coords_str(y.coords()), lhs=lhs, rhs=rhs, margin=margin,
             passed=bool(margin >= 0.0 and not flagged),
             detail={"dist_sq": dist_sq, "excluded_mass": excluded_mass,
@@ -653,18 +649,18 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
     return records
 
 
-def verify_strong_feller(sampler: SemigroupSampler, f, x: GroupElement,
-                         y: GroupElement, dist_sq: float,
+def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
+                         x: GroupElement, y: GroupElement, dist_sq: float,
                          constants: CurvatureConstants, sup_bound: float,
-                         record_id: str = "strong-feller",
-                         preset: str = "") -> VerificationRecord:
-    """|P_T f(x) - P_T f(y)|^2 against the distance-modulus bound."""
+                         record_id: str = "strong-feller") -> VerificationRecord:
+    """|P_T f(x) - P_T f(y)|^2 against the distance-modulus bound, from the
+    per-path differences ``diffs`` = f(x * g_i) - f(y * g_i) of ``sampler``."""
     T = sampler.T
-    m, se_m = _mean_se(sampler.values(f, x) - sampler.values(f, y))
+    m, se_m = _mean_se(diffs)
     rhs = sup_bound**2 * math.expm1(constants.harnack_coeff * dist_sq / (2.0 * T))
     return _record(
         m * m, rhs, 2.0 * abs(m) * se_m, 0.0, 0.0,
-        record_id=record_id, preset=preset, rank=sampler.form.n, T=T,
+        record_id=record_id, rank=sampler.form.n, T=T,
         x=coords_str(x.coords()), y=coords_str(y.coords()),
         detail={"dist_sq": dist_sq, "difference": m, "sup_bound": sup_bound},
     )
@@ -672,15 +668,16 @@ def verify_strong_feller(sampler: SemigroupSampler, f, x: GroupElement,
 
 def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
                           direction: np.ndarray, offsets,
-                          constants: CurvatureConstants, sup_bound: float,
-                          preset: str = ""):
-    """Bound records over shrinking horizontal offsets, plus the shrink flag.
+                          constants: CurvatureConstants, sup_bound: float) -> list:
+    """Bound records over shrinking horizontal offsets, then the shrink record.
 
-    Offsets move y = x * (h * direction, 0), at CC distance h from x.  Every
-    CRN difference |P_T f(x) - P_T f(y)| must satisfy the modulus bound, and
-    it must not rise from one offset to the next by more than three
-    standard errors of the paired per-path rise: every offset reads the same
-    endpoints, so consecutive differences share most of their noise.
+    Offsets move y = x * (h * direction, 0), at CC distance h from x, and
+    P_T f is read once at x and at each y.  Every CRN difference
+    |P_T f(x) - P_T f(y)| must satisfy the modulus bound (``strong-feller-h{h:g}``),
+    and the last record, ``strong-feller-shrinking`` (lhs the last difference,
+    rhs the first, detail {"diffs", "offsets"}), fails if one offset's
+    difference exceeds the previous one's by more than three standard errors
+    of the paired per-path rise: the offsets share their endpoints.
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
@@ -693,18 +690,22 @@ def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
     for h in offsets:
         step = GroupElement(h * direction, np.zeros(form.d))
         y = multiply(form, x, step)
+        per_path = fx - sampler.values(f, y)
         # d(x, x * step) = d(e, step) by left invariance
-        rec = verify_strong_feller(sampler, f, x, y,
+        rec = verify_strong_feller(sampler, per_path, x, y,
                                    cc_distance(form, identity(form), step).energy,
-                                   constants, sup_bound,
-                                   record_id=f"strong-feller-h{h:g}", preset=preset)
+                                   constants, sup_bound, record_id=f"strong-feller-h{h:g}")
         records.append(rec)
         diffs.append(abs(rec.detail["difference"]))
         # per path, the summand of |difference|
-        paths.append(math.copysign(1.0, rec.detail["difference"]) * (fx - sampler.values(f, y)))
+        paths.append(math.copysign(1.0, rec.detail["difference"]) * per_path)
     rises = [_mean_se(b - a) for a, b in zip(paths, paths[1:])]
     shrinking = all(rise <= 3.0 * se + 1e-12 for rise, se in rises)
-    return records, shrinking, diffs
+    records.append(VerificationRecord(
+        record_id="strong-feller-shrinking", rank=form.n, T=sampler.T,
+        lhs=diffs[-1], rhs=diffs[0], margin=diffs[0] - diffs[-1], passed=shrinking,
+        detail={"diffs": diffs, "offsets": list(offsets)}))
+    return records
 
 
 # --------------------------------------------------------------------------

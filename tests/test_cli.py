@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -9,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heislab.cli import _symmetry_record, load_config, main
+from heislab.cli import EXPERIMENTS, _symmetry_record, load_config, main
 from heislab.geometry import DistanceOptions, HorizontalPath, cc_distance
 from heislab.groups import (
     GroupElement, OmegaForm, dilate, identity, inverse, make_preset, multiply, preset_catalog,
 )
-from heislab.heat import pde_oracle_h3
+from heislab.heat import SemigroupSampler, pde_oracle_h3
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
@@ -23,6 +25,25 @@ _spec.loader.exec_module(bench_checks)
 
 SMALL_GRID = {"box": [[-4, 4], [-4, 4], [-5, 5]], "shape": [32, 32, 40],
               "mollifier_cells": 3.0}
+
+H3_NAME = make_preset("heisenberg", pairs=1).name
+TINY_MC = {"samples": 200, "steps": 8}
+TINY_GRID = {"T": 0.3, "grid": {"box": [[-3, 3], [-3, 3], [-2, 2]], "shape": [17, 17, 21]}}
+# a config per experiment small enough to run twice in well under a second
+TINY = {
+    "curvature": {},
+    "distance": {"target": {"w": [0.3, 0.2], "c": [0.4]}},
+    "simulate": {"samples": 50, "steps": 8},
+    "convergence": {"samples": 50, "K_list": [4, 8]},
+    "verify-cd": {"functions": 2, "points": 3},
+    "verify-harnack": TINY_MC,
+    "verify-reverse-poincare": {**TINY_MC, "T_grid": [0.5, 1.0]},
+    "verify-reverse-logsobolev": {**TINY_MC, "T_grid": [0.5, 1.0]},
+    "verify-integrated-harnack": TINY_GRID,
+    "verify-strong-feller": TINY_MC,
+    "oracle-h3": TINY_GRID,
+    "list-presets": {},
+}
 
 
 def write_config(tmp_path, name, payload):
@@ -72,11 +93,21 @@ class TestConfigValidation:
         ("verify-integrated-harnack", {"q_grid": []}),
         ("verify-integrated-harnack", {"ys": []}),
         ("convergence", {"p_moments": []}),
+        # one sample has no standard error; one offset has nothing to shrink to
+        ("simulate", {"samples": 1}),
+        ("verify-strong-feller", {"offsets": [0.5]}),
     ])
     def test_config_that_cannot_fail_is_rejected(self, tmp_path, experiment, params):
         cfg = write_config(tmp_path, "c.json", {"params": params})
         out = tmp_path / "o"
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_direction_longer_than_n_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {"params": {"direction": [1.0, 0.0, 0.5]}})
+        out = tmp_path / "o"
+        assert main(["verify-strong-feller", "--config", cfg, "--out", str(out)]) == 2
+        assert "direction has too many coordinates for n=2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_and_out_flags_override(self, tmp_path):
@@ -139,6 +170,22 @@ class TestSimulateAndConvergence:
         assert rows[0] == "w1,w2,c1"
         assert len(rows) == 501
 
+    def test_simulate_reports_the_failing_coordinate(self, tmp_path):
+        # |mean c1| 0.1363 > 3 se 0.1281 fails, |mean c2| 0.3615 < 3 se 0.6272
+        # passes; maxima over coordinates once paired 0.3615 with 0.6272 and
+        # gave a failing record a margin of +0.266
+        cfg = write_config(tmp_path, "c.json", {
+            "preset": {"name": "block_sum", "params": {"weights": [1, 3]}},
+            "seed": 312, "params": {"samples": 50, "steps": 4}})
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "records.csv")) as fh:
+            [rec] = list(csv.DictReader(fh))
+        lhs, rhs, margin = (float(rec[k]) for k in ("lhs", "rhs", "margin"))
+        assert rec["pass"] == "false"
+        assert margin < 0 and lhs > rhs
+        assert margin == pytest.approx(rhs - lhs, rel=1e-12)
+
     def test_convergence_reports(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "preset": {"name": "wiener_truncation", "params": {"pairs": 4, "s": 2}},
@@ -188,6 +235,23 @@ class TestVerifyCommands:
         assert main(["verify-cd", "--config", cfg, "--out", out]) == 0
         assert len(calls) == 3
         assert read_summary(out)["records"] == 36
+
+    @pytest.mark.parametrize("experiment, reads", [
+        ("verify-harnack", 2 * 6),             # x and y of each default pair
+        ("verify-strong-feller", 1 + 3),       # x and each default offset
+    ])
+    def test_semigroup_read_once_per_point(self, tmp_path, monkeypatch, experiment, reads):
+        calls, real = [], SemigroupSampler.values
+
+        def counted(self, func, x):
+            calls.append(1)
+            return real(self, func, x)
+
+        monkeypatch.setattr(SemigroupSampler, "values", counted)
+        cfg = write_config(tmp_path, "c.json", {"params": {"samples": 500, "steps": 16}})
+        out = str(tmp_path / "o")
+        assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
+        assert len(calls) == reads
 
     def test_reverse_poincare_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -253,13 +317,12 @@ class TestVerifyCommands:
         assert report["asymmetry"] < report["asymmetry_bound"] < 2.5 * report["asymmetry"]
 
     def test_oracle_h3_symmetry_fails_on_injected_asymmetry(self):
-        preset = make_preset("heisenberg", pairs=1)
         density = pde_oracle_h3("delta", 0.5, box=tuple(map(tuple, SMALL_GRID["box"])),
                                 shape=tuple(SMALL_GRID["shape"]), mollifier_cells=3.0)
-        assert _symmetry_record(density, preset).passed
+        assert _symmetry_record(density).passed
         # one percent of the peak added at one node off the centre
         density.values[18, 14, 22] += 0.01 * density.values.max()
-        rec = _symmetry_record(density, preset)
+        rec = _symmetry_record(density)
         assert not rec.passed and rec.lhs > 0.009
 
     def test_grid_experiments_report_the_same_solve(self, tmp_path):
@@ -542,6 +605,24 @@ class TestDeterminism:
                 bodies.append(fh.read())
             assert read_summary(out)["report"]["paths_drawn"] == 1000
         assert bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_experiment_is_byte_identical_and_labelled(self, tmp_path, experiment):
+        cfg = write_config(tmp_path, "c.json", {"seed": 3, "params": TINY[experiment]})
+        bodies = []
+        for run in range(2):
+            out = str(tmp_path / f"o{run}")
+            assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
+            with open(os.path.join(out, "records.csv"), "rb") as fh:
+                bodies.append(fh.read())
+        assert bodies[0] == bodies[1]
+        rows = list(csv.DictReader(io.StringIO(bodies[0].decode())))
+        assert rows
+        for row in rows:
+            # list-presets labels each entry with its own preset
+            expected = (row["record_id"].removeprefix("preset-")
+                        if experiment == "list-presets" else H3_NAME)
+            assert row["preset"] == expected
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HEISLAB_WORKERS", "2")

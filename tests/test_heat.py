@@ -94,7 +94,8 @@ class TestSemigroupSampler:
         assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(len(vals))
 
     def test_gamma_of_constant_is_exactly_zero(self, sampler):
-        val, se, bias = sampler.gamma_estimate(lambda pts: np.ones(len(pts)), E, 1e-3)
+        val, se, bias = sampler.squared_gradient(lambda pts: np.ones(len(pts)), E, 1e-3,
+                                                 [("w", 0), ("w", 1), ("c", 0)])
         assert val == 0.0 and se == 0.0 and bias == 0.0
 
     def test_dilation_matches_a_fresh_draw(self):
@@ -334,7 +335,8 @@ class TestMcPdeConsistency:
         g2 = (u(shift(x, 1, h)) - u(shift(x, 1, -h))) / (2 * h)
         oracle = g1 * g1 + g2 * g2
         samp = SemigroupSampler(H1, T, 256, 60000, seed=93)
-        val, se, bias = samp.gamma_estimate(bump, GroupElement(x[:2], x[2:]), 1e-3)
+        val, se, bias = samp.squared_gradient(bump, GroupElement(x[:2], x[2:]), 1e-3,
+                                              [("w", 0), ("w", 1)])
         assert abs(val - oracle) <= 3 * se + bias + 0.05 * (abs(oracle) + 0.01)
 
 
@@ -389,33 +391,37 @@ class TestVerifiers:
 
     def test_wang_harnack_jensen_case(self, sampler):
         f = BumpFunction(E, radius=2.0, floor=0.05)
-        rec = verify_wang_harnack(sampler, f, E, E, 2.0, 0.0, CC)
+        [rec] = verify_wang_harnack(sampler, f, E, E, [2.0], 0.0, CC)
         assert rec.passed          # reduces to Jensen's inequality
         assert rec.lhs <= rec.rhs + 3 * (rec.stderr_lhs + rec.stderr_rhs)
 
     def test_wang_harnack_generic_pair(self, sampler):
         f = BumpFunction(E, radius=2.0)
-        rec = verify_wang_harnack(sampler, f, E, GroupElement([1.0, 0.0], [0.0]),
-                                  2.0, 1.0, CC)
-        assert rec.passed
+        [rec] = verify_wang_harnack(sampler, f, E, GroupElement([1.0, 0.0], [0.0]),
+                                    [2.0], 1.0, CC)
+        assert rec.passed and rec.record_id == "wang-harnack-p2"
 
     def test_wang_harnack_rejects_small_p(self, sampler):
         f = BumpFunction(E, radius=2.0)
         with pytest.raises(ValueError):
-            verify_wang_harnack(sampler, f, E, E, 1.0, 0.0, CC)
+            verify_wang_harnack(sampler, f, E, E, [2.0, 1.0], 0.0, CC)
 
     def test_strong_feller_zero_offset(self, sampler):
         f = BumpFunction(E, radius=2.0)
-        rec = verify_strong_feller(sampler, f, E, E, 0.0, CC, f.sup_bound())
+        fx = sampler.values(f, E)
+        rec = verify_strong_feller(sampler, fx - fx, E, E, 0.0, CC, f.sup_bound())
         assert rec.passed and rec.lhs == 0.0
 
     def test_strong_feller_modulus_shrinks(self, sampler):
         f = BumpFunction(E, radius=2.0)
-        recs, shrinking, diffs = strong_feller_modulus(
+        *recs, shrink = strong_feller_modulus(
             sampler, f, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
             [0.5, 0.25, 0.125], CC, f.sup_bound())
+        diffs = shrink.detail["diffs"]
         assert all(r.passed for r in recs)
-        assert shrinking
+        assert shrink.record_id == "strong-feller-shrinking" and shrink.passed
+        assert shrink.detail["offsets"] == [0.5, 0.25, 0.125]
+        assert (shrink.lhs, shrink.rhs) == (diffs[-1], diffs[0])
         assert diffs[0] > diffs[-1]
 
     def test_strong_feller_shrink_allows_noise(self, sampler):
@@ -431,11 +437,12 @@ class TestVerifiers:
         rose = 0
         for seed in range(5):
             samp = SemigroupSampler(H1, 1.0, 16, 2000, seed=seed)
-            _, shrinking, diffs = strong_feller_modulus(
+            shrink = strong_feller_modulus(
                 samp, f, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
-                [0.2, 0.19, 0.18], CC, bump.sup_bound() + 0.05)
+                [0.2, 0.19, 0.18], CC, bump.sup_bound() + 0.05)[-1]
+            diffs = shrink.detail["diffs"]
             rose += any(b > a for a, b in zip(diffs, diffs[1:]))
-            assert shrinking
+            assert shrink.passed
         assert rose
 
     def test_strong_feller_shrink_fails_on_a_true_rise(self):
@@ -445,15 +452,16 @@ class TestVerifiers:
         bump = BumpFunction(E, radius=2.5)
         samp = SemigroupSampler(H1, 0.582, 64, 20000, seed=3)
         x = GroupElement([-0.137, 0.150], [0.161])
-        recs, shrinking, diffs = strong_feller_modulus(
+        *recs, shrink = strong_feller_modulus(
             samp, bump, x, np.array([1.0, 0.0]), [0.5, 0.25, 0.125], CC, bump.sup_bound())
+        diffs = shrink.detail["diffs"]
         assert all(r.passed for r in recs)
-        assert not shrinking and diffs[2] > diffs[1]
+        assert not shrink.passed and diffs[2] > diffs[1]
         # and offsets in rising order fail wherever the differences grow
-        _, rising, _ = strong_feller_modulus(
+        rising = strong_feller_modulus(
             samp, bump, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
-            [0.125, 0.25, 0.5], CC, bump.sup_bound())
-        assert not rising
+            [0.125, 0.25, 0.5], CC, bump.sup_bound())[-1]
+        assert not rising.passed
 
     def test_integrated_harnack(self, small_density):
         y = GroupElement([0.4, 0.0], [0.0])
