@@ -7,22 +7,15 @@ component is slaved to the path through the exact piecewise-linear rule
 
 which reproduces the line integral of the form exactly for polygonal paths.
 
-``cc_distance`` has two routes.  When the form (restricted to the allowed
-rank) is a direct sum of weighted symplectic pairs, as every preset is, the
-distance is exact (Gaveau 1977, Acta Math. 139; Beals, Gaveau & Greiner
-2000, J. Math. Pures Appl. 79): the geodesic of vertical coordinate l turns
-the velocity of each of its pairs at angular speed q_j * theta_l, one shared
-multiplier per coordinate, so pair j traces a circular arc over its chord,
-and a heaviest pair whose chord is zero may carry a whole loop.  A
-horizontal target is reached by the straight segment on every form.  Every
-other target goes to a numerical solver, which minimizes the path energy
-over increments with the horizontal endpoint eliminated analytically
-(increments are optimized in the affine subspace of fixed sum) and the
-vertical endpoint enforced by an augmented Lagrangian whose penalty doubles
-until the residual is met, plus a final least-norm Newton projection onto
-the constraint manifold; its result is an upper bound.  Distance is the
-square root of the minimized energy; over the unit time interval the two
-agree at constant-speed minimizers.
+``cc_distance`` is exact on every form whose vertical coordinates act on
+pairwise disjoint sets of horizontal coordinates: every d = 1 form and
+every preset.  Each A_l of such a form is orthogonally a sum of weighted
+symplectic pairs q_j J, so the distance is the closed form on pairs (Gaveau
+1977, Acta Math. 139; Beals, Gaveau & Greiner 2000, J. Math. Pures Appl. 79)
+in the rotated basis.  A horizontal target is reached by the straight
+segment on every form; any other target on a form whose vertical
+coordinates share a horizontal one has no closed form here and raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,30 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupElement, OmegaForm, dilate, homogeneous_norm, identity, inverse, multiply
-from .rng import mix64
+from .groups import GroupElement, OmegaForm, homogeneous_norm, identity, inverse, multiply
 
 __all__ = [
     "HorizontalPath",
-    "SolverError",
     "DistanceOptions",
     "DistanceResult",
     "vertical_displacement",
     "cc_distance",
-    "check_distance_norm_equivalence",
     "projected_distance_convergence",
 ]
-
-
-class SolverError(RuntimeError):
-    """No restart reached the vertical endpoint tolerance.
-
-    Carries the best infeasible iterate in ``best`` for diagnosis.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
 
 
 @dataclass(frozen=True)
@@ -110,22 +89,15 @@ def vertical_displacement(form: OmegaForm, path: HorizontalPath) -> np.ndarray:
     return 0.5 * form.pair(path.nodes[:-1], inc).sum(axis=0)
 
 
-# Augmented Lagrangian: initial penalty, and the L-BFGS-B gradient tolerance
-# and iteration cap of each inner solve.  Vertical residual targets on the
-# dilation-normalized problem: of a feasible witness, and of the outer loop.
-_MU0 = 100.0
-_GTOL = 1e-10
-_MAX_INNER = 400
-_VERT_TOL = 1e-12
-_AL_TOL = 1e-9
-
-
 @dataclass
 class DistanceOptions:
+    """``segments`` is the witness polygon's segment count.  ``restarts`` and
+    ``seed`` are accepted and ignored: every distance is exact, so nothing is
+    restarted or seeded."""
+
     segments: int = 64
     restarts: int = 16
     seed: int = 0
-    max_outer: int = 30
 
 
 @dataclass
@@ -134,133 +106,20 @@ class DistanceResult:
     witness: HorizontalPath
     energy: float
     constraint_residual: float
-    restart_index: int
     diagnostics: dict = field(default_factory=dict)
 
 
-def _restricted_matrices(form: OmegaForm, rank: int) -> np.ndarray:
-    return np.moveaxis(form.coeffs[:rank, :rank, :], 2, 0).copy()  # (d, rank, rank)
-
-
-def _residual_and_positions(mats, disp, w_t, c_t):
-    pos = np.vstack([np.zeros(disp.shape[1]), np.cumsum(disp, axis=0)[:-1]])
-    r = 0.5 * np.einsum("ki,lij,kj->l", pos, mats, disp) - c_t
-    return r, pos
-
-
-def _al_objective(u, mats, w_t, c_t, lam, mu, K):
-    disp = u.reshape(K, -1)
-    disp = disp - disp.mean(axis=0) + w_t / K
-    r, pos = _residual_and_positions(mats, disp, w_t, c_t)
-    energy = K * float(np.sum(disp * disp))
-    coeff = lam + mu * r
-    val = energy + float(lam @ r) + 0.5 * mu * float(r @ r)
-    # gradient wrt the increments, then projected through the mean-removal map
-    v = w_t - 2.0 * pos - disp
-    omega_c = np.einsum("l,lij->ij", coeff, mats)
-    grad = 2.0 * K * disp + 0.5 * v @ omega_c.T
-    grad = grad - grad.mean(axis=0)
-    return val, grad.ravel()
-
-
-def _newton_project(mats, disp, w_t, c_t, tol=1e-14, iters=6):
-    """Least-norm correction onto the vertical constraint, inside the affine subspace."""
-    K = disp.shape[0]
-    for _ in range(iters):
-        r, pos = _residual_and_positions(mats, disp, w_t, c_t)
-        if np.linalg.norm(r) <= tol:
-            break
-        v = w_t - 2.0 * pos - disp
-        jac = 0.5 * np.einsum("lij,kj->lki", mats, v)   # (d, K, n)
-        jac = jac - jac.mean(axis=1, keepdims=True)
-        jflat = jac.reshape(jac.shape[0], -1)
-        gram = jflat @ jflat.T
-        try:
-            delta = np.linalg.solve(gram, -r)
-        except np.linalg.LinAlgError:
-            break
-        disp = disp + (jflat.T @ delta).reshape(disp.shape)
-    r, _ = _residual_and_positions(mats, disp, w_t, c_t)
-    return disp, float(np.linalg.norm(r))
-
-
-def _initial_increments(rank, K, w_t, restart, seed):
-    t = np.linspace(0.0, 1.0, K + 1)
-    nodes = t[:, None] * w_t[None, :]
-    if restart > 0:
-        rng = np.random.Generator(np.random.Philox(key=mix64(seed, "cc-init", restart)))
-        for _ in range(1 + restart % 2):
-            i, j = rng.choice(rank, size=2, replace=False) if rank >= 2 else (0, 0)
-            amp = rng.uniform(0.2, 1.3) * rng.choice([-1.0, 1.0])
-            phase = rng.uniform(0.0, 2 * np.pi)
-            turns = 1 if restart < 8 else int(rng.integers(1, 3))
-            ang = 2 * np.pi * turns * t + phase
-            arc_u = amp * (np.cos(ang) - np.cos(phase))
-            arc_v = amp * (np.sin(ang) - np.sin(phase))
-            nodes[:, i] += arc_u
-            if rank >= 2:
-                nodes[:, j] += arc_v
-    return np.diff(nodes, axis=0)
-
-
-def _solve_normalized(mats, rank, K, w_t, c_t, opts: DistanceOptions, warm=None):
-    """Energy minimization for a target of homogeneous norm about one."""
-    # the only scipy user; presets never reach it
-    from scipy.optimize import minimize as scipy_minimize
-
-    starts = [_initial_increments(rank, K, w_t, r, opts.seed) for r in range(opts.restarts)]
-    if warm is not None:
-        starts.append(np.array(warm, dtype=float))
-    best = None
-    best_infeasible = None
-    for idx, disp0 in enumerate(starts):
-        lam = np.zeros(len(mats))
-        mu = _MU0
-        u = disp0.ravel()
-        prev_r = np.inf
-        for _ in range(opts.max_outer):
-            res = scipy_minimize(
-                _al_objective, u, args=(mats, w_t, c_t, lam, mu, K),
-                method="L-BFGS-B", jac=True,
-                options={"maxiter": _MAX_INNER, "gtol": _GTOL, "ftol": 1e-16},
-            )
-            u = res.x
-            disp = u.reshape(K, -1)
-            disp = disp - disp.mean(axis=0) + w_t / K
-            r, _ = _residual_and_positions(mats, disp, w_t, c_t)
-            rnorm = float(np.linalg.norm(r))
-            if rnorm <= _AL_TOL:
-                break
-            lam = lam + mu * r
-            if rnorm > 0.25 * prev_r:
-                mu *= 2.0
-            prev_r = rnorm
-        disp, rnorm = _newton_project(mats, disp, w_t, c_t)
-        energy = K * float(np.sum(disp * disp))
-        feasible = rnorm <= _VERT_TOL
-        entry = (energy, idx, disp, rnorm)
-        if feasible:
-            if best is None or energy < best[0]:
-                best = entry
-        elif best_infeasible is None or rnorm < best_infeasible[3]:
-            best_infeasible = entry
-    return best, best_infeasible
-
-
 def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
-                rank: int | None = None, opts: DistanceOptions | None = None,
-                warm: HorizontalPath | None = None) -> DistanceResult:
-    """Horizontal distance between x and y with a witness path.
+                rank: int | None = None, opts: DistanceOptions | None = None) -> DistanceResult:
+    """Exact horizontal distance between x and y with a witness path.
 
-    Exact when the form restricted to the first ``rank`` coordinates is a
-    direct sum of weighted pairs, or when x^-1 y is horizontal; the witness
-    is then the geodesic sampled at ``opts.segments`` + 1 uniform times, and
-    ``constraint_residual`` is that polygon's vertical miss.  Otherwise the
-    numerical solver gives an upper bound that tightens as the segment count
-    and restart budget grow.  ``diagnostics["method"]`` says which route
-    ran.  When ``rank`` is given, only the first ``rank`` horizontal
-    directions may be used; the restricted form must then still satisfy the
-    bracket-generating rank condition.
+    The witness is the geodesic sampled at ``opts.segments`` + 1 uniform
+    times, and ``constraint_residual`` is that polygon's vertical miss.  When
+    ``rank`` is given, only the first ``rank`` horizontal directions may be
+    used; the restricted form must then still satisfy the bracket-generating
+    rank condition.  Raises ``ValueError`` when x^-1 y is not horizontal and
+    two vertical coordinates of the restricted form act on a common
+    horizontal coordinate: that form has no closed form.
     """
     opts = opts or DistanceOptions()
     rank = form.n if rank is None else rank
@@ -270,68 +129,73 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
         raise ValueError(
             f"target separation uses horizontal coordinates beyond rank {rank}"
         )
-    scale = homogeneous_norm(z)
-    if scale == 0.0:
+    if homogeneous_norm(z) == 0.0:
         witness = HorizontalPath(x.w[None, :], x.c)
-        return DistanceResult(0.0, witness, 0.0, 0.0, -1,
-                              {"shortcut": "coincident", "method": "closed-form"})
-    pairs = _weighted_pairs(form, rank)
-    if pairs is not None or not np.any(z.c):
-        return _closed_form_distance(form, x, z, pairs or [], opts.segments)
-
-    lam = 1.0 / scale
-    zn = dilate(lam, z)
-    mats = _restricted_matrices(form, rank)
-    K = opts.segments
-    warm_disp = None
-    if warm is not None and warm.segments == K:
-        warm_disp = np.diff(warm.nodes[:, :rank] * lam, axis=0)
-    best, best_inf = _solve_normalized(mats, rank, K, zn.w[:rank], zn.c, opts, warm=warm_disp)
-    if best is None:
-        entry = best_inf
-        nodes = _witness_nodes(entry[2] / lam, form.n, rank, x)
-        raise SolverError(
-            f"vertical constraint not met after {opts.restarts} restarts "
-            f"(best residual {entry[3]:.3e})",
-            best=DistanceResult(np.sqrt(entry[0]) / lam,
-                                HorizontalPath(nodes, x.c), entry[0] / lam**2,
-                                entry[3] / lam**2, entry[1], {"method": "solver"}),
-        )
-    energy_n, idx, disp_n, rnorm_n = best
-    disp = disp_n / lam
-    nodes = _witness_nodes(disp, form.n, rank, x)
-    energy = energy_n / lam**2
-    distance = float(np.sqrt(energy))
-    witness = HorizontalPath(nodes, x.c)
-    return DistanceResult(
-        distance, witness, energy, rnorm_n / lam**2, idx,
-        {"method": "solver", "normalization": lam, "residual_normalized": rnorm_n},
-    )
+        return DistanceResult(0.0, witness, 0.0, 0.0, {"shortcut": "coincident"})
+    basis = _pair_basis(form, rank)
+    if basis is None:
+        if np.any(z.c):
+            raise ValueError(
+                f"no closed-form distance: the form restricted to the first {rank} "
+                "horizontal coordinates has vertical coordinates sharing a horizontal one"
+            )
+        basis = (np.zeros((form.n, 0)), np.zeros((form.n, 0)), np.zeros(0), np.zeros(0, int))
+    return _closed_form_distance(form, x, z, *basis, opts.segments)
 
 
-def _weighted_pairs(form: OmegaForm, rank: int):
-    """[(i, j, l, q_ij)] with i < j if the form restricted to the first
-    ``rank`` coordinates is a direct sum of weighted pairs, else None.
+def _pair_basis(form: OmegaForm, rank: int):
+    """(e1, e2, q, owner): orthonormal columns e1[:, j], e2[:, j] span pair j,
+    on which vertical coordinate owner[j] is q[j] > 0 times the standard
+    symplectic form (e1_j^T A_l e2_j = q_j), for A_l the form restricted to
+    the first ``rank`` coordinates.  None if two A_l share a horizontal
+    coordinate.
 
-    It is one exactly when every horizontal row holds at most one nonzero
-    entry over all (j, l); coordinates in no pair are free.
+    Each A_l is taken on its own support.  Its singular values are the
+    q_j, each twice; for a right singular vector v of q_j, v and
+    A_l^T v / q_j span an A_l-invariant plane on which A_l is q_j J.  Each
+    pair starts from the singular vector that sticks out furthest from the
+    planes already taken, so equal weights still give orthonormal pairs.
+    An SVD pages in 0.6 MB of LAPACK per run, the Hermitian eigensolver of
+    i A_l 1.4 MB.
     """
-    coeffs = form.coeffs[:rank, :rank, :]
-    if np.count_nonzero(coeffs.reshape(rank, -1), axis=1).max() > 1:
+    mats = np.moveaxis(form.coeffs[:rank, :rank, :], 2, 0)
+    supports = np.any(mats != 0.0, axis=2)
+    if supports.sum(axis=0).max() > 1:
         return None
-    return [(i, j, l, float(coeffs[i, j, l])) for i, j, l in zip(*np.nonzero(coeffs)) if i < j]
+    basis, q, owner = [], [], []
+    for l, (mat, sup) in enumerate(zip(mats, supports)):
+        idx = np.flatnonzero(sup)
+        a = mat[np.ix_(idx, idx)]
+        _, sv, vt = np.linalg.svd(a)
+        vecs = vt[sv > 1e-12 * sv[0]].T     # the rest is the kernel: free
+        planes = np.zeros((len(idx), 0))
+        for _ in range(vecs.shape[1] // 2):
+            rest = vecs - planes @ (planes.T @ vecs)
+            norms = np.linalg.norm(rest, axis=0)
+            v = rest[:, np.argmax(norms)] / norms.max()
+            u = a.T @ v
+            q.append(np.linalg.norm(u))
+            planes = np.column_stack([planes, v, u / q[-1]])
+        basis.append(np.zeros((form.n, planes.shape[1])))
+        basis[-1][idx] = planes
+        owner.append(np.full(planes.shape[1] // 2, l))
+    basis = np.hstack(basis)
+    return basis[:, 0::2], basis[:, 1::2], np.array(q), np.concatenate(owner)
 
 
-def _arc_area(phi):
-    """(phi - sin phi) / (8 sin^2(phi/2)): area between an arc turning by phi
-    in (0, 2 pi) and its chord, per unit squared chord."""
-    num = np.where(phi < 1e-2, phi**3 / 6 - phi**5 / 120 + phi**7 / 5040, phi - np.sin(phi))
-    return num / (8.0 * np.sin(0.5 * phi) ** 2)
-
-
-def _arc_energy(phi):
-    """(phi/2)^2 / sin^2(phi/2): squared length of that arc per unit squared chord."""
-    return (0.5 * phi / np.sin(0.5 * phi)) ** 2
+def _arc(q, q_max, theta, tau):
+    """For pairs of weight q turning by phi = q theta: the area between arc
+    and chord per unit squared chord, (phi - sin phi) / (8 sin^2(phi/2)),
+    sin(phi/2) and sin(phi).  tau = 2 pi / q_max - theta: past phi = pi the
+    sines come from h = pi - phi/2 = pi (1 - q/q_max) + q tau/2, exact for a
+    heaviest pair, which keeps the digits that phi loses near 2 pi."""
+    phi = q * theta
+    h = math.pi * (1.0 - q / q_max) + 0.5 * q * tau
+    near = h < 0.5 * math.pi
+    half = np.where(near, np.sin(h), np.sin(0.5 * phi))
+    full = np.where(near, -np.sin(2.0 * h), np.sin(phi))
+    num = np.where(phi < 1e-2, phi**3 / 6 - phi**5 / 120 + phi**7 / 5040, phi - full)
+    return num / (8.0 * half ** 2), half, full
 
 
 def _multiplier(q, chord_sq, c):
@@ -339,151 +203,108 @@ def _multiplier(q, chord_sq, c):
 
     ``q`` holds the pair weights (positive), ``chord_sq`` the squared chords
     |w_j|^2 and ``c`` > 0 the vertical target.  Returns the multiplier theta
-    in (0, 2 pi / q_max], the area of the loop carried by a heaviest pair,
-    and d^2.  Pair j turns by phi_j = q_j theta and contributes q_j times its
-    arc area to c; the sum S(theta) rises from 0 to infinity on
-    (0, 2 pi / q_max) unless every heaviest pair has a zero chord.  Then, for
-    c >= S(2 pi / q_max), the cut-locus branch loops in a heaviest pair,
-    where area costs squared length 4 pi / q_max per unit.
+    in (0, 2 pi / q_max], tau = 2 pi / q_max - theta, the area of the loop
+    carried by a heaviest pair, and d^2.  The geodesic turns the velocity of
+    pair j at angular speed q_j theta, so it traces a circular arc over its
+    chord, turning by phi_j = q_j theta and adding q_j times its arc area to
+    c; the sum S(theta) rises from 0 to infinity on (0, 2 pi / q_max) unless
+    every heaviest pair has a zero chord.  Then, for c >= S(2 pi / q_max),
+    the cut-locus branch loops in a heaviest pair, where area costs squared
+    length 4 pi / q_max per unit.  The root is bisected in theta below
+    pi / q_max and in tau above it: a heaviest pair with a tiny chord turns
+    by nearly 2 pi, and theta alone cannot tell how nearly.
     """
     q_max = float(q.max())
     top = 2.0 * math.pi / q_max
     moving = chord_sq > 0
     q, chord_sq = q[moving], chord_sq[moving]
 
-    def area(theta):
-        return float(np.sum(q * chord_sq * _arc_area(q * theta)))
+    def area(theta, tau):
+        return float(np.sum(q * chord_sq * _arc(q, q_max, theta, tau)[0]))
 
-    excess = 0.0
-    if not np.any(q == q_max) and c >= area(top):
-        theta = top
-        excess = c - area(top)
+    if not np.any(q == q_max) and c >= area(top, 0.0):
+        theta, tau, excess = top, 0.0, c - area(top, 0.0)
     else:
-        lo, hi = 0.0, top
+        half = 0.5 * top
+        upper = area(half, top - half) < c
+        lo, hi, excess = 0.0, half, 0.0
         for _ in range(2000):
             mid = 0.5 * (lo + hi)
+            theta, tau = (top - mid, mid) if upper else (mid, top - mid)
             if mid <= lo or mid >= hi:
                 break
-            if area(mid) < c:
+            if (area(theta, tau) < c) != upper:
                 lo = mid
             else:
                 hi = mid
-        theta = 0.5 * (lo + hi)
-    energy = float(np.sum(chord_sq * _arc_energy(q * theta))) + 4.0 * math.pi * excess / q_max
-    return theta, excess / q_max, energy
+    # an arc's squared length per unit squared chord is (phi/2)^2 / sin^2(phi/2)
+    half = _arc(q, q_max, theta, tau)[1]
+    energy = float(np.sum(chord_sq * (0.5 * q * theta / half) ** 2))
+    return theta, tau, excess / q_max, energy + 4.0 * math.pi * excess / q_max
 
 
-def _closed_form_distance(form, x, z, pairs, K) -> DistanceResult:
-    """Exact distance from x to x z on a sum of weighted pairs (or for a
-    horizontal z on any form), and the geodesic sampled at K + 1 times."""
+def _closed_form_distance(form, x, z, e1, e2, q, owner, K) -> DistanceResult:
+    """Exact distance from x to x z, and the geodesic sampled at K + 1 times.
+
+    z.w is rotated into the pair basis (e1, e2); what lies outside it is
+    free and moves along a straight segment.  Each pair's path is built as a
+    complex curve u_1 + i u_2 in its plane and rotated back.
+    """
     t = np.arange(K + 1) / K
-    rel = t[:, None] * z.w[None, :]         # free coordinates: straight segments
-    free = np.ones(form.n, dtype=bool)
-    free[[k for i, j, _, _ in pairs for k in (i, j)]] = False
-    energy = float(np.sum(z.w[free] ** 2))
-    thetas, loops = [], []
+    u1, u2 = z.w @ e1, z.w @ e2
+    free = z.w - e1 @ u1 - e2 @ u2
+    energy = float(free @ free)
+    chords = u1 + 1j * u2
+    paths = np.zeros((K + 1, len(q)), dtype=complex)
+    loops = []
     for l in range(form.d):
-        mine = [(i, j, q) for i, j, ll, q in pairs if ll == l]
-        chords = np.array([z.w[i] + 1j * z.w[j] for i, j, _ in mine], dtype=complex)
-        chord_sq = chords.real ** 2 + chords.imag ** 2
-        weights = np.array([abs(q) for _, _, q in mine])
+        mine = np.flatnonzero(owner == l)
+        chord_sq = chords[mine].real ** 2 + chords[mine].imag ** 2
+        weights = q[mine]
         c = abs(float(z.c[l]))
-        theta, loop, e_l = (_multiplier(weights, chord_sq, c) if c > 0.0
-                            else (0.0, 0.0, float(np.sum(chord_sq))))
+        theta, tau, loop, e_l = (_multiplier(weights, chord_sq, c) if c > 0.0
+                                 else (0.0, 0.0, 0.0, float(np.sum(chord_sq))))
         energy += e_l
-        thetas.append(theta)
         loops.append(loop)
         looped = loop == 0.0
-        for (i, j, q), chord in zip(mine, chords):
-            # a pair turning counterclockwise in (w_i, w_j) encloses positive
-            # area, which adds q times it to c_l
-            turn = math.copysign(1.0, q * z.c[l])
-            phi = turn * abs(q) * theta
-            if chord != 0.0 and phi != 0.0:
-                path = chord * _unit_arc(phi * t) / _unit_arc(phi)
-            elif not looped and abs(q) == weights.max():
+        # a pair turning counterclockwise encloses positive area, which adds
+        # q times it to c_l
+        turn = math.copysign(1.0, z.c[l])
+        for j, chord, moving, wt in zip(mine, chords[mine], chord_sq > 0, weights):
+            phi = wt * theta
+            if moving and phi != 0.0:
+                _, half, full = _arc(wt, weights.max(), theta, tau)
+                end = -2.0 * half ** 2 + 1j * turn * full      # exp(i turn phi) - 1
+                paths[:, j] = chord * np.expm1(1j * (turn * phi * t)) / end
+            elif moving:
+                paths[:, j] = chord * t
+            elif not looped and wt == weights.max():
                 # the circle through the origin of area ``loop``
-                path = -1j * turn * math.sqrt(loop / math.pi) * _unit_arc(turn * 2 * math.pi * t)
+                paths[:, j] = -1j * turn * math.sqrt(loop / math.pi) * np.expm1(
+                    1j * (turn * 2 * math.pi * t))
                 looped = True
-            else:
-                continue
-            rel[:, i], rel[:, j] = path.real, path.imag
+    rel = t[:, None] * free[None, :] + paths.real @ e1.T + paths.imag @ e2.T
     rel[-1] = z.w
     residual = float(np.linalg.norm(
         vertical_displacement(form, HorizontalPath(rel, np.zeros(form.d))) - z.c))
-    distance = math.sqrt(energy)
     return DistanceResult(
-        distance, HorizontalPath(rel + x.w[None, :], x.c), energy, residual, -1,
-        {"method": "closed-form", "theta": thetas, "loop_area": loops},
+        math.sqrt(energy), HorizontalPath(rel + x.w[None, :], x.c), energy, residual,
+        {"loop_area": loops},
     )
-
-
-def _unit_arc(x):
-    """exp(i x) - 1, without cancellation at small x."""
-    return -2.0 * np.sin(0.5 * x) ** 2 + 1j * np.sin(x)
-
-
-def _witness_nodes(disp, n, rank, x: GroupElement):
-    K = disp.shape[0]
-    nodes = np.zeros((K + 1, n))
-    nodes[1:, :rank] = np.cumsum(disp, axis=0)
-    return nodes + x.w[None, :]
-
-
-@dataclass
-class RatioReport:
-    ratios: np.ndarray
-    min_ratio: float
-    max_ratio: float
-    bounded_ok: bool
-    failures: int
-
-
-def check_distance_norm_equivalence(form, targets, opts=None,
-                                    lower=0.05, upper=50.0) -> RatioReport:
-    """Ratios d(e, x) / (|w| + sqrt(|c|)) over sampled targets.
-
-    The comparison constants are not known a priori; the report records the
-    empirical envelope and only asserts it stays inside a loose positive band.
-    """
-    opts = opts or DistanceOptions()
-    e = identity(form)
-    ratios = []
-    failures = 0
-    for tgt in targets:
-        denom = float(np.linalg.norm(tgt.w) + np.sqrt(np.linalg.norm(tgt.c)))
-        if denom == 0.0:
-            continue
-        try:
-            res = cc_distance(form, e, tgt, opts=opts)
-        except SolverError:
-            failures += 1
-            continue
-        ratios.append(res.distance / denom)
-    ratios = np.array(ratios)
-    lo = float(ratios.min()) if len(ratios) else np.nan
-    hi = float(ratios.max()) if len(ratios) else np.nan
-    ok = len(ratios) > 0 and failures == 0 and lower <= lo and hi <= upper
-    return RatioReport(ratios, lo, hi, ok, failures)
 
 
 @dataclass
 class ConvergenceReport:
-    ranks: list
     distances: list
-    monotone_tol: float
     monotone_ok: bool
-    matches_full_rank: bool
 
 
-def projected_distance_convergence(form, x: GroupElement, ranks,
-                                   opts=None) -> ConvergenceReport:
-    """Distances d_rank(e, x) for increasing ranks, chained by warm starts.
+def projected_distance_convergence(form, x: GroupElement, ranks) -> ConvergenceReport:
+    """Distances d_rank(e, x) for increasing ranks.
 
-    Each rank may reuse the previous witness (feasible for any larger rank),
-    so the reported sequence is nonincreasing up to inner-solver noise.
+    A geodesic at one rank is admissible at every larger rank, so the exact
+    sequence is nonincreasing up to round-off.
     """
-    opts = opts or DistanceOptions()
     ranks = list(ranks)
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
@@ -491,17 +312,7 @@ def projected_distance_convergence(form, x: GroupElement, ranks,
     if len(support) and support.max() >= ranks[0]:
         raise ValueError("target horizontal support must fit inside the smallest rank")
     e = identity(form)
-    distances = []
-    witness = None
-    for rank in ranks:
-        res = cc_distance(form, e, x, rank=rank, opts=opts, warm=witness)
-        distances.append(res.distance)
-        witness = res.witness
-    # endpoint feasibility is met to _VERT_TOL on the normalized problem, so
-    # sqrt of it is the homogeneous-norm error scale of the witness
-    tol = 2.0 * float(np.sqrt(_VERT_TOL) * max(distances[0], 1.0))
+    distances = [cc_distance(form, e, x, rank=rank).distance for rank in ranks]
+    tol = 1e-12 * max(distances[0], 1.0)
     mono = all(b <= a + tol for a, b in zip(distances, distances[1:]))
-    full = cc_distance(form, e, x, opts=opts, warm=witness)
-    matches = abs(distances[-1] - full.distance) <= max(tol, 1e-9) \
-        if ranks[-1] == form.n else True
-    return ConvergenceReport(ranks, distances, tol, mono, matches)
+    return ConvergenceReport(distances, mono)

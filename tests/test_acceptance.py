@@ -22,7 +22,7 @@ from heislab.differential import (
     check_gamma_decomposition,
     check_generator_decomposition,
 )
-from heislab.geometry import DistanceOptions, cc_distance, projected_distance_convergence
+from heislab.geometry import cc_distance, projected_distance_convergence
 from heislab.groups import GroupElement, OmegaForm, make_preset, multiply_arrays
 from heislab.heat import (
     BumpFunction,
@@ -209,31 +209,27 @@ def test_criterion_04_exact_polynomial_identities():
 
 def test_criterion_05_cc_distance():
     msgs, ok = [], True
-    opts16 = DistanceOptions(segments=64, restarts=16, seed=child_seed(2024, "c5", 0))
-    opts8 = DistanceOptions(segments=64, restarts=8, seed=child_seed(2024, "c5", 1))
     rng = np.random.default_rng(child_seed(2024, "c5", 2))
     for _ in range(3):
         w = rng.uniform(-2, 2, size=2)
-        d = cc_distance(H1, E2, GroupElement(w, [0.0]), opts=opts8).distance
+        d = cc_distance(H1, E2, GroupElement(w, [0.0])).distance
         rel = abs(d - np.linalg.norm(w)) / np.linalg.norm(w)
         ok &= rel <= 1e-3
         msgs.append(f"horiz rel={rel:.1e}")
-    d_vert = cc_distance(H1, E2, GroupElement([0, 0], [1.0]), opts=opts16).distance
+    d_vert = cc_distance(H1, E2, GroupElement([0, 0], [1.0])).distance
     rel = abs(d_vert - 2 * math.sqrt(math.pi)) / (2 * math.sqrt(math.pi))
     ok &= rel <= 1e-2
     msgs.append(f"vertical rel={rel:.1e}")
     x = GroupElement([0.5, 0.2], [0.4])
-    base = cc_distance(H1, E2, x, opts=opts8).distance
+    base = cc_distance(H1, E2, x).distance
     for lam in (0.5, 2.0, 4.0):
         from heislab.groups import dilate
-        d = cc_distance(H1, E2, dilate(lam, x), opts=opts8).distance
+        d = cc_distance(H1, E2, dilate(lam, x)).distance
         rel = abs(d - lam * base) / (lam * base)
         ok &= rel <= 1e-2
     msgs.append("dilation<=1e-2")
     wt = make_preset("wiener_truncation", pairs=8, s=2).form
-    repc = projected_distance_convergence(
-        wt, GroupElement(np.zeros(16), [0.5]), [2, 4, 8, 16],
-        opts=DistanceOptions(segments=64, restarts=6, seed=child_seed(2024, "c5", 3)))
+    repc = projected_distance_convergence(wt, GroupElement(np.zeros(16), [0.5]), [2, 4, 8, 16])
     ok &= repc.monotone_ok
     msgs.append(f"d_n={['%.5f' % d for d in repc.distances]} monotone={repc.monotone_ok}")
     assert report(5, "Carnot-Caratheodory distance", ok, "; ".join(msgs))
@@ -303,7 +299,6 @@ def test_criterion_08_functional_inequalities(acceptance_density):
 
     T = 1.0
     samp = SemigroupSampler(H1, T, 256, 30000, seed=child_seed(2024, "c8-wang", 0))
-    opts = DistanceOptions(restarts=8, seed=child_seed(2024, "c8-dist", 0))
     pairs = [
         (E2, E2, 0.0),
         (E2, GroupElement([1.0, 0.0], [0.0]), 1.0),
@@ -312,7 +307,7 @@ def test_criterion_08_functional_inequalities(acceptance_density):
         (E2, GroupElement([0.0, 0.0], [0.25]), 4 * math.pi * 0.25),
         (GroupElement([0.2, 0.1], [0.0]), GroupElement([-0.4, 0.6], [0.15]),
          cc_distance(H1, GroupElement([0.2, 0.1], [0.0]),
-                     GroupElement([-0.4, 0.6], [0.15]), opts=opts).distance ** 2),
+                     GroupElement([-0.4, 0.6], [0.15])).distance ** 2),
     ]
     wang = [rec for (x, y, d2) in pairs
             for rec in verify_wang_harnack(samp, bump, x, y, (1.5, 2.0, 4.0), d2, cc)]
@@ -323,7 +318,7 @@ def test_criterion_08_functional_inequalities(acceptance_density):
           (GroupElement([0.0, -0.4], [0.0]), 0.16),
           (GroupElement([0.0, 0.0], [0.25]), 4 * math.pi * 0.25),
           (GroupElement([0.3, 0.3], [0.1]),
-           cc_distance(H1, E2, GroupElement([0.3, 0.3], [0.1]), opts=opts).distance ** 2)]
+           cc_distance(H1, E2, GroupElement([0.3, 0.3], [0.1])).distance ** 2)]
     ih = [rec for (y, d2) in ys
           for rec in verify_integrated_harnack(acceptance_density, H1, y, (1.5, 2.0, 3.0), d2, cc)]
     ih_ok = all(r.passed for r in ih)
