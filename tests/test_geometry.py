@@ -32,6 +32,16 @@ def rotated_target(w, c):
     return GroupElement(ROT @ np.asarray(w, dtype=float), [c])
 
 
+def norm_ratios(form, targets):
+    """d(e, x) / (|w| + sqrt(|c|)) over the targets: the homogeneous norm
+    comparison, whose constants are not known a priori."""
+    e = identity(form)
+    return np.array([
+        cc_distance(form, e, x).distance
+        / (np.linalg.norm(x.w) + np.sqrt(np.linalg.norm(x.c)))
+        for x in targets])
+
+
 def assert_rotated_matches_paired(res, target):
     """The distance to ``target`` on ROTATED is the closed form on PAIRED at
     ROT^T w, to 1e-12 relative."""
@@ -319,6 +329,25 @@ class TestDistance:
         res = cc_distance(form, e, GroupElement(w, [0.0, 0.0]))
         assert res.distance == pytest.approx(np.linalg.norm(w), rel=1e-15)
         assert res.constraint_residual <= 1e-15
+
+
+class TestNormEquivalence:
+    def test_horizontal_targets_ratio_one(self):
+        targets = [GroupElement([1.0, 0.0], [0.0]), GroupElement([0.3, -0.4], [0.0])]
+        np.testing.assert_allclose(norm_ratios(H1, targets), 1.0, rtol=1e-12)
+
+    def test_vertical_target_ratio(self):
+        ratios = norm_ratios(H1, [GroupElement([0.0, 0.0], [1.0])])
+        assert ratios[0] == pytest.approx(2 * np.sqrt(np.pi), rel=1e-12)
+
+    def test_random_h3_targets_stay_in_band(self):
+        # mixed targets legitimately fall below 1 (area picked up on the way
+        # to the horizontal endpoint is nearly free)
+        rng = np.random.default_rng(5)
+        targets = [GroupElement(rng.uniform(-1.5, 1.5, 2), rng.uniform(-1, 1, 1))
+                   for _ in range(10)]
+        ratios = norm_ratios(H1, targets)
+        assert 0.5 <= ratios.min() and ratios.max() <= 4.0
 
 
 class TestProjectedConvergence:
