@@ -8,8 +8,9 @@ writes three files to the output directory:
 * records.csv   - one VerificationRecord per row; the body is byte-identical
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
-* manifest.json - config echo, artifact version, wall clock, failure list
-                  (the only file carrying timing)
+* manifest.json - config echo, artifact version, wall clock, the seconds
+                  spent loading and validating the config (config_s),
+                  failure list (the only file carrying timing)
 
 Exit code 0 when every record passes, 1 when any verification fails, 2 on
 configuration errors.
@@ -28,7 +29,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import __version__
 from .curvature import curvature_constants, rho2
@@ -212,6 +214,19 @@ PARAMS_SCHEMAS = {
     },
 }
 
+# one validator per schema, built once per process with the class that
+# jsonschema.validate would pick; the schemas are constant, so they are
+# checked against their meta-schema in the tests and not on every run
+_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_PARAMS_VALIDATORS = {name: validator_for(s)(s) for name, s in PARAMS_SCHEMAS.items()}
+
+
+def _validate(validator, instance, what: str) -> None:
+    """Raise ConfigError with the message of the error jsonschema.validate would raise."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise ConfigError(f"{what}: {error.message}") from error
+
 
 def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunConfig:
     raw = {}
@@ -221,19 +236,13 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    _validate(_CONFIG_VALIDATOR, raw, "config schema violation")
     if "experiment" in raw and raw["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {raw['experiment']!r}, command is {experiment!r}"
         )
     params = raw.get("params", {})
-    try:
-        jsonschema.validate(params, PARAMS_SCHEMAS[experiment])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid params for {experiment}: {exc.message}") from exc
+    _validate(_PARAMS_VALIDATORS[experiment], params, f"invalid params for {experiment}")
     preset = raw.get("preset", {"name": "heisenberg", "params": {"pairs": 1}})
     return RunConfig(
         experiment=experiment,
@@ -609,7 +618,9 @@ def exp_list_presets(cfg, form):
 RUNNERS = {name: globals()["exp_" + name.replace("-", "_")] for name in EXPERIMENTS}
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: RunConfig, config_s: float) -> int:
+    """Run one experiment and write its files; ``config_s``, the seconds
+    ``main`` spent in ``load_config``, goes to the manifest."""
     t0 = time.time()
     try:
         preset = make_preset(cfg.preset_name, **cfg.preset_params)
@@ -629,6 +640,7 @@ def run(cfg: RunConfig) -> int:
         "config": cfg.echo(),
         "version": __version__,
         "wall_clock_s": time.time() - t0,
+        "config_s": config_s,
         "records": summary["records"],
         "passed": summary["passed"],
         "failed": summary["failed"],
@@ -661,8 +673,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        t0 = time.perf_counter()
         cfg = load_config(args.experiment, args.config, args.seed, args.out)
-        return run(cfg)
+        return run(cfg, time.perf_counter() - t0)
     except ValueError as exc:     # ConfigError and HormanderError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,10 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from jsonschema.validators import validator_for
 
-from heislab.cli import EXPERIMENTS, _symmetry_record, load_config, main
+from heislab.cli import (
+    CONFIG_SCHEMA, EXPERIMENTS, PARAMS_SCHEMAS, ConfigError, _symmetry_record, load_config, main,
+)
 from heislab.geometry import cc_distance
 from heislab.groups import (
     GroupElement, OmegaForm, dilate, identity, inverse, make_preset, multiply, preset_catalog,
@@ -115,6 +119,63 @@ class TestConfigValidation:
         cfg = load_config("curvature", cfg_path, 999, str(tmp_path / "real"))
         assert cfg.seed == 999
         assert cfg.out == str(tmp_path / "real")
+
+
+class TestSchemaValidators:
+    """load_config validates with validators built once at import; the
+    constant schemas are checked against their meta-schema here instead."""
+
+    @pytest.mark.parametrize("name", ["config", *PARAMS_SCHEMAS])
+    def test_schema_is_valid(self, name):
+        schema = CONFIG_SCHEMA if name == "config" else PARAMS_SCHEMAS[name]
+        validator_for(schema).check_schema(schema)
+
+    def test_every_experiment_has_a_params_schema(self):
+        assert set(PARAMS_SCHEMAS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment, raw", [
+        ("curvature", {"unknown": 1}),
+        ("verify-cd", {"params": {"typo_tolerance": 1}}),
+        ("simulate", {"params": {"samples": "many"}}),
+        ("curvature", {"seed": -1}),
+        ("verify-harnack", {"params": {"T": 0}}),
+        # two violations at once: the message is jsonschema's best match
+        ("curvature", {"seed": "x", "bogus": 1}),
+        ("distance", {"params": {"segments": 0}}),
+    ])
+    def test_error_text_matches_jsonschema_validate(self, tmp_path, capsys, experiment, raw):
+        try:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        except jsonschema.ValidationError as exc:
+            expected = f"config schema violation: {exc.message}"
+        else:
+            with pytest.raises(jsonschema.ValidationError) as info:
+                jsonschema.validate(raw["params"], PARAMS_SCHEMAS[experiment])
+            expected = f"invalid params for {experiment}: {info.value.message}"
+        cfg = write_config(tmp_path, "c.json", raw)
+        with pytest.raises(ConfigError) as got:
+            load_config(experiment, cfg, None, None)
+        assert str(got.value) == expected
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not out.exists()
+
+    def test_no_meta_schema_check_per_call(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("schema re-checked at run time")
+
+        for cls in {validator_for(s) for s in [CONFIG_SCHEMA, *PARAMS_SCHEMAS.values()]}:
+            monkeypatch.setattr(cls, "check_schema", refuse)
+        # the patch bites: jsonschema.validate checks the schema on every call
+        with pytest.raises(AssertionError):
+            jsonschema.validate({}, CONFIG_SCHEMA)
+        good = write_config(tmp_path, "good.json",
+                            {"seed": 3, "params": {"target": {"w": [0, 0], "c": [1.0]}}})
+        assert load_config("distance", good, None, None).seed == 3
+        bad = write_config(tmp_path, "bad.json", {"params": {"segments": 0}})
+        with pytest.raises(ConfigError, match="invalid params for distance"):
+            load_config("distance", bad, None, None)
 
 
 class TestCurvatureCommand:
@@ -629,10 +690,6 @@ class TestDeterminism:
         assert main(["curvature", "--out", out]) == 0
 
     def test_manifest_roundtrip(self, tmp_path):
-        import jsonschema
-
-        from heislab.cli import CONFIG_SCHEMA
-
         out = str(tmp_path / "o")
         assert main(["curvature", "--out", out]) == 0
         with open(os.path.join(out, "manifest.json")) as fh:
@@ -640,9 +697,11 @@ class TestDeterminism:
         assert manifest["config"]["experiment"] == "curvature"
         assert manifest["failed"] == 0
         assert manifest["records"] == manifest["passed"] + manifest["failed"]
+        # main() times load_config; the timing goes to the manifest only
+        assert isinstance(manifest["config_s"], float) and manifest["config_s"] >= 0
         # the config echo re-validates against the schema
         jsonschema.validate(manifest["config"], CONFIG_SCHEMA)
         # the pass/fail summary matches the emitted records exactly
-        rows = open(os.path.join(out, "records.csv")).read().splitlines()[1:]
+        rows = Path(out, "records.csv").read_text().splitlines()[1:]
         assert manifest["records"] == len(rows)
         assert manifest["passed"] == sum(r.endswith("true") for r in rows)
