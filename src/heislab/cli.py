@@ -9,8 +9,9 @@ writes three files to the output directory:
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
 * manifest.json - config echo, artifact version, wall clock, the seconds
-                  spent loading and validating the config (config_s),
-                  failure list (the only file carrying timing)
+                  spent loading and validating the config (config_s), the
+                  number of sample paths drawn (paths_drawn), failure list
+                  (the only file carrying timing)
 
 Exit code 0 when every record passes, 1 when any verification fails, 2 on
 configuration errors.
@@ -32,7 +33,7 @@ import numpy as np
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
-from . import __version__
+from . import __version__, stochastic
 from .curvature import curvature_constants, rho2
 from .differential import check_cd_inequality
 from .geometry import DistanceOptions, cc_distance
@@ -620,8 +621,10 @@ RUNNERS = {name: globals()["exp_" + name.replace("-", "_")] for name in EXPERIME
 
 def run(cfg: RunConfig, config_s: float) -> int:
     """Run one experiment and write its files; ``config_s``, the seconds
-    ``main`` spent in ``load_config``, goes to the manifest."""
+    ``main`` spent in ``load_config``, goes to the manifest, and so does
+    ``paths_drawn``, the number of sample paths the run drew."""
     t0 = time.time()
+    stochastic.paths_drawn = 0
     try:
         preset = make_preset(cfg.preset_name, **cfg.preset_params)
     except (ValueError, TypeError) as exc:
@@ -641,6 +644,7 @@ def run(cfg: RunConfig, config_s: float) -> int:
         "version": __version__,
         "wall_clock_s": time.time() - t0,
         "config_s": config_s,
+        "paths_drawn": stochastic.paths_drawn,
         "records": summary["records"],
         "passed": summary["passed"],
         "failed": summary["failed"],

@@ -1,13 +1,18 @@
 """Deterministic counter-based random streams.
 
-Every sample path owns a Philox generator keyed by a hash of
+Every sample path draws from a Philox stream keyed by a hash of
 (seed, path index), so the values drawn for a given path never depend
-on batch size or evaluation order.  Child seeds for experiment
-records are derived the same way from (master seed, experiment, index).
+on batch size or evaluation order.  Philox is counter-based: a stream is
+fixed by its key and counter alone, so ``path_generator`` re-keys one
+shared Philox per path (key set, counter zeroed, buffer emptied) rather
+than building a new one, and each path's stream is bit for bit the one a
+fresh ``Philox(key=...)`` gives.  Child seeds for experiment records are
+derived the same way from (master seed, experiment, index).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -30,7 +35,28 @@ def child_seed(master_seed: int, experiment: str, index: int) -> int:
     return mix64(master_seed, experiment, index)
 
 
+@functools.cache
+def _shared_philox():
+    """The Philox that ``path_generator`` re-keys, its Generator, and the
+    state it assigns: a freshly keyed Philox's (zero counter, empty buffer,
+    no spare 32-bit half) with its key array kept for rewriting.
+
+    Built on first use, not at import, so that runs which draw no paths
+    never load ``numpy.random``.
+    """
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    return np.random.Generator(bitgen), bitgen, state, state["state"]["key"]
+
+
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
-    """Generator for one sample path; reproducible bit-for-bit from its key."""
-    key = mix64(seed, 0, path_index)   # the 0 is part of the fixed key layout
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for one sample path; reproducible bit-for-bit from its key.
+
+    The generator is shared: the next call re-keys it, so draw everything
+    the path needs before asking for the next one, and do not call this
+    from more than one thread.
+    """
+    gen, bitgen, state, key = _shared_philox()
+    key[0] = mix64(seed, 0, path_index)   # the 0 is part of the fixed key layout
+    bitgen.state = state
+    return gen

@@ -31,6 +31,9 @@ __all__ = [
 # paths per batch of the convergence studies, which keep whole paths in memory
 STUDY_CHUNK = 512
 
+# path keys drawn since cli.run last set this to 0; it goes to manifest.json
+paths_drawn = 0
+
 
 @dataclass(frozen=True)
 class BrownianPath:
@@ -117,6 +120,8 @@ def _check_grid(T, K):
 
 
 def _batch_increments(form, T, K, seed, start, count):
+    global paths_drawn
+    paths_drawn += count
     inc = np.empty((count, K, form.n))
     for p in range(count):
         path_generator(seed, start + p).standard_normal(out=inc[p])

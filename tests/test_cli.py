@@ -61,6 +61,11 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+def read_manifest(out_dir):
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        return json.load(fh)
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"unknown": 1})
@@ -664,6 +669,7 @@ class TestDeterminism:
             with open(os.path.join(out, "records.csv"), "rb") as fh:
                 bodies.append(fh.read())
             assert read_summary(out)["report"]["paths_drawn"] == 1000
+            assert read_manifest(out)["paths_drawn"] == 1000
         assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -692,8 +698,7 @@ class TestDeterminism:
     def test_manifest_roundtrip(self, tmp_path):
         out = str(tmp_path / "o")
         assert main(["curvature", "--out", out]) == 0
-        with open(os.path.join(out, "manifest.json")) as fh:
-            manifest = json.load(fh)
+        manifest = read_manifest(out)
         assert manifest["config"]["experiment"] == "curvature"
         assert manifest["failed"] == 0
         assert manifest["records"] == manifest["passed"] + manifest["failed"]
@@ -705,3 +710,11 @@ class TestDeterminism:
         rows = Path(out, "records.csv").read_text().splitlines()[1:]
         assert manifest["records"] == len(rows)
         assert manifest["passed"] == sum(r.endswith("true") for r in rows)
+
+    def test_manifest_counts_the_paths_drawn(self, tmp_path):
+        # a default simulate draws its 10,000 samples; verify-cd, run next in
+        # the same process, draws none and must not inherit simulate's count
+        for experiment, paths in (("simulate", 10000), ("verify-cd", 0)):
+            out = str(tmp_path / experiment)
+            assert main([experiment, "--out", out]) in (0, 1)
+            assert read_manifest(out)["paths_drawn"] == paths
