@@ -443,8 +443,7 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
         for j, x in enumerate(points):
             records.append(verify(sampler, bump, x, constants, h,
                                   record_id=f"{name}-T{T:g}-x{j}"))
-    return records, {"T_grid": T_grid, "points": len(points),
-                     "paths_drawn": base.samples}, {}
+    return records, {"T_grid": T_grid, "points": len(points)}, {}
 
 
 def exp_verify_reverse_logsobolev(cfg, form):

@@ -32,7 +32,7 @@ from .groups import (
 )
 from .records import VerificationRecord, coords_str
 from .rng import mix64
-from .stochastic import sample_endpoints
+from .stochastic import _mean_se, sample_endpoints
 
 __all__ = [
     "BumpFunction", "SemigroupEstimate", "SemigroupSampler", "GridDensity",
@@ -493,12 +493,6 @@ def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0))
 
 # --------------------------------------------------------------------------
 # inequality verifiers
-
-
-def _mean_se(v):
-    """Sample mean of v and its standard error (0 for a single sample)."""
-    se = v.std(ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0
-    return float(v.mean()), float(se)
 
 
 def _record(lhs, rhs, se_lhs, se_rhs, slack, **fields) -> VerificationRecord:

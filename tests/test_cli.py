@@ -668,7 +668,6 @@ class TestDeterminism:
                          "--workers", str(workers)]) == 0
             with open(os.path.join(out, "records.csv"), "rb") as fh:
                 bodies.append(fh.read())
-            assert read_summary(out)["report"]["paths_drawn"] == 1000
             assert read_manifest(out)["paths_drawn"] == 1000
         assert bodies[0] == bodies[1]
 

@@ -1,69 +1,76 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from heislab.groups import dilate, make_preset
+from heislab.groups import GroupElement, dilate, make_preset
 from heislab.stochastic import (
     _accumulate_vertical,
     _endpoint_area,
     approximation_report,
-    endpoint,
-    path_from_increments,
-    project_path,
+    project_paths,
     refinement_convergence,
     sample_endpoints,
-    sample_path,
+    sample_paths,
 )
 
 H1 = make_preset("heisenberg", pairs=1).form
 BS = make_preset("block_sum", weights=[1, 1]).form
+WT = make_preset("wiener_truncation", pairs=8, s=2).form
+PRESETS = [("heisenberg", {"pairs": 1}), ("block_sum", {"weights": [1, 3]}),
+           ("wiener_truncation", {"pairs": 8, "s": 2})]
 
 
 class TestSamplePath:
     def test_starts_at_zero(self):
-        p = sample_path(H1, 1.0, 32, seed=1, stream_index=0)
-        assert np.all(p.B[0] == 0.0) and np.all(p.M[0] == 0.0)
+        B, M = sample_paths(H1, 1.0, 32, 3, seed=1)
+        assert B.shape == (3, 33, 2) and M.shape == (3, 33, 1)
+        assert np.all(B[:, 0] == 0.0) and np.all(M[:, 0] == 0.0)
 
     def test_single_step_has_no_area(self):
-        p = sample_path(H1, 1.0, 1, seed=2, stream_index=0)
-        assert np.all(p.M[-1] == 0.0)
+        _, M = sample_paths(H1, 1.0, 1, 3, seed=2)
+        assert np.all(M[:, -1] == 0.0)
 
     def test_group_endpoint_halves_the_integral(self):
-        p = sample_path(H1, 1.0, 16, seed=3, stream_index=0)
-        g = p.group_endpoint()
-        assert np.array_equal(g.w, p.B[-1])
-        assert np.array_equal(g.c, 0.5 * p.M[-1])
+        # the last row of every path is its group endpoint (B_K, M_K / 2)
+        for name, kw in PRESETS:
+            form = make_preset(name, **kw).form
+            B, M = sample_paths(form, 0.7, 48, 9, seed=3)
+            W, C = sample_endpoints(form, 0.7, 48, 9, seed=3)
+            assert np.array_equal(W, B[:, -1])
+            scale = np.abs(C).max()
+            assert np.allclose(C, 0.5 * M[:, -1], rtol=0.0, atol=1e-13 * scale)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            sample_path(H1, 0.0, 8, seed=1)
+            sample_paths(H1, 0.0, 8, 1, seed=1)
         with pytest.raises(ValueError):
-            sample_path(H1, 1.0, 0, seed=1)
+            sample_paths(H1, 1.0, 0, 1, seed=1)
 
 
 class TestDeterminism:
     def test_same_key_same_path(self):
-        a = sample_path(H1, 1.0, 64, seed=9, stream_index=5)
-        b = sample_path(H1, 1.0, 64, seed=9, stream_index=5)
-        assert np.array_equal(a.B, b.B) and np.array_equal(a.M, b.M)
+        a = sample_paths(H1, 1.0, 64, 1, seed=9, start=5)
+        b = sample_paths(H1, 1.0, 64, 1, seed=9, start=5)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_different_indices_differ(self):
-        a = sample_path(H1, 1.0, 64, seed=9, stream_index=5)
-        b = sample_path(H1, 1.0, 64, seed=9, stream_index=6)
-        assert not np.array_equal(a.B, b.B)
+        a, _ = sample_paths(H1, 1.0, 64, 1, seed=9, start=5)
+        b, _ = sample_paths(H1, 1.0, 64, 1, seed=9, start=6)
+        assert not np.array_equal(a, b)
 
     def test_batch_matches_single_and_chunking(self):
         W3, C3 = sample_endpoints(H1, 1.0, 32, 11, seed=21, chunk=3)
         W7, C7 = sample_endpoints(H1, 1.0, 32, 11, seed=21, chunk=7)
         assert np.array_equal(W3, W7) and np.array_equal(C3, C7)
+        B, M = sample_paths(H1, 1.0, 32, 11, seed=21)
         for i in (0, 4, 10):
-            g = endpoint(H1, 1.0, 32, 21, i)
-            assert np.array_equal(W3[i], g.w) and np.array_equal(C3[i], g.c)
+            Bi, Mi = sample_paths(H1, 1.0, 32, 1, seed=21, start=i)
+            assert np.array_equal(Bi[0], B[i]) and np.array_equal(Mi[0], M[i])
 
 
 class TestEndpointArea:
-    @pytest.mark.parametrize("name,kw", [("heisenberg", {"pairs": 1}),
-                                         ("block_sum", {"weights": [1, 3]}),
-                                         ("wiener_truncation", {"pairs": 8, "s": 2})])
+    @pytest.mark.parametrize("name,kw", PRESETS)
     def test_matches_last_running_sum(self, name, kw):
         form = make_preset(name, **kw).form
         rng = np.random.default_rng(7)
@@ -98,39 +105,49 @@ class TestMoments:
     def test_brownian_scaling(self):
         # with matched step counts the same draws scale exactly
         T = 0.49
+        BT, MT = sample_paths(H1, T, 64, 4, seed=41)
+        B1, M1 = sample_paths(H1, 1.0, 64, 4, seed=41)
         for i in range(4):
-            gT = endpoint(H1, T, 64, 41, i)
-            g1 = endpoint(H1, 1.0, 64, 41, i)
-            scaled = dilate(1.0 / np.sqrt(T), gT)
-            assert np.allclose(scaled.w, g1.w, atol=1e-12)
-            assert np.allclose(scaled.c, g1.c, atol=1e-12)
+            scaled = dilate(1.0 / np.sqrt(T), GroupElement(BT[i, -1], 0.5 * MT[i, -1]))
+            assert np.allclose(scaled.w, B1[i, -1], atol=1e-12)
+            assert np.allclose(scaled.c, 0.5 * M1[i, -1], atol=1e-12)
+        assert np.allclose(BT / np.sqrt(T), B1, atol=1e-12)
+        assert np.allclose(MT / T, M1, atol=1e-12)
 
 
 class TestProjection:
     def test_full_rank_is_identity(self):
-        p = sample_path(BS, 1.0, 32, seed=43, stream_index=0)
-        q = project_path(BS, p, BS.n)
-        assert np.array_equal(p.B, q.B) and np.array_equal(p.M, q.M)
+        B, M = sample_paths(BS, 1.0, 32, 2, seed=43)
+        Bq, Mq = project_paths(BS, B, M, BS.n)
+        assert np.array_equal(B, Bq) and np.array_equal(M, Mq)
 
     def test_block_projection_zeroes_unfed_coordinate(self):
-        p = sample_path(BS, 1.0, 64, seed=47, stream_index=1)
-        q = project_path(BS, p, 2)
-        assert np.all(q.B[:, 2:] == 0.0)
-        assert np.all(q.M[:, 1] == 0.0)          # second block cannot feed it
-        assert not np.array_equal(q.M[:, 0], p.M[:, 0] * 0.0)
+        B, M = sample_paths(BS, 1.0, 64, 2, seed=47, start=1)
+        Bq, Mq = project_paths(BS, B, M, 2)
+        assert np.all(Bq[..., 2:] == 0.0)
+        assert np.all(Mq[..., 1] == 0.0)          # second block cannot feed it
+        assert not np.all(Mq[..., 0] == 0.0)
 
     def test_projection_chain_is_idempotent(self):
-        p = sample_path(BS, 1.0, 32, seed=53, stream_index=2)
-        a = project_path(BS, project_path(BS, p, 3), 2)
-        b = project_path(BS, p, 2)
-        assert np.array_equal(a.B, b.B) and np.array_equal(a.M, b.M)
+        B, M = sample_paths(BS, 1.0, 32, 2, seed=53, start=2)
+        a = project_paths(BS, *project_paths(BS, B, M, 3), 2)
+        b = project_paths(BS, B, M, 2)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_vertical_is_recomputed_not_projected(self):
-        p = sample_path(H1, 1.0, 128, seed=59, stream_index=0)
-        q = project_path(H1, p, 1)
+        B, M = sample_paths(H1, 1.0, 128, 2, seed=59)
+        _, Mq = project_paths(H1, B, M, 1)
         # a single horizontal direction generates no area at all
-        assert np.all(q.M == 0.0)
-        assert not np.all(p.M == 0.0)
+        assert np.all(Mq == 0.0)
+        assert not np.all(M == 0.0)
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_one_to_n_is_rejected(self, rank):
+        B, M = sample_paths(BS, 1.0, 8, 2, seed=61)
+        with pytest.raises(ValueError, match="rank"):
+            project_paths(BS, B, M, rank)
+        with pytest.raises(ValueError, match="rank"):
+            approximation_report(BS, 1.0, 8, [rank], 4, seed=61)
 
 
 class TestApproximationReport:
@@ -149,18 +166,32 @@ class TestApproximationReport:
         ratio = r1.stderrs[(2, 2)] / r4.stderrs[(2, 2)]
         assert ratio == pytest.approx(2.0, rel=0.35)
 
-    def test_euclidean_variant_reported(self):
-        form = make_preset("wiener_truncation", pairs=4, s=2).form
-        rep = approximation_report(form, 1.0, 64, [2, 4], 300, seed=71)
-        for key, val in rep.errors_euclidean.items():
-            assert val >= 0.0
-            assert (key in rep.errors)
+    def test_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        a = approximation_report(WT, 1.0, 32, [2, 8, 16], 20, seed=73)
+        r = refinement_convergence(H1, 1.0, [4, 8, 16], 20, seed=73)
+        monkeypatch.setattr("heislab.stochastic.STUDY_CHUNK", 7)
+        b = approximation_report(WT, 1.0, 32, [2, 8, 16], 20, seed=73)
+        s = refinement_convergence(H1, 1.0, [4, 8, 16], 20, seed=73)
+        assert a.errors == b.errors and a.stderrs == b.stderrs
+        # the per-chunk sums of squares add in another order
+        assert s.rms == pytest.approx(r.rms, rel=1e-12, abs=0.0)
+
+    def test_allocation_peak_is_bounded(self):
+        # one rank's projection at a time, beside the paths of one chunk
+        count, K = 400, 256
+        tracemalloc.start()
+        try:
+            approximation_report(WT, 1.0, K, [4, 8, 16], count, seed=79)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.75 * count * (K + 1) * WT.n * 8
 
 
 class TestRefinement:
     def test_zero_increments_give_zero_integral(self):
-        p = path_from_increments(H1, 1.0, np.zeros((64, 2)))
-        assert np.all(p.M == 0.0)
+        zeros = np.zeros((64, 2))
+        assert np.all(_accumulate_vertical(H1, zeros, zeros) == 0.0)
 
     def test_coupled_rms_positive_and_order_half(self):
         rep = refinement_convergence(H1, 1.0, [16, 32, 64, 128, 256], 1500, seed=73)
