@@ -8,7 +8,8 @@ writes three files to the output directory:
 * records.csv   - one VerificationRecord per row; the body is byte-identical
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
-* manifest.json - config echo, artifact version, wall clock, the seconds
+* manifest.json - resolved config echo (every params default filled in from
+                  PARAMS_DEFAULTS), artifact version, wall clock, the seconds
                   spent loading and validating the config (config_s), the
                   number of sample paths drawn (paths_drawn), failure list
                   (the only file carrying timing)
@@ -215,6 +216,45 @@ PARAMS_SCHEMAS = {
     },
 }
 
+_ZERO = {"w": [0.0], "c": [0.0]}
+_BUMP_DEFAULTS = {"center": _ZERO, "radius": 2.5, "height": 1.0, "floor": 0.0}
+_SAMPLER_DEFAULTS = {"samples": 30000, "steps": 256}
+_GRID_DEFAULTS = {"T": 1.0, "grid": {"box": [[-6, 6], [-6, 6], [-8, 8]], "shape": [96, 96, 128],
+                                     "cfl_fraction": 0.5, "mollifier_cells": 3.0}}
+_REVERSE_DEFAULTS = {"T_grid": [0.25, 0.5, 1.0, 2.0], **_SAMPLER_DEFAULTS, "bump": _BUMP_DEFAULTS}
+
+# Every experiment's params defaults.  load_config merges a config's params
+# over them, one level into the nested bump and grid objects, and the runners
+# read the result.  Defaults derived from the form or the bump stay in their
+# runners: the reverse sweeps' points and h, and convergence's ranks.
+PARAMS_DEFAULTS = {
+    "curvature": {},
+    "list-presets": {},
+    "distance": {"segments": 64},
+    "simulate": {"T": 1.0, "steps": 256, "samples": 10000},
+    "convergence": {"T": 1.0, "samples": 2000, "K_list": [16, 32, 64, 128, 256],
+                    "p_moments": [1, 2, 4]},
+    "verify-cd": {"functions": 50, "points": 20, "max_degree": 4, "terms": 8,
+                  "nu_grid": [0.1, 1.0, 10.0], "box_half_width": 3.0, "vertical_coeff_scale": 1.0},
+    "verify-harnack": {"T": 1.0, **_SAMPLER_DEFAULTS, "p_grid": [1.5, 2.0, 4.0],
+                       "bump": _BUMP_DEFAULTS, "pairs": [
+        {"x": _ZERO, "y": _ZERO}, {"x": _ZERO, "y": {"w": [1.0], "c": [0.0]}},
+        {"x": _ZERO, "y": {"w": [0.0, 0.5], "c": [0.0]}},
+        {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}},
+        {"x": _ZERO, "y": {"w": [0.4, 0.4], "c": [0.1]}},
+        {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}}]},
+    "verify-reverse-poincare": _REVERSE_DEFAULTS,
+    "verify-reverse-logsobolev": {**_REVERSE_DEFAULTS, "bump": {**_BUMP_DEFAULTS, "floor": 0.1}},
+    "verify-integrated-harnack": {**_GRID_DEFAULTS, "q_grid": [1.5, 2.0, 3.0], "grid_tol": 0.02,
+                                  "ys": [_ZERO, {"w": [0.5], "c": [0.0]},
+                                         {"w": [0.0, -0.4], "c": [0.0]}, {"w": [0.0], "c": [0.25]},
+                                         {"w": [0.3, 0.3], "c": [0.1]}]},
+    "verify-strong-feller": {"T": 1.0, **_SAMPLER_DEFAULTS, "x": {"w": [0.4, 0.2], "c": [0.1]},
+                             "direction": [1.0], "offsets": [0.5, 0.25, 0.125],
+                             "bump": _BUMP_DEFAULTS},
+    "oracle-h3": _GRID_DEFAULTS,
+}
+
 # one validator per schema, built once per process with the class that
 # jsonschema.validate would pick; the schemas are constant, so they are
 # checked against their meta-schema in the tests and not on every run
@@ -244,6 +284,11 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
         )
     params = raw.get("params", {})
     _validate(_PARAMS_VALIDATORS[experiment], params, f"invalid params for {experiment}")
+    resolved = dict(PARAMS_DEFAULTS[experiment])
+    for key, value in params.items():
+        if isinstance(value, dict):     # a partial bump or grid keeps the other defaults
+            value = {**resolved.get(key, {}), **value}
+        resolved[key] = value
     preset = raw.get("preset", {"name": "heisenberg", "params": {"pairs": 1}})
     return RunConfig(
         experiment=experiment,
@@ -252,7 +297,7 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
         ranks=list(raw.get("ranks", [])),
         seed=int(raw.get("seed", 20240801)) if seed_flag is None else seed_flag,
         out=raw.get("out", os.path.join("runs", experiment)) if out_flag is None else out_flag,
-        params=copy.deepcopy(params),
+        params=copy.deepcopy(resolved),
     )
 
 
@@ -269,10 +314,7 @@ def _point(form, spec) -> GroupElement:
 
 
 def _bump(form, spec) -> BumpFunction:
-    spec = dict(spec or {})
-    center = _point(form, spec.get("center", {"w": [], "c": []}))
-    return BumpFunction(center, spec.get("radius", 2.5),
-                        spec.get("height", 1.0), spec.get("floor", 0.0))
+    return BumpFunction(_point(form, spec["center"]), spec["radius"], spec["height"], spec["floor"])
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +351,7 @@ def exp_distance(cfg, form):
     target = _point(form, p["target"])
     e = identity(form)
     try:
-        res = cc_distance(form, e, target, opts=DistanceOptions(segments=p.get("segments", 64)))
+        res = cc_distance(form, e, target, opts=DistanceOptions(segments=p["segments"]))
     except HormanderError as exc:
         rec = VerificationRecord(record_id="distance",
                                  rank=form.n, passed=False, detail={"error": str(exc)})
@@ -337,7 +379,7 @@ def exp_distance(cfg, form):
 
 def exp_simulate(cfg, form):
     p = cfg.params
-    T, steps, samples = p.get("T", 1.0), p.get("steps", 256), p.get("samples", 10000)
+    T, steps, samples = p["T"], p["steps"], p["samples"]
     W, C = sample_endpoints(form, T, steps, samples, cfg.seed)
     header = ",".join([f"w{i+1}" for i in range(form.n)] + [f"c{l+1}" for l in range(form.d)])
     lines = [header]
@@ -358,11 +400,11 @@ def exp_simulate(cfg, form):
 
 def exp_convergence(cfg, form):
     p = cfg.params
-    T = p.get("T", 1.0)
-    K_list = p.get("K_list", [16, 32, 64, 128, 256])
-    samples = p.get("samples", 2000)
-    p_moments = p.get("p_moments", [1, 2, 4])
-    ranks = cfg.ranks or sorted({max(2, form.n // 4), max(2, form.n // 2), form.n})
+    T, K_list, samples, p_moments = p["T"], p["K_list"], p["samples"], p["p_moments"]
+    # each projection-monotone record compares the lowest rank with the highest
+    ranks = cfg.ranks or sorted({max(2, form.n // 4), form.n // 2, form.n})
+    if len(ranks) < 2:
+        raise ConfigError("convergence needs at least two ranks to compare")
     ref = refinement_convergence(form, T, K_list, samples, seed=child_seed(cfg.seed, "refine", 0))
     order_ok = abs(ref.fitted_order - 0.5) <= 0.15
     records = [VerificationRecord(
@@ -389,23 +431,17 @@ def exp_convergence(cfg, form):
 
 def exp_verify_cd(cfg, form):
     p = cfg.params
-    n_funcs = p.get("functions", 50)
-    n_points = p.get("points", 20)
-    max_degree = p.get("max_degree", 4)
-    terms = p.get("terms", 8)
-    nu_grid = p.get("nu_grid", [0.1, 1.0, 10.0])
-    half_width = p.get("box_half_width", 3.0)
-    vc_scale = p.get("vertical_coeff_scale", 1.0)
+    nu_grid, half_width = p["nu_grid"], p["box_half_width"]
     nvars = form.n + form.d
-    vc = vc_scale * rho2(form)
+    vc = p["vertical_coeff_scale"] * rho2(form)
 
     records = []
-    for idx in range(n_funcs):
+    for idx in range(p["functions"]):
         rng = np.random.default_rng(child_seed(cfg.seed, "verify-cd", idx))
-        f = random_polynomial(nvars, max_degree, rng, terms=terms)
-        pts = rng.uniform(-half_width, half_width, size=(n_points, nvars))
+        f = random_polynomial(nvars, p["max_degree"], rng, terms=p["terms"])
+        pts = rng.uniform(-half_width, half_width, size=(p["points"], nvars))
         recs = check_cd_inequality(form, f, pts, nu_grid, vertical_coeff=vc)
-        for rec, (j, nu) in zip(recs, itertools.product(range(n_points), nu_grid)):
+        for rec, (j, nu) in zip(recs, itertools.product(range(p["points"]), nu_grid)):
             rec.record_id = f"cd-f{idx}-x{j}-nu{nu:g}"
         records += recs
     worst = min((r.margin for r in records), default=float("nan"))
@@ -413,7 +449,7 @@ def exp_verify_cd(cfg, form):
 
 
 def _sampler_for(cfg, form, T, p, key=None):
-    return SemigroupSampler(form, T, p.get("steps", 256), p.get("samples", 30000),
+    return SemigroupSampler(form, T, p["steps"], p["samples"],
                             child_seed(cfg.seed, key or f"sampler-T{T:g}", 0))
 
 
@@ -425,11 +461,7 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
     different T are correlated, each one is still exact in law.
     """
     p = cfg.params
-    T_grid = p.get("T_grid", [0.25, 0.5, 1.0, 2.0])
-    default_floor = 0.1 if log_version else 0.0
-    spec = dict(p.get("bump") or {})
-    spec.setdefault("floor", default_floor)
-    bump = _bump(form, spec)
+    T_grid, bump = p["T_grid"], _bump(form, p["bump"])
     points = [_point(form, q) for q in p.get("points", _default_points(form))]
     h = p.get("h", 1e-3 * bump.radius)
     constants = curvature_constants(form)
@@ -462,10 +494,8 @@ def _default_points(form):
 
 def exp_verify_harnack(cfg, form):
     p = cfg.params
-    T = p.get("T", 1.0)
-    p_grid = p.get("p_grid", [1.5, 2.0, 4.0])
-    bump = _bump(form, p.get("bump"))
-    pairs = p.get("pairs", _default_pairs(form))
+    T, p_grid, pairs = p["T"], p["p_grid"], p["pairs"]
+    bump = _bump(form, p["bump"])
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
     records = []
@@ -480,18 +510,6 @@ def exp_verify_harnack(cfg, form):
     return records, {"T": T, "pairs": len(pairs)}, {}
 
 
-def _default_pairs(form):
-    zero = {"w": [0.0], "c": [0.0]}
-    return [
-        {"x": zero, "y": zero},
-        {"x": zero, "y": {"w": [1.0], "c": [0.0]}},
-        {"x": zero, "y": {"w": [0.0, 0.5], "c": [0.0]}},
-        {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}},
-        {"x": zero, "y": {"w": [0.4, 0.4], "c": [0.1]}},
-        {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}},
-    ]
-
-
 def _grid_solve(form, p):
     """The H3 grid solve of a grid experiment, and the facts it reports.
 
@@ -501,24 +519,20 @@ def _grid_solve(form, p):
     if form.n != 2 or form.d != 1 or form.coeffs[0, 1, 0] != 1.0:
         raise ConfigError("the grid experiments require the n=2, d=1 group with "
                           "unit form coefficient")
-    grid = p.get("grid", {})
+    grid = p["grid"]
     density = pde_oracle_h3(
-        "delta", p.get("T", 1.0),
-        box=tuple(tuple(b) for b in grid.get("box", ((-6, 6), (-6, 6), (-8, 8)))),
-        shape=tuple(grid.get("shape", (96, 96, 128))),
-        cfl_fraction=grid.get("cfl_fraction", 0.5),
-        mollifier_cells=grid.get("mollifier_cells", 3.0))
+        "delta", p["T"], box=tuple(tuple(b) for b in grid["box"]), shape=tuple(grid["shape"]),
+        cfl_fraction=grid["cfl_fraction"], mollifier_cells=grid["mollifier_cells"])
     facts = ("steps", "dt", "stability_bound", "stages", "operator_applications")
     return density, {"mass": density.mass, **{k: density.meta[k] for k in facts}}
 
 
 def exp_verify_integrated_harnack(cfg, form):
     p = cfg.params
-    q_grid = p.get("q_grid", [1.5, 2.0, 3.0])
-    grid_tol = p.get("grid_tol", 0.02)
+    q_grid, grid_tol = p["q_grid"], p["grid_tol"]
     constants = curvature_constants(form)
     density, extras = _grid_solve(form, p)
-    ys = [_point(form, q) for q in p.get("ys", _default_ys())]
+    ys = [_point(form, q) for q in p["ys"]]
     records = []
     for i, y in enumerate(ys):
         d2 = cc_distance(form, identity(form), y).energy
@@ -528,26 +542,13 @@ def exp_verify_integrated_harnack(cfg, form):
     return records, {**extras, "mass_ok": density.mass_ok}, {}
 
 
-def _default_ys():
-    return [
-        {"w": [0.0], "c": [0.0]},
-        {"w": [0.5], "c": [0.0]},
-        {"w": [0.0, -0.4], "c": [0.0]},
-        {"w": [0.0], "c": [0.25]},
-        {"w": [0.3, 0.3], "c": [0.1]},
-    ]
-
-
 def exp_verify_strong_feller(cfg, form):
     p = cfg.params
-    T = p.get("T", 1.0)
-    bump = _bump(form, p.get("bump"))
-    x = _point(form, p.get("x", {"w": [0.4, 0.2], "c": [0.1]}))
-    dirspec = p.get("direction", [1.0])
+    T, dirspec, offsets = p["T"], p["direction"], p["offsets"]
+    bump, x = _bump(form, p["bump"]), _point(form, p["x"])
     if len(dirspec) > form.n:
         raise ConfigError(f"direction has too many coordinates for n={form.n}")
     direction = np.pad(np.asarray(dirspec, dtype=float), (0, form.n - len(dirspec)))
-    offsets = p.get("offsets", [0.5, 0.25, 0.125])
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
     records = strong_feller_modulus(sampler, bump, x, direction, offsets, constants,

@@ -72,34 +72,32 @@ def vertical_gram(form: OmegaForm, m: int | None = None) -> np.ndarray:
 
 
 def rho2(form: OmegaForm, m: int | None = None) -> float:
-    """Smallest eigenvalue of the vertical Gram matrix.
-
-    Raises HormanderError when the eigenvalue is zero or negligible relative
-    to the trace, since the restricted horizontal directions then fail to
-    generate some vertical direction.
-    """
-    gram = vertical_gram(form, m)
-    eig = np.linalg.eigvalsh(gram)
-    smallest = float(eig[0])
-    trace = float(np.trace(gram))
-    if trace <= 0.0 or smallest < RHO2_RTOL * trace:
-        m_eff = form.n if m is None else m
-        raise HormanderError(
-            f"vertical Gram matrix at rank {m_eff} is singular "
-            f"(smallest eigenvalue {smallest:.3e}, trace {trace:.3e})"
-        )
-    return smallest
+    """Smallest eigenvalue of the vertical Gram matrix (see curvature_constants)."""
+    return curvature_constants(form, m).rho2
 
 
 def harnack_coeff(form: OmegaForm, m: int | None = None) -> float:
     """1 + 2*hs_norm_sq/rho2; always >= 3, with equality iff rho2 = hs_norm_sq."""
-    return 1.0 + 2.0 * hs_norm_sq(form, m) / rho2(form, m)
+    return curvature_constants(form, m).harnack_coeff
 
 
 def curvature_constants(form: OmegaForm, m: int | None = None) -> CurvatureConstants:
+    """hs_norm_sq, rho2, harnack_coeff and the Gram matrix at rank m, from one Gram matrix.
+
+    Raises HormanderError when rho2 is zero or negligible relative to the
+    trace, since the restricted horizontal directions then fail to generate
+    some vertical direction.
+    """
+    m = form.n if m is None else m
     gram = vertical_gram(form, m)
     hs = hs_norm_sq(form, m)
-    r2 = rho2(form, m)
+    r2 = float(np.linalg.eigvalsh(gram)[0])
+    trace = float(np.trace(gram))
+    if trace <= 0.0 or r2 < RHO2_RTOL * trace:
+        raise HormanderError(
+            f"vertical Gram matrix at rank {m} is singular "
+            f"(smallest eigenvalue {r2:.3e}, trace {trace:.3e})"
+        )
     return CurvatureConstants(hs, r2, 1.0 + 2.0 * hs / r2, gram)
 
 

@@ -415,8 +415,7 @@ def _mollified_delta(axes, cells):
     return g1[:, None, None] * g2[None, :, None] * g3[None, None, :]
 
 
-def pde_oracle_h3(initial, T: float, box=((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0)),
-                  shape=(96, 96, 128), cfl_fraction: float = 0.5,
+def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
                   mollifier_cells: float = 2.0) -> GridDensity:
     """Grid solve of the group heat equation on the n=2, d=1 group.
 

@@ -14,7 +14,8 @@ import pytest
 from jsonschema.validators import validator_for
 
 from heislab.cli import (
-    CONFIG_SCHEMA, EXPERIMENTS, PARAMS_SCHEMAS, ConfigError, _symmetry_record, load_config, main,
+    _PARAMS_VALIDATORS, CONFIG_SCHEMA, EXPERIMENTS, PARAMS_DEFAULTS, PARAMS_SCHEMAS, ConfigError,
+    _symmetry_record, load_config, main,
 )
 from heislab.geometry import cc_distance
 from heislab.groups import (
@@ -105,9 +106,13 @@ class TestConfigValidation:
         # one sample has no standard error; one offset has nothing to shrink to
         ("simulate", {"samples": 1}),
         ("verify-strong-feller", {"offsets": [0.5]}),
+        # one rank has nothing to be compared with
+        ("convergence", {"ranks": [2]}),
     ])
     def test_config_that_cannot_fail_is_rejected(self, tmp_path, experiment, params):
-        cfg = write_config(tmp_path, "c.json", {"params": params})
+        # ranks is a top-level key, the one such key among the cases
+        raw = {"ranks": params["ranks"]} if "ranks" in params else {"params": params}
+        cfg = write_config(tmp_path, "c.json", raw)
         out = tmp_path / "o"
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
@@ -181,6 +186,58 @@ class TestSchemaValidators:
         bad = write_config(tmp_path, "bad.json", {"params": {"segments": 0}})
         with pytest.raises(ConfigError, match="invalid params for distance"):
             load_config("distance", bad, None, None)
+
+
+class TestParamsDefaults:
+    """Every params default lives in PARAMS_DEFAULTS; load_config resolves it."""
+
+    # keys with no table default: required, accepted and ignored, or derived
+    # from the form or the bump in their runner
+    NO_DEFAULT = {"target", "restarts", "points", "h"}
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_defaults_are_valid_params(self, experiment):
+        defaults = PARAMS_DEFAULTS[experiment]
+        if experiment == "distance":
+            defaults = {"target": {"w": [1.0], "c": [0.0]}, **defaults}
+        _PARAMS_VALIDATORS[experiment].validate(defaults)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_key_has_a_default(self, experiment):
+        schema, defaults = PARAMS_SCHEMAS[experiment], PARAMS_DEFAULTS[experiment]
+        assert set(schema["properties"]) - set(defaults) <= self.NO_DEFAULT
+        for key, value in defaults.items():     # bump, grid and the points
+            if isinstance(value, dict):
+                assert set(value) == set(schema["properties"][key]["properties"])
+
+    def test_partial_bump_keeps_the_other_defaults(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"params": {"bump": {"radius": 3.0}}})
+        bump = load_config("verify-reverse-logsobolev", cfg, None, None).params["bump"]
+        assert bump == {"center": {"w": [0.0], "c": [0.0]}, "radius": 3.0, "height": 1.0,
+                        "floor": 0.1}
+        assert load_config("verify-reverse-poincare", cfg, None, None).params["bump"]["floor"] == 0
+
+    def test_partial_grid_keeps_the_default_box(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"params": {"grid": {"shape": [17, 17, 21]}}})
+        params = load_config("oracle-h3", cfg, None, None).params
+        assert params["grid"] == {**PARAMS_DEFAULTS["oracle-h3"]["grid"], "shape": [17, 17, 21]}
+        assert params["T"] == 1.0
+        # the resolved params are a copy: a runner cannot change the table
+        params["grid"]["box"][0][0] = -1
+        assert PARAMS_DEFAULTS["oracle-h3"]["grid"]["box"][0] == [-6, 6]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_manifest_config_reproduces_the_run(self, tmp_path, experiment):
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        cfg = write_config(tmp_path, "c.json", {"seed": 3, "params": TINY[experiment]})
+        code = main([experiment, "--config", cfg, "--out", first])
+        echo = read_manifest(first)["config"]
+        assert set(PARAMS_DEFAULTS[experiment]) <= set(echo["params"])
+        cfg = write_config(tmp_path, "echo.json", echo)
+        assert main([experiment, "--config", cfg, "--out", second]) == code
+        assert read_manifest(second)["config"] == echo
+        assert (Path(first, "records.csv").read_bytes()
+                == Path(second, "records.csv").read_bytes())
 
 
 class TestCurvatureCommand:
@@ -264,6 +321,21 @@ class TestSimulateAndConvergence:
         rep = read_summary(out)["report"]
         assert abs(rep["refinement"]["order"] - 0.5) <= 0.15
         assert rep["projection"]["ranks"] == [2, 4, 8]
+
+    @pytest.mark.parametrize("preset, ranks", [
+        ({"name": "heisenberg", "params": {"pairs": 1}}, [1, 2]),
+        ({"name": "block_sum", "params": {"weights": [1, 3]}}, [2, 4]),
+        ({"name": "wiener_truncation", "params": {"pairs": 8, "s": 2}}, [4, 8, 16]),
+    ])
+    def test_convergence_default_ranks(self, tmp_path, preset, ranks):
+        cfg = write_config(tmp_path, "c.json", {"preset": preset, "params": TINY["convergence"]})
+        out = str(tmp_path / "o")
+        assert main(["convergence", "--config", cfg, "--out", out]) in (0, 1)
+        assert read_summary(out)["report"]["projection"]["ranks"] == ranks
+        with open(os.path.join(out, "records.csv")) as fh:
+            monotone = [r for r in csv.DictReader(fh) if r["record_id"].startswith("projection")]
+        # the lowest rank's error is positive, so each record can fail
+        assert len(monotone) == 3 and all(float(r["rhs"]) > 0 for r in monotone)
 
 
 class TestVerifyCommands:

@@ -128,3 +128,23 @@ def test_constants_bundle():
     assert np.trace(c.gram) == pytest.approx(c.hs_norm_sq)
     d = c.as_dict()
     assert d["gram"] == [[2.0]]
+
+
+def test_constants_build_one_gram_matrix(monkeypatch):
+    import heislab.curvature as curvature
+
+    calls, real = [], curvature.vertical_gram
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(curvature, "vertical_gram", counted)
+    form = make_preset("block_sum", weights=[1, 3]).form
+    c = curvature_constants(form)
+    assert len(calls) == 1
+    # the same bits as the one-constant functions, and the same rank check
+    assert (c.rho2, c.harnack_coeff) == (rho2(form), harnack_coeff(form))
+    assert c.rho2 == np.linalg.eigvalsh(c.gram)[0]
+    with pytest.raises(HormanderError, match="at rank 2 is singular"):
+        curvature_constants(make_preset("block_sum", weights=[1, 1]).form, 2)
