@@ -1,48 +1,3 @@
 """Heisenberg-like projection groups and their heat-kernel inequality checks."""
 
 __version__ = "0.1.0"
-
-from .groups import (
-    DimensionMismatchError,
-    GroupElement,
-    GroupPreset,
-    HormanderError,
-    OmegaForm,
-    bracket,
-    dilate,
-    euclidean_norm,
-    homogeneous_norm,
-    inverse,
-    make_preset,
-    multiply,
-    preset_catalog,
-    project,
-)
-from .curvature import CurvatureConstants, curvature_constants, harnack_coeff, hs_norm_sq, rho2, vertical_gram
-from .polynomials import PolynomialFunction
-from .records import VerificationRecord
-
-__all__ = [
-    "DimensionMismatchError",
-    "GroupElement",
-    "GroupPreset",
-    "HormanderError",
-    "OmegaForm",
-    "bracket",
-    "dilate",
-    "euclidean_norm",
-    "homogeneous_norm",
-    "inverse",
-    "make_preset",
-    "multiply",
-    "preset_catalog",
-    "project",
-    "CurvatureConstants",
-    "curvature_constants",
-    "harnack_coeff",
-    "hs_norm_sq",
-    "rho2",
-    "vertical_gram",
-    "PolynomialFunction",
-    "VerificationRecord",
-]

@@ -9,10 +9,11 @@ writes three files to the output directory:
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
 * manifest.json - resolved config echo (every params default filled in from
-                  PARAMS_DEFAULTS), artifact version, wall clock, the seconds
-                  spent loading and validating the config (config_s), the
-                  number of sample paths drawn (paths_drawn), failure list
-                  (the only file carrying timing)
+                  PARAMS_DEFAULTS, and the ranks, points and h that runners
+                  derive), artifact version, wall clock, the seconds spent
+                  loading and validating the config (config_s), the number of
+                  sample paths drawn (paths_drawn), failure list (the only
+                  file carrying timing)
 
 Exit code 0 when every record passes, 1 when any verification fails, 2 on
 configuration errors.
@@ -206,7 +207,7 @@ PARAMS_SCHEMAS = {
         "properties": {
             "T": _POSNUM, "samples": _POSINT, "steps": _POSINT,
             "x": _POINT, "direction": _VEC,
-            "offsets": {"type": "array", "items": _POSNUM, "minItems": 2},
+            "offsets": {"type": "array", "items": _POSNUM, "minItems": 1},
             "bump": _BUMP,
         },
     },
@@ -225,8 +226,10 @@ _REVERSE_DEFAULTS = {"T_grid": [0.25, 0.5, 1.0, 2.0], **_SAMPLER_DEFAULTS, "bump
 
 # Every experiment's params defaults.  load_config merges a config's params
 # over them, one level into the nested bump and grid objects, and the runners
-# read the result.  Defaults derived from the form or the bump stay in their
-# runners: the reverse sweeps' points and h, and convergence's ranks.
+# read the result.  The runners fill in the defaults derived from the form or
+# the bump, and write them back into the config so that the manifest echoes
+# them: the reverse sweeps' points and h, and the ranks of curvature and
+# convergence.
 PARAMS_DEFAULTS = {
     "curvature": {},
     "list-presets": {},
@@ -323,7 +326,7 @@ def _bump(form, spec) -> BumpFunction:
 
 
 def exp_curvature(cfg, form):
-    ranks = cfg.ranks or [form.n]
+    ranks = cfg.ranks = cfg.ranks or [form.n]
     records, rows = [], ["rank,hs_norm_sq,rho2,harnack_coeff"]
     constants = {}
     for m in ranks:
@@ -402,7 +405,7 @@ def exp_convergence(cfg, form):
     p = cfg.params
     T, K_list, samples, p_moments = p["T"], p["K_list"], p["samples"], p["p_moments"]
     # each projection-monotone record compares the lowest rank with the highest
-    ranks = cfg.ranks or sorted({max(2, form.n // 4), form.n // 2, form.n})
+    ranks = cfg.ranks = cfg.ranks or sorted({max(2, form.n // 4), form.n // 2, form.n})
     if len(ranks) < 2:
         raise ConfigError("convergence needs at least two ranks to compare")
     ref = refinement_convergence(form, T, K_list, samples, seed=child_seed(cfg.seed, "refine", 0))
@@ -462,8 +465,8 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
     """
     p = cfg.params
     T_grid, bump = p["T_grid"], _bump(form, p["bump"])
-    points = [_point(form, q) for q in p.get("points", _default_points(form))]
-    h = p.get("h", 1e-3 * bump.radius)
+    points = [_point(form, q) for q in p.setdefault("points", _default_points(form))]
+    h = p.setdefault("h", 1e-3 * bump.radius)
     constants = curvature_constants(form)
     verify = verify_reverse_logsobolev if log_version else verify_reverse_poincare
     name = "reverse-logsobolev" if log_version else "reverse-poincare"
@@ -553,7 +556,8 @@ def exp_verify_strong_feller(cfg, form):
     sampler = _sampler_for(cfg, form, T, p)
     records = strong_feller_modulus(sampler, bump, x, direction, offsets, constants,
                                     bump.sup_bound())
-    return records, records[-1].detail, {}
+    return records, {"offsets": offsets,
+                     "differences": [r.detail["difference"] for r in records]}, {}
 
 
 # Inversion asymmetry max|u(z) - u(z^-1)| / max u of the grid solve at T = 1

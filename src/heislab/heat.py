@@ -35,11 +35,11 @@ from .rng import mix64
 from .stochastic import _mean_se, sample_endpoints
 
 __all__ = [
-    "BumpFunction", "SemigroupEstimate", "SemigroupSampler", "GridDensity",
-    "pde_oracle_h3", "apply_h3_generator", "mollified_sampler",
+    "BumpFunction", "SemigroupSampler", "GridDensity",
+    "pde_oracle_h3", "apply_h3_generator",
     "verify_reverse_poincare", "verify_reverse_logsobolev",
     "verify_wang_harnack", "verify_integrated_harnack", "verify_strong_feller",
-    "strong_feller_modulus", "density_kde",
+    "strong_feller_modulus",
 ]
 
 
@@ -85,16 +85,6 @@ class BumpFunction:
 # Monte Carlo semigroup
 
 
-@dataclass
-class SemigroupEstimate:
-    value: float
-    stderr: float
-    samples: int
-    T: float
-    steps: int
-    point: GroupElement
-
-
 class SemigroupSampler:
     """One endpoint set, many semigroup estimates under common random numbers.
 
@@ -103,7 +93,9 @@ class SemigroupSampler:
 
     Optionally composes every endpoint with an independent Gaussian start
     point (diagonal standard deviations ``mollifier``), which matches a grid
-    solve whose delta initial condition was mollified by the same Gaussian.
+    solve whose delta initial condition was mollified by the same Gaussian:
+    ``mollifier=cells * np.array(density.steps())`` for a ``pde_oracle_h3``
+    solve at ``mollifier_cells=cells``.
     """
 
     def __init__(self, form: OmegaForm, T: float, steps: int, samples: int,
@@ -153,9 +145,9 @@ class SemigroupSampler:
         W, C = translate_endpoints(self.form, x, self._W, self._C)
         return np.asarray(func(np.concatenate([W, C], axis=1)), dtype=float)
 
-    def estimate(self, func, x: GroupElement) -> SemigroupEstimate:
-        value, se = _mean_se(self.values(func, x))
-        return SemigroupEstimate(value, se, self.samples, self.T, self.steps, x)
+    def estimate(self, func, x: GroupElement) -> tuple:
+        """P_T f(x) and its standard error."""
+        return _mean_se(self.values(func, x))
 
     # -- common-random-number derivative estimates ---------------------------
 
@@ -195,13 +187,6 @@ class SemigroupSampler:
             var += (2.0 * d_half * se) ** 2
             bias += abs(d_half * d_half - d_h * d_h)
         return total, math.sqrt(var), bias
-
-
-def mollified_sampler(form, T, steps, samples, seed, grid_steps,
-                      cells=2.0) -> SemigroupSampler:
-    """Sampler whose start point matches a grid delta mollified by ``cells``."""
-    sig = np.array([cells * grid_steps[0], cells * grid_steps[1], cells * grid_steps[2]])
-    return SemigroupSampler(form, T, steps, samples, seed, mollifier=sig)
 
 
 # --------------------------------------------------------------------------
@@ -420,9 +405,9 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
     """Grid solve of the group heat equation on the n=2, d=1 group.
 
     ``initial`` is "delta" (a Gaussian of ``mollifier_cells`` cells per axis,
-    normalized to unit mass), a callable on (N, 3) coordinates, or a grid
-    array.  Boundary values are pinned to zero, so mass leaks only through
-    the box walls.
+    normalized to unit mass) or a callable on (N, 3) coordinates; anything
+    else raises ValueError.  Boundary values are pinned to zero, so mass
+    leaks only through the box walls.
 
     Time steps are super steps of the second-order Runge-Kutta-Legendre
     scheme RKL2 (Meyer, Balsara & Aslam 2014, J. Comput. Phys. 257) with
@@ -461,9 +446,7 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
         pts = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
         u = np.asarray(initial(pts), dtype=float).reshape(shape)
     else:
-        u = np.array(initial, dtype=float)
-        if u.shape != shape:
-            raise ValueError(f"initial grid has shape {u.shape}, expected {shape}")
+        raise ValueError(f'initial must be "delta" or a callable, got {type(initial).__name__}')
     u[0, :, :] = u[-1, :, :] = 0.0
     u[:, 0, :] = u[:, -1, :] = 0.0
     u[:, :, 0] = u[:, :, -1] = 0.0
@@ -662,15 +645,15 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
 def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
                           direction: np.ndarray, offsets,
                           constants: CurvatureConstants, sup_bound: float) -> list:
-    """Bound records over shrinking horizontal offsets, then the shrink record.
+    """One modulus-bound record per horizontal offset h.
 
     Offsets move y = x * (h * direction, 0), at CC distance h from x, and
     P_T f is read once at x and at each y.  Every CRN difference
-    |P_T f(x) - P_T f(y)| must satisfy the modulus bound (``strong-feller-h{h:g}``),
-    and the last record, ``strong-feller-shrinking`` (lhs the last difference,
-    rhs the first, detail {"diffs", "offsets"}), fails if one offset's
-    difference exceeds the previous one's by more than three standard errors
-    of the paired per-path rise: the offsets share their endpoints.
+    |P_T f(x) - P_T f(y)| must satisfy the modulus bound, whose rhs falls to
+    0 with h (record ``strong-feller-h{h:g}``), so the records witness the
+    continuity of P_T f.  They claim no monotone fall of the differences over
+    the offsets, which fails wherever x + h * direction crosses a critical
+    point of P_T f.
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
@@ -679,45 +662,13 @@ def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
     direction = direction / norm
     form = sampler.form
     fx = sampler.values(f, x)
-    records, diffs, paths = [], [], []
+    records = []
     for h in offsets:
         step = GroupElement(h * direction, np.zeros(form.d))
         y = multiply(form, x, step)
-        per_path = fx - sampler.values(f, y)
         # d(x, x * step) = d(e, step) by left invariance
-        rec = verify_strong_feller(sampler, per_path, x, y,
-                                   cc_distance(form, identity(form), step).energy,
-                                   constants, sup_bound, record_id=f"strong-feller-h{h:g}")
-        records.append(rec)
-        diffs.append(abs(rec.detail["difference"]))
-        # per path, the summand of |difference|
-        paths.append(math.copysign(1.0, rec.detail["difference"]) * per_path)
-    rises = [_mean_se(b - a) for a, b in zip(paths, paths[1:])]
-    shrinking = all(rise <= 3.0 * se + 1e-12 for rise, se in rises)
-    records.append(VerificationRecord(
-        record_id="strong-feller-shrinking", rank=form.n, T=sampler.T,
-        lhs=diffs[-1], rhs=diffs[0], margin=diffs[0] - diffs[-1], passed=shrinking,
-        detail={"diffs": diffs, "offsets": list(offsets)}))
+        records.append(verify_strong_feller(
+            sampler, fx - sampler.values(f, y), x, y,
+            cc_distance(form, identity(form), step).energy,
+            constants, sup_bound, record_id=f"strong-feller-h{h:g}"))
     return records
-
-
-# --------------------------------------------------------------------------
-# kernel density estimation (qualitative cross-checks only)
-
-
-def density_kde(W, C, bandwidth, query_points) -> np.ndarray:
-    """Product-Gaussian kernel density estimate in the full coordinates.
-
-    Too noisy for tail ratios; never used in pass/fail records.
-    """
-    pts = np.concatenate([W, C], axis=1)
-    queries = np.atleast_2d(np.asarray(query_points, dtype=float))
-    bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (pts.shape[1],))
-    if np.any(bw <= 0):
-        raise ValueError("bandwidth must be positive")
-    norm = np.prod(bw) * (2 * math.pi) ** (pts.shape[1] / 2.0)
-    out = np.empty(len(queries))
-    for idx, qp in enumerate(queries):
-        z = (pts - qp[None, :]) / bw[None, :]
-        out[idx] = np.exp(-0.5 * np.sum(z * z, axis=1)).mean() / norm
-    return out

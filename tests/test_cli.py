@@ -103,9 +103,9 @@ class TestConfigValidation:
         ("verify-integrated-harnack", {"q_grid": []}),
         ("verify-integrated-harnack", {"ys": []}),
         ("convergence", {"p_moments": []}),
-        # one sample has no standard error; one offset has nothing to shrink to
+        # one sample has no standard error
         ("simulate", {"samples": 1}),
-        ("verify-strong-feller", {"offsets": [0.5]}),
+        ("verify-reverse-poincare", {"points": []}),
         # one rank has nothing to be compared with
         ("convergence", {"ranks": [2]}),
     ])
@@ -226,13 +226,20 @@ class TestParamsDefaults:
         params["grid"]["box"][0][0] = -1
         assert PARAMS_DEFAULTS["oracle-h3"]["grid"]["box"][0] == [-6, 6]
 
+    # what a runner derives from the form or the bump, echoed all the same
+    DERIVED_PARAMS = {"verify-reverse-poincare": {"points", "h"},
+                      "verify-reverse-logsobolev": {"points", "h"}}
+    DERIVED_RANKS = {"curvature": [2], "convergence": [1, 2]}
+
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_manifest_config_reproduces_the_run(self, tmp_path, experiment):
         first, second = str(tmp_path / "first"), str(tmp_path / "second")
         cfg = write_config(tmp_path, "c.json", {"seed": 3, "params": TINY[experiment]})
         code = main([experiment, "--config", cfg, "--out", first])
         echo = read_manifest(first)["config"]
-        assert set(PARAMS_DEFAULTS[experiment]) <= set(echo["params"])
+        derived = self.DERIVED_PARAMS.get(experiment, set())
+        assert set(PARAMS_DEFAULTS[experiment]) | derived <= set(echo["params"])
+        assert echo["ranks"] == self.DERIVED_RANKS.get(experiment, [])
         cfg = write_config(tmp_path, "echo.json", echo)
         assert main([experiment, "--config", cfg, "--out", second]) == code
         assert read_manifest(second)["config"] == echo
@@ -420,9 +427,11 @@ class TestVerifyCommands:
     def test_strong_feller_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "params": {"T": 1.0, "samples": 4000, "steps": 64,
-                       "offsets": [0.5, 0.25]}})
+                       "offsets": [0.5]}})
         out = str(tmp_path / "o")
         assert main(["verify-strong-feller", "--config", cfg, "--out", out]) == 0
+        report = read_summary(out)["report"]
+        assert report["offsets"] == [0.5] and len(report["differences"]) == 1
 
     def test_integrated_harnack_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
