@@ -27,7 +27,6 @@ __all__ = [
     "bracket",
     "dilate",
     "homogeneous_norm",
-    "euclidean_norm",
     "project",
     "make_preset",
     "preset_catalog",
@@ -73,11 +72,18 @@ class OmegaForm:
     def pair(self, u, v):
         """Apply the form: pair(u, v)[l] = sum_{ij} u[i] v[j] coeffs[i,j,l].
 
-        Accepts batched inputs with leading axes, e.g. (N, n) x (N, n) -> (N, d).
+        Accepts batched inputs whose leading axes broadcast, e.g.
+        (N, n) x (N, n) -> (N, d) or (n,) x (N, n) -> (N, d).  Each l
+        contracts in two steps: t = u @ A_l, one matrix product, then the
+        row-wise dot of t with v.  The only work buffer is one u-sized t
+        at a time.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.einsum("...i,...j,ijl->...l", u, v, self.coeffs)
+        out = np.empty(np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (self.d,))
+        for l in range(self.d):
+            out[..., l] = np.einsum("...j,...j->...", u @ self.coeffs[:, :, l], v)
+        return out
 
     def vertical_matrices(self):
         """The d antisymmetric n x n matrices coeffs[:, :, l]."""
@@ -192,11 +198,6 @@ def homogeneous_norm(x: GroupElement) -> float:
     return float(np.sqrt(np.dot(x.w, x.w) + np.linalg.norm(x.c)))
 
 
-def euclidean_norm(x: GroupElement) -> float:
-    """Plain Banach-space norm sqrt(|w|^2 + |c|^2) of the coordinate vector."""
-    return float(np.sqrt(np.dot(x.w, x.w) + np.dot(x.c, x.c)))
-
-
 def project(m: int, x: GroupElement) -> GroupElement:
     """Zero horizontal coordinates beyond m; the vertical part is untouched.
 
@@ -220,10 +221,7 @@ def multiply_arrays(form, w1, c1, w2, c2):
 
 def translate_endpoints(form, x: GroupElement, w_samples, c_samples):
     """Left-translate a batch of elements by x: returns coords of x * g_i."""
-    return multiply_arrays(
-        form, np.broadcast_to(x.w, w_samples.shape), np.broadcast_to(x.c, c_samples.shape),
-        w_samples, c_samples,
-    )
+    return x.w + w_samples, x.c + c_samples + 0.5 * form.pair(x.w, w_samples)
 
 
 @dataclass(frozen=True)

@@ -246,9 +246,6 @@ class GridDensity:
         w1, w2, c = np.meshgrid(*self.axes, indexing="ij")
         return w1, w2, c
 
-    def value_at(self, point) -> float:
-        return float(self.interpolate(np.asarray(point, dtype=float)[None, :])[0])
-
 
 def _trapezoid3(axes, vals) -> float:
     w1, w2, c = axes

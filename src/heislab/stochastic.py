@@ -39,9 +39,10 @@ def _accumulate_vertical(form: OmegaForm, B, dB):
 
     B has shape (..., K, n) (positions at left endpoints), dB the increments.
     Returns the running sums with a leading zero row, shape (..., K+1, d).
+    A rank-m projection passes the form of the leading m coordinates and
+    the leading m columns (``_projected_vertical``), never zeroed columns.
     """
-    mats = form.vertical_matrices()
-    steps = np.einsum("...ki,lij,...kj->...kl", B, mats, dB)
+    steps = form.pair(B, dB)
     zeros = np.zeros(steps.shape[:-2] + (1, steps.shape[-1]))
     return np.concatenate([zeros, np.cumsum(steps, axis=-2)], axis=-2)
 
@@ -126,28 +127,45 @@ def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
     return W, C
 
 
+def _check_rank(form: OmegaForm, m: int):
+    if not 1 <= m <= form.n:
+        raise ValueError(f"rank must be in [1, {form.n}], got {m}")
+
+
+def _projected_vertical(form: OmegaForm, B, m: int):
+    """The left-point vertical part of the rank-m projection of the paths B.
+
+    The projection zeroes every coordinate past m, so only the leading block
+    of the form pairs nonzero entries: the sums run over B[..., :m] with the
+    form restricted to the first m coordinates.
+    """
+    lead = OmegaForm(m, form.d, form.coeffs[:m, :m])
+    Bm = B[..., :m]
+    return _accumulate_vertical(lead, Bm[..., :-1, :], np.diff(Bm, axis=-2))
+
+
 def project_paths(form: OmegaForm, B, M, m: int):
     """Project the paths (B, M) of ``sample_paths`` to rank m; at m = n they
     are returned as they are.  The projected vertical part is recomputed
-    from the projected increments by the same left-point rule; it is not
-    the projection of M."""
-    if not 1 <= m <= form.n:
-        raise ValueError(f"rank must be in [1, {form.n}], got {m}")
+    from the leading m columns by the same left-point rule, with the leading
+    m x m block of the form; it is not the projection of M."""
+    _check_rank(form, m)
     if m == form.n:
         return B, M
     Bp = B.copy()
     Bp[..., m:] = 0.0
-    return Bp, _accumulate_vertical(form, Bp[..., :-1, :], np.diff(Bp, axis=-2))
+    return Bp, _projected_vertical(form, B, m)
 
 
 def _sup_gap(form, B, M, m):
     """Per path, the sup over grid times of the homogeneous norm of (B, M/2)
-    minus its rank-m projection, which dies on return."""
+    minus its rank-m projection.  The horizontal gap is B[..., m:] and the
+    projection's vertical part dies on return; no projected copy of B is
+    made."""
     if m == form.n:
         return np.zeros(len(B))
-    Bp, Mp = project_paths(form, B, M, m)
-    dw2 = np.sum((B - Bp) ** 2, axis=2)
-    dc = np.linalg.norm(0.5 * (M - Mp), axis=2)
+    dw2 = np.sum(B[..., m:] ** 2, axis=2)
+    dc = np.linalg.norm(0.5 * (M - _projected_vertical(form, B, m)), axis=2)
     return np.sqrt(dw2 + dc).max(axis=1)
 
 
@@ -173,6 +191,8 @@ def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
     ranks = list(ranks)
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
+    for m in ranks:
+        _check_rank(form, m)
     sups = {m: [] for m in ranks}
     for start, count in _chunks(samples, STUDY_CHUNK):
         B, M = sample_paths(form, T, K, count, seed, start)

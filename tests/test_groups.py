@@ -9,7 +9,6 @@ from heislab.groups import (
     OmegaForm,
     bracket,
     dilate,
-    euclidean_norm,
     homogeneous_norm,
     identity,
     inverse,
@@ -18,6 +17,7 @@ from heislab.groups import (
     multiply_arrays,
     preset_catalog,
     project,
+    translate_endpoints,
 )
 
 H1 = make_preset("heisenberg", pairs=1)
@@ -128,7 +128,7 @@ class TestNorms:
         assert homogeneous_norm(identity(H1.form)) == 0.0
         assert homogeneous_norm(elem(H1.form, [3, 4], [0])) == pytest.approx(5.0)
         assert homogeneous_norm(elem(H1.form, [0, 0], [4])) == pytest.approx(2.0)
-        assert euclidean_norm(elem(H1.form, [0, 0], [4])) == pytest.approx(4.0)
+        assert np.linalg.norm(elem(H1.form, [0, 0], [4]).coords()) == pytest.approx(4.0)
 
 
 class TestProjection:
@@ -190,6 +190,54 @@ class TestPresets:
             form = preset.form
             assert np.allclose(form.coeffs, -np.transpose(form.coeffs, (1, 0, 2)))
             assert form.hormander_ok()
+
+
+def _dense_form(n, d, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n, d))
+    return OmegaForm(n, d, a - np.transpose(a, (1, 0, 2)))
+
+
+PAIR_FORMS = [pytest.param(p.form, id=p.name) for _, _, p in preset_catalog()] + [
+    pytest.param(_dense_form(5, 3, 11), id="dense(5,3)")]
+
+
+def _pair_by_definition(form, u, v):
+    """sum_ij u_i v_j coeffs[i, j, l] by an explicit loop over i, j and l,
+    with the absolute sum of its terms, the scale of its round-off."""
+    shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1]) + (form.d,)
+    out, scale = np.zeros(shape), np.zeros(shape)
+    for i in range(form.n):
+        for j in range(form.n):
+            for l in range(form.d):
+                term = u[..., i] * v[..., j] * form.coeffs[i, j, l]
+                out[..., l] += term
+                scale[..., l] += np.abs(term)
+    return out, scale
+
+
+class TestPair:
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    @pytest.mark.parametrize("u_lead,v_lead", [((), (6,)), ((6,), (6,)),
+                                               ((6, 5), (6, 5))])
+    def test_matches_the_definition(self, form, u_lead, v_lead):
+        rng = np.random.default_rng(form.n * form.d)
+        u = rng.standard_normal(u_lead + (form.n,))
+        v = rng.standard_normal(v_lead + (form.n,))
+        got = form.pair(u, v)
+        ref, scale = _pair_by_definition(form, u, v)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    def test_translate_endpoints_is_a_broadcast_product(self, form):
+        rng = np.random.default_rng(form.n + 7)
+        x = GroupElement(rng.standard_normal(form.n), rng.standard_normal(form.d))
+        W, C = rng.standard_normal((9, form.n)), rng.standard_normal((9, form.d))
+        tw, tc = translate_endpoints(form, x, W, C)
+        rw, rc = multiply_arrays(form, np.broadcast_to(x.w, W.shape),
+                                 np.broadcast_to(x.c, C.shape), W, C)
+        assert np.array_equal(tw, rw)
+        assert np.allclose(tc, rc, rtol=1e-14, atol=0.0)
 
 
 class TestBatchedOps:

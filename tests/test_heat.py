@@ -181,7 +181,7 @@ class TestPdeOracle:
     def test_quadrature_and_interpolation(self, small_density):
         # interpolate at exact nodes reproduces values
         w1, w2, c = small_density.axes
-        val = small_density.value_at([w1[20], w2[20], c[24]])
+        val = small_density.interpolate(np.array([w1[20], w2[20], c[24]])[None])[0]
         assert val == pytest.approx(small_density.values[20, 20, 24], rel=1e-12)
 
     def test_interpolation_matches_scipy(self, small_density):
@@ -324,7 +324,7 @@ class TestMcPdeConsistency:
         x = np.array([0.25, 0.1, 0.05])
         h = 0.05
         def u(pt):
-            return sol.value_at(pt)
+            return sol.interpolate(pt[None])[0]
 
         # group translations x * (h e_i, 0) move the vertical slot too
         def shift(pt, i, s):

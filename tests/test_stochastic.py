@@ -141,6 +141,23 @@ class TestProjection:
         assert np.all(Mq == 0.0)
         assert not np.all(M == 0.0)
 
+    @pytest.mark.parametrize("name,kw,rank", [
+        ("block_sum", {"weights": [1, 3]}, 2), ("block_sum", {"weights": [1, 3]}, 3),
+        ("wiener_truncation", {"pairs": 8, "s": 2}, 4),
+        ("wiener_truncation", {"pairs": 8, "s": 2}, 8)])
+    def test_leading_block_matches_the_zeroed_full_form(self, name, kw, rank):
+        form = make_preset(name, **kw).form
+        B, M = sample_paths(form, 1.0, 64, 6, seed=83)
+        _, Mq = project_paths(form, B, M, rank)
+        # reference: the whole form's left-point sum over the zeroed paths
+        Bz = B.copy()
+        Bz[..., rank:] = 0.0
+        steps = np.einsum("pki,ijl,pkj->pkl", Bz[:, :-1], form.coeffs, np.diff(Bz, axis=1))
+        ref = np.concatenate([np.zeros((len(B), 1, form.d)), np.cumsum(steps, axis=1)],
+                             axis=1)
+        assert Mq.shape == ref.shape
+        assert np.allclose(Mq, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
     @pytest.mark.parametrize("rank", [0, 5])
     def test_rank_outside_one_to_n_is_rejected(self, rank):
         B, M = sample_paths(BS, 1.0, 8, 2, seed=61)
@@ -185,7 +202,7 @@ class TestApproximationReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.75 * count * (K + 1) * WT.n * 8
+        assert peak < 3.5 * count * (K + 1) * WT.n * 8
 
 
 class TestRefinement:
