@@ -332,7 +332,7 @@ def exp_curvature(cfg, form):
     for m in ranks:
         rid = f"curvature-rank{m}"
         try:
-            c = curvature_constants(form, m)
+            c = curvature_constants(form.restrict(m))
         except HormanderError as exc:
             records.append(VerificationRecord(
                 record_id=rid, rank=m, passed=False,

@@ -1,13 +1,13 @@
 """Curvature constants of a projection group.
 
-For a form restricted to the first m horizontal coordinates the two constants
-are the squared Hilbert-Schmidt norm
+The constants of the rank-m projection group are those of its form,
+``form.restrict(m)``: the squared Hilbert-Schmidt norm
 
-    hs_norm_sq = sum_{i,j<=m} |coeffs[i,j,:]|^2
+    hs_norm_sq = sum_{i,j} |coeffs[i,j,:]|^2
 
 and the infimum of the associated quadratic over unit vertical vectors,
 
-    rho2 = min_{|x|=1} sum_{i,j<=m} (coeffs[i,j,:] . x)^2,
+    rho2 = min_{|x|=1} sum_{i,j} (coeffs[i,j,:] . x)^2,
 
 which is the smallest eigenvalue of the d x d Gram matrix of the form.  The
 derived coefficient 1 + 2*hs_norm_sq/rho2 is the constant entering every
@@ -31,11 +31,10 @@ import numpy as np
 
 from .groups import HormanderError, OmegaForm
 
-__all__ = ["CurvatureConstants", "hs_norm_sq", "vertical_gram", "rho2", "harnack_coeff",
-           "curvature_constants"]
+__all__ = ["CurvatureConstants", "hs_norm_sq", "vertical_gram", "rho2", "curvature_constants"]
 
-# Relative eigenvalue floor below which the restricted form is treated as
-# degenerate; everything downstream divides by rho2.
+# Relative eigenvalue floor below which the form is treated as degenerate;
+# everything downstream divides by rho2.
 RHO2_RTOL = 1e-10
 
 
@@ -55,52 +54,35 @@ class CurvatureConstants:
         }
 
 
-def hs_norm_sq(form: OmegaForm, m: int | None = None) -> float:
-    """Squared Hilbert-Schmidt norm of the form restricted to rank m."""
-    m = form.n if m is None else m
-    _check_rank(form, m)
-    block = form.coeffs[:m, :m, :]
-    return float(np.sum(block * block))
+def hs_norm_sq(form: OmegaForm) -> float:
+    """Squared Hilbert-Schmidt norm of the form."""
+    return float(np.sum(form.coeffs * form.coeffs))
 
 
-def vertical_gram(form: OmegaForm, m: int | None = None) -> np.ndarray:
-    """Symmetric PSD d x d matrix A with A[l,k] = sum_{i,j<=m} w[i,j,l] w[i,j,k]."""
-    m = form.n if m is None else m
-    _check_rank(form, m)
-    block = form.coeffs[:m, :m, :]
-    return np.einsum("ijl,ijk->lk", block, block)
+def vertical_gram(form: OmegaForm) -> np.ndarray:
+    """Symmetric PSD d x d matrix A with A[l,k] = sum_{i,j} w[i,j,l] w[i,j,k]."""
+    return np.einsum("ijl,ijk->lk", form.coeffs, form.coeffs)
 
 
-def rho2(form: OmegaForm, m: int | None = None) -> float:
+def rho2(form: OmegaForm) -> float:
     """Smallest eigenvalue of the vertical Gram matrix (see curvature_constants)."""
-    return curvature_constants(form, m).rho2
+    return curvature_constants(form).rho2
 
 
-def harnack_coeff(form: OmegaForm, m: int | None = None) -> float:
-    """1 + 2*hs_norm_sq/rho2; always >= 3, with equality iff rho2 = hs_norm_sq."""
-    return curvature_constants(form, m).harnack_coeff
-
-
-def curvature_constants(form: OmegaForm, m: int | None = None) -> CurvatureConstants:
-    """hs_norm_sq, rho2, harnack_coeff and the Gram matrix at rank m, from one Gram matrix.
+def curvature_constants(form: OmegaForm) -> CurvatureConstants:
+    """hs_norm_sq, rho2, harnack_coeff and the Gram matrix, from one Gram matrix.
 
     Raises HormanderError when rho2 is zero or negligible relative to the
-    trace, since the restricted horizontal directions then fail to generate
-    some vertical direction.
+    trace, since the horizontal directions then fail to generate some
+    vertical direction.
     """
-    m = form.n if m is None else m
-    gram = vertical_gram(form, m)
-    hs = hs_norm_sq(form, m)
+    gram = vertical_gram(form)
+    hs = hs_norm_sq(form)
     r2 = float(np.linalg.eigvalsh(gram)[0])
     trace = float(np.trace(gram))
     if trace <= 0.0 or r2 < RHO2_RTOL * trace:
         raise HormanderError(
-            f"vertical Gram matrix at rank {m} is singular "
+            f"vertical Gram matrix at rank {form.n} is singular "
             f"(smallest eigenvalue {r2:.3e}, trace {trace:.3e})"
         )
     return CurvatureConstants(hs, r2, 1.0 + 2.0 * hs / r2, gram)
-
-
-def _check_rank(form: OmegaForm, m: int):
-    if not 1 <= m <= form.n:
-        raise ValueError(f"rank must be in [1, {form.n}], got {m}")

@@ -8,7 +8,9 @@ the i-th basis direction acts as
 the vertical fields are the plain d/dc_l, and all iterated forms (the
 carre-du-champ Gamma, its vertical variant, and their second-order versions)
 are built from these.  Because test functions are polynomials every identity
-check below compares exact coefficient dicts, not samples.
+check below compares exact coefficient dicts, not samples.  The operators of
+the rank-m projection group are those of ``form.restrict(m)``, on polynomials
+in m + d variables.
 """
 
 from __future__ import annotations
@@ -69,21 +71,19 @@ def vertical_field(form: OmegaForm, l: int, f: PolynomialFunction) -> Polynomial
     return f.partial(form.n + l)
 
 
-def sublaplacian(form: OmegaForm, f: PolynomialFunction, m: int | None = None):
-    """Sum of squares of the first m horizontal fields."""
-    m = form.n if m is None else m
+def sublaplacian(form: OmegaForm, f: PolynomialFunction):
+    """Sum of squares of the horizontal fields."""
     out = _zero(form)
-    for i in range(m):
+    for i in range(form.n):
         out = out + horizontal_field(form, i, horizontal_field(form, i, f))
     return out
 
 
-def gamma(form, f, g=None, m: int | None = None) -> PolynomialFunction:
-    """Horizontal carre du champ: sum_{i<=m} (X_i f)(X_i g)."""
+def gamma(form, f, g=None) -> PolynomialFunction:
+    """Horizontal carre du champ: sum_i (X_i f)(X_i g)."""
     g = f if g is None else g
-    m = form.n if m is None else m
     out = _zero(form)
-    for i in range(m):
+    for i in range(form.n):
         xf = horizontal_field(form, i, f)
         xg = xf if g is f else horizontal_field(form, i, g)
         out = out + xf * xg
@@ -101,41 +101,41 @@ def gamma_z(form, f, g=None) -> PolynomialFunction:
     return out
 
 
-def gamma2(form, f, g=None, m: int | None = None) -> PolynomialFunction:
+def gamma2(form, f, g=None) -> PolynomialFunction:
     """Iterated form 0.5*(L Gamma(f,g) - Gamma(f, Lg) - Gamma(g, Lf))."""
     g = f if g is None else g
-    lf = sublaplacian(form, f, m)
-    lg = lf if g is f else sublaplacian(form, g, m)
-    out = sublaplacian(form, gamma(form, f, g, m), m)
-    out = out - gamma(form, f, lg, m) - gamma(form, g, lf, m)
+    lf = sublaplacian(form, f)
+    lg = lf if g is f else sublaplacian(form, g)
+    out = sublaplacian(form, gamma(form, f, g))
+    out = out - gamma(form, f, lg) - gamma(form, g, lf)
     return out * 0.5
 
 
-def gamma2_z(form, f, g=None, m: int | None = None) -> PolynomialFunction:
+def gamma2_z(form, f, g=None) -> PolynomialFunction:
     """Iterated vertical form 0.5*(L Gamma^Z(f,g) - Gamma^Z(f,Lg) - Gamma^Z(g,Lf))."""
     g = f if g is None else g
-    lf = sublaplacian(form, f, m)
-    lg = lf if g is f else sublaplacian(form, g, m)
-    out = sublaplacian(form, gamma_z(form, f, g), m)
+    lf = sublaplacian(form, f)
+    lg = lf if g is f else sublaplacian(form, g)
+    out = sublaplacian(form, gamma_z(form, f, g))
     out = out - gamma_z(form, f, lg) - gamma_z(form, g, lf)
     return out * 0.5
 
 
-def cd_terms(form, f, m: int | None = None):
+def cd_terms(form, f):
     """The four polynomials entering the curvature-dimension margin.
 
     Returns (gamma2, gamma2_z, gamma_z, gamma) of f; computing them once per
     test function lets callers sweep points and coupling constants cheaply.
     """
     return (
-        gamma2(form, f, None, m),
-        gamma2_z(form, f, None, m),
+        gamma2(form, f),
+        gamma2_z(form, f),
         gamma_z(form, f),
-        gamma(form, f, None, m),
+        gamma(form, f),
     )
 
 
-def check_cd_inequality(form, f, points, nu_grid, m: int | None = None,
+def check_cd_inequality(form, f, points, nu_grid,
                         vertical_coeff: float | None = None) -> list[VerificationRecord]:
     """Pointwise curvature-dimension margins of f at points, for each coupling nu.
 
@@ -155,11 +155,10 @@ def check_cd_inequality(form, f, points, nu_grid, m: int | None = None,
     for nu in nu_grid:
         if not nu > 0:
             raise ValueError(f"coupling constant must be positive, got {nu}")
-    m = form.n if m is None else m
     pts = np.asarray(points, dtype=float)
-    values = zip(*(t(pts).tolist() for t in cd_terms(form, f, m)))
-    vc = rho2(form, m) if vertical_coeff is None else float(vertical_coeff)
-    hs = hs_norm_sq(form, m)
+    values = zip(*(t(pts).tolist() for t in cd_terms(form, f)))
+    vc = rho2(form) if vertical_coeff is None else float(vertical_coeff)
+    hs = hs_norm_sq(form)
     records = []
     for pt, (t_g2, t_g2z, t_gz, t_g) in zip(pts, values):
         x = coords_str(pt)
@@ -170,7 +169,7 @@ def check_cd_inequality(form, f, points, nu_grid, m: int | None = None,
             margin = lhs - rhs
             records.append(VerificationRecord(
                 record_id="cd-inequality",
-                rank=m,
+                rank=form.n,
                 p_or_q=nu,
                 x=x,
                 lhs=lhs,
@@ -200,12 +199,11 @@ def _identity_record(record_id, lhs_poly, rhs_poly, x=None, rank=0) -> Verificat
     return rec
 
 
-def check_commutation(form, f, m: int | None = None) -> VerificationRecord:
+def check_commutation(form, f) -> VerificationRecord:
     """Gamma(f, Gamma^Z(f)) = Gamma^Z(f, Gamma(f)) as exact polynomials."""
-    m = form.n if m is None else m
-    lhs = gamma(form, f, gamma_z(form, f), m)
-    rhs = gamma_z(form, f, gamma(form, f, None, m))
-    return _identity_record("commutation", lhs, rhs, rank=m)
+    lhs = gamma(form, f, gamma_z(form, f))
+    rhs = gamma_z(form, f, gamma(form, f))
+    return _identity_record("commutation", lhs, rhs, rank=form.n)
 
 
 def check_bracket_relation(form, i: int, j: int, f,
@@ -229,16 +227,14 @@ def _pairing_polys(form, j):
     return [_field_coefficient(form, j, l) for l in range(form.d)]
 
 
-def check_generator_decomposition(form, f, x: GroupElement | None = None,
-                                  m: int | None = None) -> VerificationRecord:
+def check_generator_decomposition(form, f, x: GroupElement | None = None) -> VerificationRecord:
     """Sub-Laplacian equals flat Laplacian plus mixed and pure vertical Hessian terms."""
     n, d = form.n, form.d
-    m = n if m is None else m
-    lhs = sublaplacian(form, f, m)
+    lhs = sublaplacian(form, f)
     rhs = _zero(form)
-    for j in range(m):
+    for j in range(n):
         rhs = rhs + f.partial(j).partial(j)
-    for j in range(m):
+    for j in range(n):
         pair = _pairing_polys(form, j)
         for l in range(d):
             if pair[l].is_zero():
@@ -250,20 +246,19 @@ def check_generator_decomposition(form, f, x: GroupElement | None = None,
                     if not hess.is_zero():
                         rhs = rhs + (pair[l] * pair[k] * hess) * 0.25
     pt = x.coords() if x is not None else None
-    return _identity_record("generator-decomposition", lhs, rhs, x=pt, rank=m)
+    return _identity_record("generator-decomposition", lhs, rhs, x=pt, rank=n)
 
 
-def check_gamma_decomposition(form, f, g=None, x: GroupElement | None = None,
-                              m: int | None = None) -> VerificationRecord:
+def check_gamma_decomposition(form, f, g=None,
+                              x: GroupElement | None = None) -> VerificationRecord:
     """Gamma(f,g) equals the flat gradient pairing plus the mixed and pure terms."""
     n, d = form.n, form.d
-    m = n if m is None else m
     g = f if g is None else g
-    lhs = gamma(form, f, g, m)
+    lhs = gamma(form, f, g)
     rhs = _zero(form)
-    for j in range(m):
+    for j in range(n):
         rhs = rhs + f.partial(j) * g.partial(j)
-    for j in range(m):
+    for j in range(n):
         pair = _pairing_polys(form, j)
         vf = _zero(form)
         vg = _zero(form)
@@ -275,16 +270,15 @@ def check_gamma_decomposition(form, f, g=None, x: GroupElement | None = None,
         rhs = rhs + (vf * vg) * 0.25
         rhs = rhs + (vf * g.partial(j) + vg * f.partial(j)) * 0.5
     pt = x.coords() if x is not None else None
-    return _identity_record("gamma-decomposition", lhs, rhs, x=pt, rank=m)
+    return _identity_record("gamma-decomposition", lhs, rhs, x=pt, rank=n)
 
 
-def check_gamma2z_sum_of_squares(form, f, m: int | None = None) -> VerificationRecord:
-    """Gamma2^Z(f) equals sum_{j<=m, l} (X_j Z_l f)^2 as exact polynomials."""
-    m = form.n if m is None else m
-    lhs = gamma2_z(form, f, None, m)
+def check_gamma2z_sum_of_squares(form, f) -> VerificationRecord:
+    """Gamma2^Z(f) equals sum_{j, l} (X_j Z_l f)^2 as exact polynomials."""
+    lhs = gamma2_z(form, f)
     rhs = _zero(form)
-    for j in range(m):
+    for j in range(form.n):
         for l in range(form.d):
             t = horizontal_field(form, j, vertical_field(form, l, f))
             rhs = rhs + t * t
-    return _identity_record("gamma2z-sum-of-squares", lhs, rhs, rank=m)
+    return _identity_record("gamma2z-sum-of-squares", lhs, rhs, rank=form.n)

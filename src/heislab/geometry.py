@@ -110,44 +110,39 @@ class DistanceResult:
 
 
 def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
-                rank: int | None = None, opts: DistanceOptions | None = None) -> DistanceResult:
+                opts: DistanceOptions | None = None) -> DistanceResult:
     """Exact horizontal distance between x and y with a witness path.
 
     The witness is the geodesic sampled at ``opts.segments`` + 1 uniform
-    times, and ``constraint_residual`` is that polygon's vertical miss.  When
-    ``rank`` is given, only the first ``rank`` horizontal directions may be
-    used; the restricted form must then still satisfy the bracket-generating
-    rank condition.  Raises ``ValueError`` when x^-1 y is not horizontal and
-    two vertical coordinates of the restricted form act on a common
-    horizontal coordinate: that form has no closed form.
+    times, and ``constraint_residual`` is that polygon's vertical miss.  The
+    form must satisfy the bracket-generating rank condition; the distance of
+    the rank-m projection group is that of ``form.restrict(m)``.  Raises
+    ``ValueError`` when x^-1 y is not horizontal and two vertical
+    coordinates of the form act on a common horizontal coordinate: that
+    form has no closed form.
     """
     opts = opts or DistanceOptions()
-    rank = form.n if rank is None else rank
-    form.require_hormander(rank)
+    form.require_hormander()
     z = multiply(form, inverse(x), y)
-    if np.any(z.w[rank:] != 0.0):
-        raise ValueError(
-            f"target separation uses horizontal coordinates beyond rank {rank}"
-        )
     if homogeneous_norm(z) == 0.0:
         witness = HorizontalPath(x.w[None, :], x.c)
         return DistanceResult(0.0, witness, 0.0, 0.0, {"shortcut": "coincident"})
-    basis = _pair_basis(form, rank)
+    basis = _pair_basis(form)
     if basis is None:
         if np.any(z.c):
             raise ValueError(
-                f"no closed-form distance: the form restricted to the first {rank} "
-                "horizontal coordinates has vertical coordinates sharing a horizontal one"
+                "no closed-form distance: the form has vertical coordinates sharing "
+                "a horizontal one"
             )
         basis = (np.zeros((form.n, 0)), np.zeros((form.n, 0)), np.zeros(0), np.zeros(0, int))
     return _closed_form_distance(form, x, z, *basis, opts.segments)
 
 
-def _pair_basis(form: OmegaForm, rank: int):
+def _pair_basis(form: OmegaForm):
     """(e1, e2, q, owner): orthonormal columns e1[:, j], e2[:, j] span pair j,
     on which vertical coordinate owner[j] is q[j] > 0 times the standard
-    symplectic form (e1_j^T A_l e2_j = q_j), for A_l the form restricted to
-    the first ``rank`` coordinates.  None if two A_l share a horizontal
+    symplectic form (e1_j^T A_l e2_j = q_j), for A_l the matrices of
+    ``form.vertical_matrices()``.  None if two A_l share a horizontal
     coordinate.
 
     Each A_l is taken on its own support.  Its singular values are the
@@ -158,7 +153,7 @@ def _pair_basis(form: OmegaForm, rank: int):
     An SVD pages in 0.6 MB of LAPACK per run, the Hermitian eigensolver of
     i A_l 1.4 MB.
     """
-    mats = np.moveaxis(form.coeffs[:rank, :rank, :], 2, 0)
+    mats = form.vertical_matrices()
     supports = np.any(mats != 0.0, axis=2)
     if supports.sum(axis=0).max() > 1:
         return None
@@ -300,7 +295,8 @@ class ConvergenceReport:
 
 
 def projected_distance_convergence(form, x: GroupElement, ranks) -> ConvergenceReport:
-    """Distances d_rank(e, x) for increasing ranks.
+    """Distances d_m(e, x) for increasing ranks m: the distance of
+    ``form.restrict(m)`` to x on its leading m coordinates.
 
     A geodesic at one rank is admissible at every larger rank, so the exact
     sequence is nonincreasing up to round-off.
@@ -311,8 +307,10 @@ def projected_distance_convergence(form, x: GroupElement, ranks) -> ConvergenceR
     support = np.nonzero(x.w)[0]
     if len(support) and support.max() >= ranks[0]:
         raise ValueError("target horizontal support must fit inside the smallest rank")
-    e = identity(form)
-    distances = [cc_distance(form, e, x, rank=rank).distance for rank in ranks]
+    distances = []
+    for m in ranks:
+        lead = form.restrict(m)
+        distances.append(cc_distance(lead, identity(lead), GroupElement(x.w[:m], x.c)).distance)
     tol = 1e-12 * max(distances[0], 1.0)
     mono = all(b <= a + tol for a, b in zip(distances, distances[1:]))
     return ConvergenceReport(distances, mono)

@@ -27,7 +27,6 @@ __all__ = [
     "bracket",
     "dilate",
     "homogeneous_norm",
-    "project",
     "make_preset",
     "preset_catalog",
 ]
@@ -89,26 +88,27 @@ class OmegaForm:
         """The d antisymmetric n x n matrices coeffs[:, :, l]."""
         return np.moveaxis(self.coeffs, 2, 0)
 
-    def pair_matrix(self, m: int | None = None) -> np.ndarray:
-        """d x m(m-1)/2 matrix whose columns are coeffs[i, j, :] for i < j <= m."""
-        m = self.n if m is None else m
-        iu, ju = np.triu_indices(m, k=1)
-        return self.coeffs[iu, ju, :].T.copy()
+    def restrict(self, m: int) -> "OmegaForm":
+        """The form of the rank-m projection group: the leading m x m block
+        coeffs[:m, :m, :] on R^m x R^d.  Returns self at m = n."""
+        if not 1 <= m <= self.n:
+            raise ValueError(f"rank must be in [1, {self.n}], got {m}")
+        return self if m == self.n else OmegaForm(m, self.d, self.coeffs[:m, :m])
 
-    def hormander_ok(self, m: int | None = None) -> bool:
-        """True iff the first m horizontal directions bracket-generate R^d."""
-        cols = self.pair_matrix(m)
+    def hormander_ok(self) -> bool:
+        """True iff the horizontal directions bracket-generate R^d."""
+        iu, ju = np.triu_indices(self.n, k=1)
+        cols = self.coeffs[iu, ju, :].T
         if cols.size == 0:
             return False
         sv = np.linalg.svd(cols, compute_uv=False)
         return bool(sv[0] > 0 and sv[-1] > RANK_RTOL * sv[0]) and len(sv) >= self.d
 
-    def require_hormander(self, m: int | None = None):
-        if not self.hormander_ok(m):
-            m = self.n if m is None else m
+    def require_hormander(self):
+        if not self.hormander_ok():
             raise HormanderError(
-                f"form restricted to the first {m} horizontal coordinates does not "
-                f"span the {self.d} vertical directions"
+                f"the {self.n} horizontal coordinates of the form do not span "
+                f"its {self.d} vertical directions"
             )
 
 
@@ -198,30 +198,13 @@ def homogeneous_norm(x: GroupElement) -> float:
     return float(np.sqrt(np.dot(x.w, x.w) + np.linalg.norm(x.c)))
 
 
-def project(m: int, x: GroupElement) -> GroupElement:
-    """Zero horizontal coordinates beyond m; the vertical part is untouched.
-
-    Whether the truncated form still bracket-generates the vertical space is
-    for the caller to check (OmegaForm.hormander_ok); distance and simulation
-    routines refuse ranks that fail it.
-    """
-    if not 1 <= m <= x.n:
-        raise ValueError(f"rank must be in [1, {x.n}], got {m}")
-    w = np.array(x.w)
-    w[m:] = 0.0
-    return GroupElement(w, x.c)
-
-
 # Batched variants operating on arrays of coordinates; used by the Monte
 # Carlo and acceptance codepaths where element-at-a-time objects are too slow.
 
 def multiply_arrays(form, w1, c1, w2, c2):
+    """Coordinates of the products (w1, c1) * (w2, c2); leading axes broadcast,
+    so x.w, x.c against (N, n), (N, d) arrays left-translates N elements by x."""
     return w1 + w2, c1 + c2 + 0.5 * form.pair(w1, w2)
-
-
-def translate_endpoints(form, x: GroupElement, w_samples, c_samples):
-    """Left-translate a batch of elements by x: returns coords of x * g_i."""
-    return x.w + w_samples, x.c + c_samples + 0.5 * form.pair(x.w, w_samples)
 
 
 @dataclass(frozen=True)

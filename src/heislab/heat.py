@@ -27,9 +27,7 @@ import numpy as np
 
 from .curvature import CurvatureConstants
 from .geometry import cc_distance
-from .groups import (
-    GroupElement, OmegaForm, identity, multiply, multiply_arrays, translate_endpoints,
-)
+from .groups import GroupElement, OmegaForm, identity, multiply, multiply_arrays
 from .records import VerificationRecord, coords_str
 from .rng import mix64
 from .stochastic import _mean_se, sample_endpoints
@@ -142,12 +140,8 @@ class SemigroupSampler:
 
     def values(self, func, x: GroupElement) -> np.ndarray:
         """Per-sample values f(x * g_i); the raw material of every estimate."""
-        W, C = translate_endpoints(self.form, x, self._W, self._C)
+        W, C = multiply_arrays(self.form, x.w, x.c, self._W, self._C)
         return np.asarray(func(np.concatenate([W, C], axis=1)), dtype=float)
-
-    def estimate(self, func, x: GroupElement) -> tuple:
-        """P_T f(x) and its standard error."""
-        return _mean_se(self.values(func, x))
 
     # -- common-random-number derivative estimates ---------------------------
 

@@ -6,8 +6,9 @@ steps.  Because the form is antisymmetric the Ito and Stratonovich integrals
 coincide, so this left-point sum targets the group Brownian motion whose
 endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
 (seed, path index); the batch size never changes the draws.  Paths are
-arrays: ``sample_paths`` gives a batch (B, M), ``project_paths`` projects
-it to a rank, and ``sample_endpoints`` gives only the endpoints (W, C).
+arrays: ``sample_paths`` gives a batch (B, M) and ``sample_endpoints`` gives
+only the endpoints (W, C).  The rank-m projection of a path is its leading m
+coordinates, a path of the group of ``form.restrict(m)``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .rng import path_generator
 
 __all__ = [
     "sample_paths",
-    "project_paths",
     "sample_endpoints",
     "approximation_report",
     "refinement_convergence",
@@ -39,8 +39,8 @@ def _accumulate_vertical(form: OmegaForm, B, dB):
 
     B has shape (..., K, n) (positions at left endpoints), dB the increments.
     Returns the running sums with a leading zero row, shape (..., K+1, d).
-    A rank-m projection passes the form of the leading m coordinates and
-    the leading m columns (``_projected_vertical``), never zeroed columns.
+    A rank-m projection passes ``form.restrict(m)`` and the leading m
+    columns (``_projected_vertical``), never zeroed columns.
     """
     steps = form.pair(B, dB)
     zeros = np.zeros(steps.shape[:-2] + (1, steps.shape[-1]))
@@ -127,34 +127,15 @@ def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
     return W, C
 
 
-def _check_rank(form: OmegaForm, m: int):
-    if not 1 <= m <= form.n:
-        raise ValueError(f"rank must be in [1, {form.n}], got {m}")
-
-
 def _projected_vertical(form: OmegaForm, B, m: int):
     """The left-point vertical part of the rank-m projection of the paths B.
 
-    The projection zeroes every coordinate past m, so only the leading block
-    of the form pairs nonzero entries: the sums run over B[..., :m] with the
-    form restricted to the first m coordinates.
+    The sums run over the leading columns B[..., :m] with
+    ``form.restrict(m)``, by the same left-point rule as ``sample_paths``;
+    the result is recomputed from those columns, not a projection of M.
     """
-    lead = OmegaForm(m, form.d, form.coeffs[:m, :m])
     Bm = B[..., :m]
-    return _accumulate_vertical(lead, Bm[..., :-1, :], np.diff(Bm, axis=-2))
-
-
-def project_paths(form: OmegaForm, B, M, m: int):
-    """Project the paths (B, M) of ``sample_paths`` to rank m; at m = n they
-    are returned as they are.  The projected vertical part is recomputed
-    from the leading m columns by the same left-point rule, with the leading
-    m x m block of the form; it is not the projection of M."""
-    _check_rank(form, m)
-    if m == form.n:
-        return B, M
-    Bp = B.copy()
-    Bp[..., m:] = 0.0
-    return Bp, _projected_vertical(form, B, m)
+    return _accumulate_vertical(form.restrict(m), Bm[..., :-1, :], np.diff(Bm, axis=-2))
 
 
 def _sup_gap(form, B, M, m):
@@ -192,7 +173,7 @@ def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
     for m in ranks:
-        _check_rank(form, m)
+        form.restrict(m)        # a bad rank fails before any path is drawn
     sups = {m: [] for m in ranks}
     for start, count in _chunks(samples, STUDY_CHUNK):
         B, M = sample_paths(form, T, K, count, seed, start)

@@ -36,7 +36,9 @@ from heislab.heat import (
 )
 from heislab.polynomials import constant, random_polynomial, variable
 from heislab.rng import child_seed
-from heislab.stochastic import approximation_report, refinement_convergence, sample_endpoints
+from heislab.stochastic import (
+    _mean_se, approximation_report, refinement_convergence, sample_endpoints,
+)
 
 H1 = make_preset("heisenberg", pairs=1).form
 E2 = GroupElement([0.0, 0.0], [0.0])
@@ -271,7 +273,7 @@ def test_criterion_07_mc_pde_consistency(acceptance_density, acceptance_sampler)
     ok = True
     msgs = []
     for k, f in enumerate(bumps):
-        value, se = samp.estimate(f, E2)
+        value, se = _mean_se(samp.values(f, E2))
         oracle = dens.quadrature(f(pts).reshape(dens.values.shape) * dens.values)
         slack = 0.01 * (f.sup_bound() + abs(oracle))
         good = abs(value - oracle) <= 3 * se + slack

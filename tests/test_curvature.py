@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from heislab.curvature import (
-    curvature_constants,
-    harnack_coeff,
-    hs_norm_sq,
-    rho2,
-    vertical_gram,
-)
+from heislab.curvature import curvature_constants, hs_norm_sq, rho2, vertical_gram
 from heislab.groups import HormanderError, OmegaForm, make_preset
 
 
@@ -19,48 +13,49 @@ def random_form(rng, n, d):
 class TestHsNorm:
     def test_heisenberg_pair_count(self):
         form = make_preset("heisenberg", pairs=1).form
-        assert hs_norm_sq(form, 2) == pytest.approx(2.0)
+        assert hs_norm_sq(form.restrict(2)) == pytest.approx(2.0)
 
     def test_rank_one_vanishes(self):
         for name, kw in [("heisenberg", {"pairs": 2}), ("block_sum", {"weights": [1, 3]})]:
             form = make_preset(name, **kw).form
-            assert hs_norm_sq(form, 1) == 0.0
+            assert hs_norm_sq(form.restrict(1)) == 0.0
 
     def test_wiener_truncation_value(self):
         form = make_preset("wiener_truncation", pairs=2, s=2).form
-        assert hs_norm_sq(form, 4) == pytest.approx(2 * (1 + 1 / 16))
+        assert hs_norm_sq(form.restrict(4)) == pytest.approx(2 * (1 + 1 / 16))
 
     def test_monotone_in_rank(self):
         rng = np.random.default_rng(11)
         form = random_form(rng, 7, 3)
-        vals = [hs_norm_sq(form, m) for m in range(1, 8)]
+        vals = [hs_norm_sq(form.restrict(m)) for m in range(1, 8)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 class TestVerticalGram:
     def test_heisenberg(self):
         form = make_preset("heisenberg", pairs=1).form
-        assert np.allclose(vertical_gram(form, 2), [[2.0]])
+        assert np.allclose(vertical_gram(form.restrict(2)), [[2.0]])
 
     def test_block_sum_diagonal(self):
         form = make_preset("block_sum", weights=[1, 1]).form
-        assert np.allclose(vertical_gram(form, 4), [[2.0, 0.0], [0.0, 2.0]])
+        assert np.allclose(vertical_gram(form.restrict(4)), [[2.0, 0.0], [0.0, 2.0]])
 
     def test_zero_restriction(self):
         form = make_preset("block_sum", weights=[1, 1]).form
-        assert np.allclose(vertical_gram(form, 1), 0.0)
+        assert np.allclose(vertical_gram(form.restrict(1)), 0.0)
 
     def test_trace_equals_hs_norm(self):
         rng = np.random.default_rng(5)
         form = random_form(rng, 6, 2)
         for m in (2, 4, 6):
-            assert np.trace(vertical_gram(form, m)) == pytest.approx(hs_norm_sq(form, m))
+            sub = form.restrict(m)
+            assert np.trace(vertical_gram(sub)) == pytest.approx(hs_norm_sq(sub))
 
 
 class TestRho2:
     def test_heisenberg(self):
         form = make_preset("heisenberg", pairs=1).form
-        assert rho2(form, 2) == pytest.approx(2.0)
+        assert rho2(form.restrict(2)) == pytest.approx(2.0)
 
     def test_d1_equals_hs_norm(self):
         for name, kw in [
@@ -72,12 +67,12 @@ class TestRho2:
 
     def test_block_sum_takes_smallest_block(self):
         form = make_preset("block_sum", weights=[1, 3]).form
-        assert rho2(form, 4) == pytest.approx(2.0)
+        assert rho2(form.restrict(4)) == pytest.approx(2.0)
 
     def test_degenerate_rank_raises(self):
         form = make_preset("block_sum", weights=[1, 1]).form
         with pytest.raises(HormanderError):
-            rho2(form, 2)  # first block only: second vertical direction unreachable
+            rho2(form.restrict(2))  # first block only: second vertical direction unreachable
 
     def test_bounded_by_hs_norm_on_random_forms(self):
         rng = np.random.default_rng(17)
@@ -100,7 +95,7 @@ class TestRho2:
 class TestHarnackCoeff:
     def test_heisenberg(self):
         form = make_preset("heisenberg", pairs=1).form
-        assert harnack_coeff(form, 2) == pytest.approx(3.0)
+        assert curvature_constants(form.restrict(2)).harnack_coeff == pytest.approx(3.0)
 
     def test_d1_presets_give_three(self):
         for name, kw in [
@@ -108,17 +103,17 @@ class TestHarnackCoeff:
             ("wiener_truncation", {"pairs": 8, "s": 2}),
         ]:
             form = make_preset(name, **kw).form
-            assert harnack_coeff(form) == pytest.approx(3.0)
+            assert curvature_constants(form).harnack_coeff == pytest.approx(3.0)
 
     def test_block_sum_value(self):
         form = make_preset("block_sum", weights=[1, 3]).form
-        assert harnack_coeff(form, 4) == pytest.approx(21.0)
+        assert curvature_constants(form.restrict(4)).harnack_coeff == pytest.approx(21.0)
 
     def test_at_least_three(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
             form = random_form(rng, 5, 2)
-            assert harnack_coeff(form) >= 3.0 - 1e-12
+            assert curvature_constants(form).harnack_coeff >= 3.0 - 1e-12
 
 
 def test_constants_bundle():
@@ -143,8 +138,8 @@ def test_constants_build_one_gram_matrix(monkeypatch):
     form = make_preset("block_sum", weights=[1, 3]).form
     c = curvature_constants(form)
     assert len(calls) == 1
-    # the same bits as the one-constant functions, and the same rank check
-    assert (c.rho2, c.harnack_coeff) == (rho2(form), harnack_coeff(form))
+    # the same bits as the one-constant function, and the same rank check
+    assert c.rho2 == rho2(form)
     assert c.rho2 == np.linalg.eigvalsh(c.gram)[0]
     with pytest.raises(HormanderError, match="at rank 2 is singular"):
-        curvature_constants(make_preset("block_sum", weights=[1, 1]).form, 2)
+        curvature_constants(make_preset("block_sum", weights=[1, 1]).form.restrict(2))

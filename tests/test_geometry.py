@@ -9,7 +9,8 @@ from heislab.geometry import (
     vertical_displacement,
 )
 from heislab.groups import (
-    GroupElement, HormanderError, OmegaForm, dilate, identity, inverse, make_preset, multiply,
+    DimensionMismatchError, GroupElement, HormanderError, OmegaForm, dilate, identity, inverse,
+    make_preset, multiply,
 )
 
 H1 = make_preset("heisenberg", pairs=1).form
@@ -227,14 +228,15 @@ class TestDistance:
         assert res.diagnostics.get("shortcut") == "coincident"
 
     def test_rank_restriction_requires_hormander(self):
+        lead = H1.restrict(1)
         with pytest.raises(HormanderError):
-            cc_distance(H1, E, GroupElement([0.5, 0], [0.0]), rank=1)
+            cc_distance(lead, identity(lead), GroupElement([0.5], [0.0]))
 
     def test_target_support_outside_rank(self):
-        form = make_preset("heisenberg", pairs=2).form
-        e = GroupElement(np.zeros(4), [0.0])
-        with pytest.raises(ValueError):
-            cc_distance(form, e, GroupElement([0, 0, 1, 0], [0.0]), rank=2)
+        # a target of the full group does not live in the rank-2 projection group
+        lead = make_preset("heisenberg", pairs=2).form.restrict(2)
+        with pytest.raises(DimensionMismatchError):
+            cc_distance(lead, identity(lead), GroupElement([0, 0, 1, 0], [0.0]))
 
     def test_rotated_equal_weights(self):
         # heisenberg(3) in a random orthonormal basis: i A has one eigenvalue

@@ -16,8 +16,6 @@ from heislab.groups import (
     multiply,
     multiply_arrays,
     preset_catalog,
-    project,
-    translate_endpoints,
 )
 
 H1 = make_preset("heisenberg", pairs=1)
@@ -132,31 +130,40 @@ class TestNorms:
 
 
 class TestProjection:
-    def test_full_projection_is_identity(self):
-        x = elem(H2.form, [1, 2, 3, 4], [5])
-        assert project(4, x).isclose(x)
-
-    def test_vertical_untouched(self):
-        x = elem(H2.form, [1, 2, 3, 4], [5])
-        p = project(2, x)
-        assert np.allclose(p.w, [1, 2, 0, 0])
-        assert np.allclose(p.c, [5])
-
     def test_h3_rank_one_fails_hormander(self):
-        assert not H1.form.hormander_ok(1)
-        assert H1.form.hormander_ok(2)
+        assert not H1.form.restrict(1).hormander_ok()
+        assert H1.form.restrict(2).hormander_ok()
 
-    def test_projection_is_not_a_homomorphism(self):
-        # two elements supported on the second symplectic pair of n=4: their
-        # product picks up vertical mass that the rank-2 projection cannot see
-        form = H2.form
-        x = elem(form, [0, 0, 1, 0], [0])
-        y = elem(form, [0, 0, 0, 1], [0])
-        lhs = project(2, multiply(form, x, y))
-        rhs = multiply(form, project(2, x), project(2, y))
-        assert not lhs.isclose(rhs)
-        assert lhs.c[0] == pytest.approx(0.5)
-        assert rhs.c[0] == pytest.approx(0.0)
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_restrict_rejects_rank_outside_one_to_n(self, m):
+        with pytest.raises(ValueError, match="rank"):
+            H2.form.restrict(m)
+
+    def test_full_rank_restriction_is_the_form(self):
+        assert H2.form.restrict(4) is H2.form
+
+    def test_restriction_is_the_leading_block(self):
+        assert np.array_equal(H2.form.restrict(2).coeffs, H1.form.coeffs)
+        form = _dense_form(5, 3, 11)
+        sub = form.restrict(3)
+        assert (sub.n, sub.d) == (3, 3)
+        assert np.array_equal(sub.coeffs, form.coeffs[:3, :3])
+
+    @pytest.mark.parametrize("k,j", [(5, 3), (4, 2), (3, 1), (2, 2)])
+    def test_restrictions_compose(self, k, j):
+        form = _dense_form(5, 3, 11)
+        assert np.array_equal(form.restrict(k).restrict(j).coeffs, form.restrict(j).coeffs)
+
+    def test_leading_coordinates_multiply_as_the_projection_group(self):
+        # elements supported on the first m coordinates form a copy of the
+        # rank-m projection group; the pair (w3, w4) of heisenberg(2) is outside it
+        form, sub = H2.form, H2.form.restrict(2)
+        x = elem(form, [0.3, -1.2, 0, 0], [0.5])
+        y = elem(form, [0.7, 0.4, 0, 0], [-0.1])
+        full = multiply(form, x, y)
+        lead = multiply(sub, elem(sub, x.w[:2], x.c), elem(sub, y.w[:2], y.c))
+        assert np.array_equal(full.w[:2], lead.w) and np.all(full.w[2:] == 0.0)
+        assert np.array_equal(full.c, lead.c)
 
 
 class TestPresets:
@@ -230,10 +237,11 @@ class TestPair:
 
     @pytest.mark.parametrize("form", PAIR_FORMS)
     def test_translate_endpoints_is_a_broadcast_product(self, form):
+        # multiply_arrays left-translates N endpoints by one element x
         rng = np.random.default_rng(form.n + 7)
         x = GroupElement(rng.standard_normal(form.n), rng.standard_normal(form.d))
         W, C = rng.standard_normal((9, form.n)), rng.standard_normal((9, form.d))
-        tw, tc = translate_endpoints(form, x, W, C)
+        tw, tc = multiply_arrays(form, x.w, x.c, W, C)
         rw, rc = multiply_arrays(form, np.broadcast_to(x.w, W.shape),
                                  np.broadcast_to(x.c, C.shape), W, C)
         assert np.array_equal(tw, rw)

@@ -22,6 +22,7 @@ from heislab.heat import (
     verify_strong_feller,
     verify_wang_harnack,
 )
+from heislab.stochastic import _mean_se
 
 H1 = make_preset("heisenberg", pairs=1).form
 CC = curvature_constants(H1)
@@ -71,19 +72,19 @@ class TestBumpFunction:
 
 class TestSemigroupSampler:
     def test_constant_function_exact(self, sampler):
-        assert sampler.estimate(lambda pts: np.ones(len(pts)), E) == (1.0, 0.0)
+        assert _mean_se(sampler.values(lambda pts: np.ones(len(pts)), E)) == (1.0, 0.0)
 
     def test_contraction(self, sampler):
         f = BumpFunction(E, radius=2.0, height=1.0, floor=0.05)
-        value, _ = sampler.estimate(f, GroupElement([0.4, 0.1], [0.2]))
+        value, _ = _mean_se(sampler.values(f, GroupElement([0.4, 0.1], [0.2])))
         assert 0.05 - 1e-12 <= value <= f.sup_bound() + 1e-12
 
     def test_linearity_under_crn(self, sampler):
         f = BumpFunction(E, radius=2.0)
         g = BumpFunction(GroupElement([1.0, 0.0], [0.0]), radius=1.5)
         combo = lambda pts: 2.0 * f(pts) - 0.5 * g(pts)
-        lhs = sampler.estimate(combo, E)[0]
-        rhs = 2.0 * sampler.estimate(f, E)[0] - 0.5 * sampler.estimate(g, E)[0]
+        lhs = _mean_se(sampler.values(combo, E))[0]
+        rhs = 2.0 * _mean_se(sampler.values(f, E))[0] - 0.5 * _mean_se(sampler.values(g, E))[0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
     def test_odd_function_centered(self, sampler):
@@ -309,7 +310,7 @@ class TestMcPdeConsistency:
         # tolerance
         for center, radius in [(E, 2.0), (GroupElement([0.8, 0.0], [0.3]), 1.5), (E, 1.0)]:
             f = BumpFunction(center, radius=radius)
-            value, se = samp.estimate(f, E)
+            value, se = _mean_se(samp.values(f, E))
             fgrid = f(pts).reshape(small_density.values.shape)
             oracle = small_density.quadrature(fgrid * small_density.values)
             slack = 0.01 * (f.sup_bound() + abs(oracle))

@@ -7,8 +7,8 @@ from heislab.groups import GroupElement, dilate, make_preset
 from heislab.stochastic import (
     _accumulate_vertical,
     _endpoint_area,
+    _projected_vertical,
     approximation_report,
-    project_paths,
     refinement_convergence,
     sample_endpoints,
     sample_paths,
@@ -116,29 +116,28 @@ class TestMoments:
 
 
 class TestProjection:
+    """The rank-m projection of sample paths, as ``_sup_gap`` computes it."""
+
     def test_full_rank_is_identity(self):
         B, M = sample_paths(BS, 1.0, 32, 2, seed=43)
-        Bq, Mq = project_paths(BS, B, M, BS.n)
-        assert np.array_equal(B, Bq) and np.array_equal(M, Mq)
+        # np.diff(B) recovers the increments only up to round-off
+        assert np.allclose(_projected_vertical(BS, B, BS.n), M, rtol=0.0, atol=1e-13)
 
     def test_block_projection_zeroes_unfed_coordinate(self):
         B, M = sample_paths(BS, 1.0, 64, 2, seed=47, start=1)
-        Bq, Mq = project_paths(BS, B, M, 2)
-        assert np.all(Bq[..., 2:] == 0.0)
+        Mq = _projected_vertical(BS, B, 2)
         assert np.all(Mq[..., 1] == 0.0)          # second block cannot feed it
         assert not np.all(Mq[..., 0] == 0.0)
 
     def test_projection_chain_is_idempotent(self):
         B, M = sample_paths(BS, 1.0, 32, 2, seed=53, start=2)
-        a = project_paths(BS, *project_paths(BS, B, M, 3), 2)
-        b = project_paths(BS, B, M, 2)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = _projected_vertical(BS.restrict(3), B[..., :3], 2)
+        assert np.array_equal(a, _projected_vertical(BS, B, 2))
 
     def test_vertical_is_recomputed_not_projected(self):
         B, M = sample_paths(H1, 1.0, 128, 2, seed=59)
-        _, Mq = project_paths(H1, B, M, 1)
         # a single horizontal direction generates no area at all
-        assert np.all(Mq == 0.0)
+        assert np.all(_projected_vertical(H1, B, 1) == 0.0)
         assert not np.all(M == 0.0)
 
     @pytest.mark.parametrize("name,kw,rank", [
@@ -148,7 +147,7 @@ class TestProjection:
     def test_leading_block_matches_the_zeroed_full_form(self, name, kw, rank):
         form = make_preset(name, **kw).form
         B, M = sample_paths(form, 1.0, 64, 6, seed=83)
-        _, Mq = project_paths(form, B, M, rank)
+        Mq = _projected_vertical(form, B, rank)
         # reference: the whole form's left-point sum over the zeroed paths
         Bz = B.copy()
         Bz[..., rank:] = 0.0
@@ -162,7 +161,7 @@ class TestProjection:
     def test_rank_outside_one_to_n_is_rejected(self, rank):
         B, M = sample_paths(BS, 1.0, 8, 2, seed=61)
         with pytest.raises(ValueError, match="rank"):
-            project_paths(BS, B, M, rank)
+            _projected_vertical(BS, B, rank)
         with pytest.raises(ValueError, match="rank"):
             approximation_report(BS, 1.0, 8, [rank], 4, seed=61)
 
