@@ -32,8 +32,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import __version__, stochastic
 from .curvature import curvature_constants, rho2
@@ -258,18 +256,63 @@ PARAMS_DEFAULTS = {
     "oracle-h3": _GRID_DEFAULTS,
 }
 
-# one validator per schema, built once per process with the class that
-# jsonschema.validate would pick; the schemas are constant, so they are
-# checked against their meta-schema in the tests and not on every run
-_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_PARAMS_VALIDATORS = {name: validator_for(s)(s) for name, s in PARAMS_SCHEMAS.items()}
+# load_config checks configs against the schemas above with _schema_errors.
+# It implements only the JSON Schema keywords they use (_SCHEMA_KEYWORDS, with
+# additionalProperties false only), and words and picks each error as the
+# reference validator in the tests does; only the tests need that package,
+# and they also check the schemas against their meta-schema.  Unlike draft
+# 2020-12, an integer is never a float: 16.0 at an integer key would crash
+# its runner.
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
+_SCHEMA_KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "items", "minItems",
+                              "maxItems", "properties", "additionalProperties", "required"})
 
 
-def _validate(validator, instance, what: str) -> None:
-    """Raise ConfigError with the message of the error jsonschema.validate would raise."""
-    error = best_match(validator.iter_errors(instance))
+def _is(instance, name: str) -> bool:
+    return isinstance(instance, _JSON_TYPES[name]) and not isinstance(instance, bool)
+
+
+def _schema_errors(schema: dict, x, path=()):
+    """Yield (path, message) for each violation, in the schema's key order."""
+    for key, want in schema.items():
+        if key == "type" and not _is(x, want):
+            yield path, f"{x!r} is not of type {want!r}"
+        elif key == "enum" and x not in want:
+            yield path, f"{x!r} is not one of {want!r}"
+        elif key == "minimum" and _is(x, "number") and x < want:
+            yield path, f"{x!r} is less than the minimum of {want!r}"
+        elif key == "exclusiveMinimum" and _is(x, "number") and x <= want:
+            yield path, f"{x!r} is less than or equal to the minimum of {want!r}"
+        elif key == "items" and _is(x, "array"):
+            for index, item in enumerate(x):
+                yield from _schema_errors(want, item, path + (index,))
+        elif key == "minItems" and _is(x, "array") and len(x) < want:
+            yield path, f"{x!r} {'should be non-empty' if want == 1 else 'is too short'}"
+        elif key == "maxItems" and _is(x, "array") and len(x) > want:
+            yield path, f"{x!r} is too long"
+        elif key == "properties" and _is(x, "object"):
+            for name, sub in want.items():
+                if name in x:
+                    yield from _schema_errors(sub, x[name], path + (name,))
+        elif key == "additionalProperties" and not want and _is(x, "object"):
+            extras = sorted(set(x) - set(schema.get("properties", {})), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} {verb} unexpected)")
+        elif key == "required" and _is(x, "object"):
+            for name in want:
+                if name not in x:
+                    yield path, f"{name!r} is a required property"
+
+
+def _validate(schema: dict, instance, what: str) -> None:
+    """Raise ConfigError with the message of the error a JSON Schema
+    validator's best match picks: the shallowest, then the last by path, then
+    the first found."""
+    error = max(_schema_errors(schema, instance), key=lambda e: (-len(e[0]), e[0]), default=None)
     if error is not None:
-        raise ConfigError(f"{what}: {error.message}") from error
+        raise ConfigError(f"{what}: {error[1]}")
 
 
 def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunConfig:
@@ -280,13 +323,13 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _validate(_CONFIG_VALIDATOR, raw, "config schema violation")
+    _validate(CONFIG_SCHEMA, raw, "config schema violation")
     if "experiment" in raw and raw["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {raw['experiment']!r}, command is {experiment!r}"
         )
     params = raw.get("params", {})
-    _validate(_PARAMS_VALIDATORS[experiment], params, f"invalid params for {experiment}")
+    _validate(PARAMS_SCHEMAS[experiment], params, f"invalid params for {experiment}")
     resolved = dict(PARAMS_DEFAULTS[experiment])
     for key, value in params.items():
         if isinstance(value, dict):     # a partial bump or grid keeps the other defaults

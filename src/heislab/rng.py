@@ -20,14 +20,16 @@ import numpy as np
 __all__ = ["mix64", "child_seed", "path_generator"]
 
 
+def _encode(part) -> bytes:
+    """The bytes mix64 hashes for one part: the key layout."""
+    if isinstance(part, str):
+        return b"s" + part.encode("utf-8") + b"\x00"
+    return b"i" + int(part).to_bytes(16, "little", signed=True)
+
+
 def mix64(*parts) -> int:
     """Stable 64-bit hash of a tuple of ints and strings."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, str):
-            h.update(b"s" + part.encode("utf-8") + b"\x00")
-        else:
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+    h = hashlib.blake2b(b"".join(map(_encode, parts)), digest_size=8)
     return int.from_bytes(h.digest(), "little")
 
 
@@ -49,6 +51,13 @@ def _shared_philox():
     return np.random.Generator(bitgen), bitgen, state, state["state"]["key"]
 
 
+@functools.lru_cache(maxsize=1)
+def _path_key_prefix(seed: int):
+    """blake2b with ``mix64(seed, 0, i)``'s first two parts absorbed (the 0
+    is part of the fixed key layout); shared, so callers update a copy."""
+    return hashlib.blake2b(_encode(seed) + _encode(0), digest_size=8)
+
+
 def path_generator(seed: int, path_index: int) -> np.random.Generator:
     """Generator for one sample path; reproducible bit-for-bit from its key.
 
@@ -57,6 +66,8 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     from more than one thread.
     """
     gen, bitgen, state, key = _shared_philox()
-    key[0] = mix64(seed, 0, path_index)   # the 0 is part of the fixed key layout
+    h = _path_key_prefix(seed).copy()
+    h.update(_encode(path_index))
+    key[0] = int.from_bytes(h.digest(), "little")   # mix64(seed, 0, path_index)
     bitgen.state = state
     return gen

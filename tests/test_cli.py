@@ -1,9 +1,12 @@
+import copy
 import csv
 import importlib.util
 import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,11 +14,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from jsonschema.validators import validator_for
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend, validator_for
 
 from heislab.cli import (
-    _PARAMS_VALIDATORS, CONFIG_SCHEMA, EXPERIMENTS, PARAMS_DEFAULTS, PARAMS_SCHEMAS, ConfigError,
-    _symmetry_record, load_config, main,
+    _SCHEMA_KEYWORDS, CONFIG_SCHEMA, EXPERIMENTS, PARAMS_DEFAULTS, PARAMS_SCHEMAS, ConfigError,
+    _symmetry_record, _validate, load_config, main,
 )
 from heislab.geometry import cc_distance
 from heislab.groups import (
@@ -117,6 +121,20 @@ class TestConfigValidation:
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment, params", [
+        # draft 2020-12 counts 16.0 as an integer; the runners cannot
+        ("simulate", {"steps": 16.0, "samples": 100}),
+        ("convergence", {"K_list": [16.0, 32]}),
+    ])
+    def test_integral_float_at_an_integer_key_is_rejected(self, tmp_path, capsys, experiment,
+                                                          params):
+        cfg = write_config(tmp_path, "c.json", {"params": params})
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"configuration error: invalid params for "
+                                           f"{experiment}: 16.0 is not of type 'integer'\n")
+        assert not out.exists()
+
     def test_direction_longer_than_n_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"params": {"direction": [1.0, 0.0, 0.5]}})
         out = tmp_path / "o"
@@ -131,14 +149,84 @@ class TestConfigValidation:
         assert cfg.out == str(tmp_path / "real")
 
 
+def _subschemas(schema):
+    yield schema
+    for sub in [*schema.get("properties", {}).values(), *filter(None, [schema.get("items")])]:
+        yield from _subschemas(sub)
+
+
+def _message(schema, instance):
+    """The message load_config's validator gives, or None."""
+    try:
+        _validate(schema, instance, "x")
+    except ConfigError as exc:
+        return str(exc).removeprefix("x: ")
+    return None
+
+
+def _jsonschema_message(cls, schema, instance):
+    error = best_match(cls(schema).iter_errors(instance))
+    return None if error is None else error.message
+
+
+# jsonschema with the one deliberate difference: no float is an integer
+_StrictIntegers = extend(validator_for({}), type_checker=validator_for({}).TYPE_CHECKER.redefine(
+    "integer", lambda checker, x: isinstance(x, int) and not isinstance(x, bool)))
+
+_MUTANT_VALUES = [-1, 0, 1, 2, 3, 0.0, 0.5, 1.0, 1.5, 2.0, 16.0, -2.5, "x", "simulate", True,
+                  False, None, [], [1], [0.5, 2.0], [[0, 1], [2, 3]], [1, 2, 3], {},
+                  {"w": [0.0], "c": [0.0]}, {"w": []}, {"bogus": 1}]
+_MUTANT_KEYS = ["bogus", "aa", "zz", "samples", "T", "w", "c", "name", "seed", "experiment"]
+
+
+def _mutate(doc, rnd):
+    """doc with one to three random replacements, deletions or insertions."""
+    for _ in range(rnd.randint(1, 3)):
+        places = [()]
+        for path in places:       # grows while it is walked: every node's path
+            node = _at(doc, path)
+            keys = node if isinstance(node, dict) else range(len(node)) \
+                if isinstance(node, list) else ()
+            places.extend(path + (k,) for k in keys)
+        path = rnd.choice(places)
+        value = copy.deepcopy(rnd.choice(_MUTANT_VALUES))
+        node, op = _at(doc, path), rnd.randrange(3)
+        if op == 0 and isinstance(node, dict):
+            node[rnd.choice(_MUTANT_KEYS)] = value
+        elif op == 0 and isinstance(node, list):
+            node.append(value)
+        elif op == 1 and path:
+            del _at(doc, path[:-1])[path[-1]]
+        elif path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+FULL_CONFIG = {"experiment": "simulate", "preset": {"name": "heisenberg", "params": {"pairs": 1}},
+               "ranks": [1, 2], "seed": 3, "out": "o", "params": {"samples": 10}}
+
+
 class TestSchemaValidators:
-    """load_config validates with validators built once at import; the
-    constant schemas are checked against their meta-schema here instead."""
+    """load_config's own validator against jsonschema as the reference; the
+    constant schemas are checked against their meta-schema here."""
 
     @pytest.mark.parametrize("name", ["config", *PARAMS_SCHEMAS])
     def test_schema_is_valid(self, name):
         schema = CONFIG_SCHEMA if name == "config" else PARAMS_SCHEMAS[name]
         validator_for(schema).check_schema(schema)
+        # a keyword the validator does not implement would go unenforced
+        for sub in _subschemas(schema):
+            assert set(sub) <= _SCHEMA_KEYWORDS
+            assert sub.get("additionalProperties", False) is False
+            assert isinstance(sub.get("type", ""), str)
 
     def test_every_experiment_has_a_params_schema(self):
         assert set(PARAMS_SCHEMAS) == set(EXPERIMENTS)
@@ -152,6 +240,9 @@ class TestSchemaValidators:
         # two violations at once: the message is jsonschema's best match
         ("curvature", {"seed": "x", "bogus": 1}),
         ("distance", {"params": {"segments": 0}}),
+        ("curvature", {"experiment": "nope"}),
+        # a type and an enum error at one place: the first found wins
+        ("curvature", {"experiment": 5}),
     ])
     def test_error_text_matches_jsonschema_validate(self, tmp_path, capsys, experiment, raw):
         try:
@@ -171,21 +262,27 @@ class TestSchemaValidators:
         assert capsys.readouterr().err == f"configuration error: {expected}\n"
         assert not out.exists()
 
-    def test_no_meta_schema_check_per_call(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("schema re-checked at run time")
-
-        for cls in {validator_for(s) for s in [CONFIG_SCHEMA, *PARAMS_SCHEMAS.values()]}:
-            monkeypatch.setattr(cls, "check_schema", refuse)
-        # the patch bites: jsonschema.validate checks the schema on every call
-        with pytest.raises(AssertionError):
-            jsonschema.validate({}, CONFIG_SCHEMA)
-        good = write_config(tmp_path, "good.json",
-                            {"seed": 3, "params": {"target": {"w": [0, 0], "c": [1.0]}}})
-        assert load_config("distance", good, None, None).seed == 3
-        bad = write_config(tmp_path, "bad.json", {"params": {"segments": 0}})
-        with pytest.raises(ConfigError, match="invalid params for distance"):
-            load_config("distance", bad, None, None)
+    @pytest.mark.parametrize("name", ["config", *PARAMS_SCHEMAS])
+    def test_mutated_configs_match_jsonschema(self, name):
+        # accept/reject and message agree with jsonschema's best match, but
+        # for an integral float at an integer key, which only ours rejects
+        if name == "config":
+            schema, base = CONFIG_SCHEMA, FULL_CONFIG
+        else:
+            schema, base = PARAMS_SCHEMAS[name], PARAMS_DEFAULTS[name]
+            if name == "distance":
+                base = {"target": {"w": [1.0], "c": [0.0]}, **base}
+        rnd = random.Random(f"mutants-{name}")
+        plain = validator_for(schema)
+        rejected = 0
+        for case in range(300):
+            doc = _mutate(copy.deepcopy(base), rnd) if case else copy.deepcopy(base)
+            got = _message(schema, doc)
+            assert got == _jsonschema_message(_StrictIntegers, schema, doc), doc
+            if got != _jsonschema_message(plain, schema, doc):
+                assert re.fullmatch(r"-?\d+\.0 is not of type 'integer'", got), doc
+            rejected += got is not None
+        assert 0 < rejected < 300
 
 
 class TestParamsDefaults:
@@ -200,7 +297,7 @@ class TestParamsDefaults:
         defaults = PARAMS_DEFAULTS[experiment]
         if experiment == "distance":
             defaults = {"target": {"w": [1.0], "c": [0.0]}, **defaults}
-        _PARAMS_VALIDATORS[experiment].validate(defaults)
+        jsonschema.validate(defaults, PARAMS_SCHEMAS[experiment])
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_every_key_has_a_default(self, experiment):
@@ -674,7 +771,8 @@ class TestScipyFree:
         # the benchmark's set-up steps, then default simulate and verify-cd, a
         # small-grid verify-integrated-harnack and a heisenberg(1) distance,
         # in a fresh interpreter, and last a distance on a form that is not a
-        # sum of coordinate pairs: no scipy module is ever loaded
+        # sum of coordinate pairs: no scipy module is ever loaded, and no
+        # jsonschema module either (configs are validated without it)
         ih = write_config(tmp_path, "ih.json", {"params": {"grid": SMALL_GRID, "T": 0.5}})
         dist = write_config(tmp_path, "d.json", {"params": {"target": {"w": [0.3, 0.2],
                                                                        "c": [0.4]}}})
@@ -696,7 +794,8 @@ pairs = np.zeros((4, 4))
 pairs[0, 1], pairs[2, 3] = 1.0, 2.0
 form = OmegaForm(4, 1, (rot @ (pairs - pairs.T) @ rot.T)[:, :, None])
 res = cc_distance(form, identity(form), GroupElement([0.3, 0.1, -0.2, 0.2], [0.3]))
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "jsonschema", "referencing", "attrs"))
 print(json.dumps({{"codes": codes, "loaded": loaded, "distance": res.distance}}))
 """
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
