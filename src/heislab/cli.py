@@ -2,8 +2,9 @@
 
 Every experiment consumes a JSON config (unknown keys are rejected), derives
 one deterministic child seed per work item from the master seed (a sweep over
-T is one item: its endpoint set is drawn once and dilated to each T), and
-writes three files to the output directory:
+T is one item: its endpoint set is drawn once and dilated to each T; so is
+convergence: it draws one path set, and its refinement and projection studies
+both read it), and writes three files to the output directory:
 
 * records.csv   - one VerificationRecord per row; the body is byte-identical
                   across runs for equal configs
@@ -51,7 +52,7 @@ from .heat import (
 from .polynomials import random_polynomial
 from .records import VerificationRecord, coords_str, fmt_float, records_to_csv, summarize
 from .rng import child_seed
-from .stochastic import refinement_convergence, approximation_report, sample_endpoints
+from .stochastic import convergence_study, sample_endpoints
 
 EXPERIMENTS = [
     "curvature", "distance", "simulate", "convergence", "verify-cd",
@@ -100,7 +101,8 @@ CONFIG_SCHEMA = {
             "required": ["name"],
         },
         "ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "seed": {"type": "integer", "minimum": 0},
+        # rng._encode packs each key part into 16 signed bytes
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**127 - 1},
         "out": {"type": "string"},
         "params": {"type": "object"},
     },
@@ -264,8 +266,9 @@ PARAMS_DEFAULTS = {
 # 2020-12, an integer is never a float: 16.0 at an integer key would crash
 # its runner.
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
-_SCHEMA_KEYWORDS = frozenset({"type", "enum", "minimum", "exclusiveMinimum", "items", "minItems",
-                              "maxItems", "properties", "additionalProperties", "required"})
+_SCHEMA_KEYWORDS = frozenset({"type", "enum", "minimum", "maximum", "exclusiveMinimum", "items",
+                              "minItems", "maxItems", "properties", "additionalProperties",
+                              "required"})
 
 
 def _is(instance, name: str) -> bool:
@@ -281,6 +284,8 @@ def _schema_errors(schema: dict, x, path=()):
             yield path, f"{x!r} is not one of {want!r}"
         elif key == "minimum" and _is(x, "number") and x < want:
             yield path, f"{x!r} is less than the minimum of {want!r}"
+        elif key == "maximum" and _is(x, "number") and x > want:
+            yield path, f"{x!r} is greater than the maximum of {want!r}"
         elif key == "exclusiveMinimum" and _is(x, "number") and x <= want:
             yield path, f"{x!r} is less than or equal to the minimum of {want!r}"
         elif key == "items" and _is(x, "array"):
@@ -324,6 +329,8 @@ def load_config(experiment: str, path: str | None, seed_flag, out_flag) -> RunCo
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _validate(CONFIG_SCHEMA, raw, "config schema violation")
+    if seed_flag is not None:
+        _validate(CONFIG_SCHEMA["properties"]["seed"], seed_flag, "--seed")
     if "experiment" in raw and raw["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {raw['experiment']!r}, command is {experiment!r}"
@@ -451,15 +458,14 @@ def exp_convergence(cfg, form):
     ranks = cfg.ranks = cfg.ranks or sorted({max(2, form.n // 4), form.n // 2, form.n})
     if len(ranks) < 2:
         raise ConfigError("convergence needs at least two ranks to compare")
-    ref = refinement_convergence(form, T, K_list, samples, seed=child_seed(cfg.seed, "refine", 0))
+    # one path set feeds both studies
+    ref, rep = convergence_study(form, T, K_list, ranks, samples, p_moments=tuple(p_moments),
+                                 seed=child_seed(cfg.seed, "projection", 0))
     order_ok = abs(ref.fitted_order - 0.5) <= 0.15
     records = [VerificationRecord(
         record_id="refinement-order", rank=form.n, T=T,
         lhs=ref.fitted_order, rhs=0.5, margin=0.15 - abs(ref.fitted_order - 0.5),
         passed=order_ok, detail={"rms": ref.rms})]
-    rep = approximation_report(form, T, max(K_list), ranks, samples,
-                               p_moments=tuple(p_moments),
-                               seed=child_seed(cfg.seed, "projection", 0))
     for pm in p_moments:
         seq = rep.sequence(pm)
         records.append(VerificationRecord(

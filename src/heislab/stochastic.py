@@ -9,6 +9,11 @@ endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
 arrays: ``sample_paths`` gives a batch (B, M) and ``sample_endpoints`` gives
 only the endpoints (W, C).  The rank-m projection of a path is its leading m
 coordinates, a path of the group of ``form.restrict(m)``.
+
+``convergence_study`` draws one path set and both of its studies read each
+batch: the time-step refinement of the left-point area reads coarser grids
+as subsamples of the positions, and the rank-m projection reads the leading
+columns.  No path is drawn twice.
 """
 
 from __future__ import annotations
@@ -23,37 +28,41 @@ from .rng import path_generator
 __all__ = [
     "sample_paths",
     "sample_endpoints",
-    "approximation_report",
+    "convergence_study",
     "refinement_convergence",
+    "approximation_report",
 ]
 
-# paths per batch of the convergence studies, which keep whole paths in memory
+# paths per batch of the convergence study, which keeps whole paths in memory
 STUDY_CHUNK = 512
 
 # path keys drawn since cli.run last set this to 0; it goes to manifest.json
 paths_drawn = 0
 
 
-def _accumulate_vertical(form: OmegaForm, B, dB):
-    """Left-point sums form(B_k, dB_k) cumulated along the step axis.
+def _accumulate_vertical(form: OmegaForm, B):
+    """Running left-point sums of form(B_k, B_{k+1} - B_k) along the paths B.
 
-    B has shape (..., K, n) (positions at left endpoints), dB the increments.
-    Returns the running sums with a leading zero row, shape (..., K+1, d).
-    A rank-m projection passes ``form.restrict(m)`` and the leading m
-    columns (``_projected_vertical``), never zeroed columns.
+    B has shape (..., K+1, n); the result has shape (..., K+1, d) with a
+    zero row 0.  Each step pairs consecutive positions, form(B_k, B_{k+1}),
+    which equals form(B_k, dB_k) because the form is antisymmetric, so no
+    increment array is formed.  A rank-m projection passes
+    ``form.restrict(m)`` and the leading m columns (``_projected_vertical``),
+    never zeroed columns.
     """
-    steps = form.pair(B, dB)
-    zeros = np.zeros(steps.shape[:-2] + (1, steps.shape[-1]))
-    return np.concatenate([zeros, np.cumsum(steps, axis=-2)], axis=-2)
+    M = np.zeros(B.shape[:-1] + (form.d,))
+    np.cumsum(form.pair(B[..., :-1, :], B[..., 1:, :]), axis=-2, out=M[..., 1:, :])
+    return M
 
 
 def _endpoint_area(form: OmegaForm, left, inc):
     """The whole left-point sum form(B_k, dB_k), without its running values.
 
-    ``left`` and ``inc`` have shape (..., K, n); the result, shape (..., d),
-    equals the last row of ``_accumulate_vertical``.  The step sum collapses
-    into one batched matrix product S = left^T inc of shape (..., n, n), so
-    no per-step temporary is formed.
+    ``left`` and ``inc`` have shape (..., K, n); ``inc`` may also be the
+    right endpoints B_{k+1}, which give the same sum by antisymmetry.  The
+    result, shape (..., d), equals the last row of ``_accumulate_vertical``.
+    The step sum collapses into one batched matrix product S = left^T inc of
+    shape (..., n, n), so no per-step temporary is formed.
     """
     S = left.swapaxes(-1, -2) @ inc
     return np.einsum("...ij,lij->...l", S, form.vertical_matrices())
@@ -72,12 +81,18 @@ def _chunks(samples, size):
         yield start, min(size, samples - start)
 
 
-def _batch_increments(form, T, K, seed, start, count):
+def _draw_normals(seed, start, out):
+    """Fill out[p], one contiguous block per path, with the standard normals
+    of path start + p, keyed (seed, start + p)."""
     global paths_drawn
-    paths_drawn += count
+    paths_drawn += len(out)
+    for p in range(len(out)):
+        path_generator(seed, start + p).standard_normal(out=out[p])
+
+
+def _batch_increments(form, T, K, seed, start, count):
     inc = np.empty((count, K, form.n))
-    for p in range(count):
-        path_generator(seed, start + p).standard_normal(out=inc[p])
+    _draw_normals(seed, start, inc)
     inc *= np.sqrt(T / K)
     return inc
 
@@ -101,11 +116,18 @@ def _mean_se(v):
 def sample_paths(form: OmegaForm, T: float, K: int, count: int, seed: int,
                  start: int = 0):
     """Paths start..start+count-1 of K steps on [0, T], keyed (seed, p), as
-    arrays B (count, K+1, n) and M (count, K+1, d) whose row 0 is zero."""
+    arrays B (count, K+1, n) and M (count, K+1, d) whose row 0 is zero.
+
+    The increments are drawn into rows 1..K of B and summed there in place,
+    so B is the only path-sized array besides M.
+    """
     _check_grid(T, K)
-    inc = _batch_increments(form, T, K, seed, start, count)
-    B = np.concatenate([np.zeros((count, 1, form.n)), np.cumsum(inc, axis=1)], axis=1)
-    return B, _accumulate_vertical(form, B[:, :-1, :], inc)
+    B = np.empty((count, K + 1, form.n))
+    B[:, 0] = 0.0
+    _draw_normals(seed, start, B[:, 1:])
+    B *= np.sqrt(T / K)
+    np.cumsum(B, axis=1, out=B)
+    return B, _accumulate_vertical(form, B)
 
 
 def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
@@ -134,20 +156,48 @@ def _projected_vertical(form: OmegaForm, B, m: int):
     ``form.restrict(m)``, by the same left-point rule as ``sample_paths``;
     the result is recomputed from those columns, not a projection of M.
     """
-    Bm = B[..., :m]
-    return _accumulate_vertical(form.restrict(m), Bm[..., :-1, :], np.diff(Bm, axis=-2))
+    return _accumulate_vertical(form.restrict(m), B[..., :m])
 
 
-def _sup_gap(form, B, M, m):
-    """Per path, the sup over grid times of the homogeneous norm of (B, M/2)
-    minus its rank-m projection.  The horizontal gap is B[..., m:] and the
-    projection's vertical part dies on return; no projected copy of B is
-    made."""
-    if m == form.n:
-        return np.zeros(len(B))
-    dw2 = np.sum(B[..., m:] ** 2, axis=2)
-    dc = np.linalg.norm(0.5 * (M - _projected_vertical(form, B, m)), axis=2)
-    return np.sqrt(dw2 + dc).max(axis=1)
+def refinement_convergence(form: OmegaForm, B, M, K_list):
+    """Endpoint areas M_T of one batch of paths at each step count of K_list.
+
+    B and M are a ``sample_paths`` batch of K_list[-1] steps, which every
+    step count divides.  Level K reads its grid's positions
+    B[:, ::K_list[-1] // K], so each coarse step sums consecutive fine
+    steps (the levels are coupled), and pairs consecutive rows; the finest
+    level is the last row of M.  Returns shape (len(K_list), count, d).
+    """
+    areas = []
+    for K in K_list[:-1]:
+        Bc = B[:, ::K_list[-1] // K]
+        areas.append(_endpoint_area(form, Bc[:, :-1], Bc[:, 1:]))
+    areas.append(M[:, -1])
+    return np.stack(areas)
+
+
+def approximation_report(form: OmegaForm, B, M, ranks):
+    """Per rank m, each path's sup over grid times of the homogeneous norm
+    of (B, M/2) minus its rank-m projection: shape (len(ranks), count).
+
+    The horizontal gap is B[..., m:] and the projection's vertical part dies
+    on return; no projected copy of B is made.  The sup runs over grid times
+    only; the continuous-time gap is not corrected.
+    """
+    sups = np.zeros((len(ranks), len(B)))
+    for i, m in enumerate(ranks):
+        if m < form.n:
+            dw2 = np.einsum("pki,pki->pk", B[..., m:], B[..., m:])
+            dc = np.linalg.norm(0.5 * (M - _projected_vertical(form, B, m)), axis=2)
+            sups[i] = np.sqrt(dw2 + dc).max(axis=1)
+    return sups
+
+
+@dataclass
+class RefinementReport:
+    K_list: list
+    rms: list
+    fitted_order: float
 
 
 @dataclass
@@ -161,74 +211,49 @@ class ApproximationReport:
         return [self.errors[(m, p)] for m in self.ranks]
 
 
-def approximation_report(form: OmegaForm, T: float, K: int, ranks, samples: int,
-                         p_moments=(1, 2, 4), seed: int = 0) -> ApproximationReport:
-    """Monte Carlo sup-over-grid error between projected and full paths.
-
-    For each rank in [1, n], estimates E[sup_k |g^rank_k - g_k|^p] in the
-    homogeneous norm of the coordinate difference.  The sup runs over grid
-    times only; the continuous-time gap is not corrected.
+def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
+                      p_moments=(1, 2, 4), seed: int = 0):
+    """Both convergence studies on one set of ``samples`` paths of K_list[-1]
+    steps, each batch drawn once and read by ``refinement_convergence`` (the
+    RMS differences of M_T between successive step counts isolate the
+    left-point rule's quadrature error, whose order in the step size is the
+    fitted slope) and by ``approximation_report`` (per rank, the mean p-th
+    power of the sup gap, and whether it falls with the rank within 3
+    standard errors).  Returns (RefinementReport, ApproximationReport).
     """
-    ranks = list(ranks)
+    K_list, ranks = list(K_list), list(ranks)
+    if any(b <= a for a, b in zip(K_list, K_list[1:])):
+        raise ValueError("step counts must be strictly increasing")
+    if any(K_list[-1] % k for k in K_list):
+        raise ValueError("every step count must divide the largest one")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
     for m in ranks:
         form.restrict(m)        # a bad rank fails before any path is drawn
-    sups = {m: [] for m in ranks}
-    for start, count in _chunks(samples, STUDY_CHUNK):
-        B, M = sample_paths(form, T, K, count, seed, start)
-        for m in ranks:
-            sups[m].append(_sup_gap(form, B, M, m))
-    errors, stderrs = {}, {}
-    for m, chunks in sups.items():
-        sup = np.concatenate(chunks)
-        for p in p_moments:
-            errors[(m, p)], stderrs[(m, p)] = _mean_se(sup ** p)
-    monotone = True
-    for p in p_moments:
-        for a, b in zip(ranks, ranks[1:]):
-            slack = 3.0 * np.hypot(stderrs[(a, p)], stderrs[(b, p)])
-            if errors[(b, p)] > errors[(a, p)] + slack:
-                monotone = False
-    return ApproximationReport(ranks, errors, stderrs, monotone)
-
-
-@dataclass
-class RefinementReport:
-    K_list: list
-    rms: list
-    fitted_order: float
-
-
-def refinement_convergence(form: OmegaForm, T: float, K_list, samples: int,
-                           seed: int = 0) -> RefinementReport:
-    """Coupled refinement study of the vertical integral discretization.
-
-    All resolutions reuse the same underlying increments (coarser levels sum
-    consecutive fine steps), so the reported RMS differences of M_T between
-    successive resolutions isolate the quadrature error of the left-point
-    rule; its order in the step size is the fitted slope.
-    """
-    K_list = list(K_list)
-    if any(b <= a for a, b in zip(K_list, K_list[1:])):
-        raise ValueError("step counts must be strictly increasing")
-    K_max = K_list[-1]
-    if any(K_max % k for k in K_list):
-        raise ValueError("every step count must divide the largest one")
     sq_diffs = np.zeros(len(K_list) - 1)
+    sups = []
     for start, count in _chunks(samples, STUDY_CHUNK):
-        inc = _batch_increments(form, T, K_max, seed, start, count)
-        m_at_K = []
-        for K in K_list:
-            factor = K_max // K
-            inc_c = inc.reshape(count, K, factor, form.n).sum(axis=2)
-            m_at_K.append(_endpoint_sums(form, inc_c)[1])
-        for i in range(len(K_list) - 1):
-            sq_diffs[i] += float(np.sum((m_at_K[i] - m_at_K[i + 1]) ** 2))
+        B, M = sample_paths(form, T, K_list[-1], count, seed, start)
+        areas = refinement_convergence(form, B, M, K_list)
+        sq_diffs += np.sum((areas[:-1] - areas[1:]) ** 2, axis=(1, 2))
+        sups.append(approximation_report(form, B, M, ranks))
+        del B, M                # before the next batch is drawn
     rms = np.sqrt(sq_diffs / samples)
     steps = [T / k for k in K_list[:-1]]
     if len(steps) >= 2 and np.all(rms > 0):
         order = float(np.polyfit(np.log(steps), np.log(rms), 1)[0])
     else:
         order = float("nan")
-    return RefinementReport(K_list, [float(v) for v in rms], order)
+    sup = np.concatenate(sups, axis=1)
+    errors, stderrs = {}, {}
+    for m, row in zip(ranks, sup):
+        for p in p_moments:
+            errors[(m, p)], stderrs[(m, p)] = _mean_se(row ** p)
+    monotone = True
+    for p in p_moments:
+        for a, b in zip(ranks, ranks[1:]):
+            slack = 3.0 * np.hypot(stderrs[(a, p)], stderrs[(b, p)])
+            if errors[(b, p)] > errors[(a, p)] + slack:
+                monotone = False
+    return (RefinementReport(K_list, [float(v) for v in rms], order),
+            ApproximationReport(ranks, errors, stderrs, monotone))

@@ -36,9 +36,7 @@ from heislab.heat import (
 )
 from heislab.polynomials import constant, random_polynomial, variable
 from heislab.rng import child_seed
-from heislab.stochastic import (
-    _mean_se, approximation_report, refinement_convergence, sample_endpoints,
-)
+from heislab.stochastic import _mean_se, convergence_study, sample_endpoints
 
 H1 = make_preset("heisenberg", pairs=1).form
 E2 = GroupElement([0.0, 0.0], [0.0])
@@ -247,11 +245,12 @@ def test_criterion_06_brownian_statistics():
     v = C[:, 0] ** 2
     se_var = v.std(ddof=1) / math.sqrt(N)
     var_ok = abs(v.mean() - T * T / 4) < 3 * se_var
-    ref = refinement_convergence(H1, T, [16, 32, 64, 128, 256, 512], 4000,
-                                 seed=child_seed(2024, "c6", 1))
+    # two studies: the refinement on H3 and the projection on wt
+    ref, _ = convergence_study(H1, T, [16, 32, 64, 128, 256, 512], [H1.n], 4000,
+                               seed=child_seed(2024, "c6", 1))
     order_ok = abs(ref.fitted_order - 0.5) <= 0.15
     wt = make_preset("wiener_truncation", pairs=16, s=2).form
-    rep = approximation_report(wt, T, 256, [4, 8, 16, 32], 2000,
+    _, rep = convergence_study(wt, T, [256], [4, 8, 16, 32], 2000,
                                seed=child_seed(2024, "c6", 2))
     ok = cov_ok and var_ok and order_ok and rep.monotone_ok
     assert report(6, "Brownian statistics", ok,

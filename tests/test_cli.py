@@ -142,6 +142,30 @@ class TestConfigValidation:
         assert "direction has too many coordinates for n=2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, flags, message", [
+        # a seed must fit the 16 signed bytes of a path key
+        ({"seed": 2**128, "params": {"samples": 10, "steps": 4}}, [],
+         f"config schema violation: {2**128} is greater than the maximum of {2**127 - 1}"),
+        ({"params": {"samples": 10, "steps": 4}}, ["--seed", "-3"],
+         "--seed: -3 is less than the minimum of 0"),
+        ({"params": {"samples": 10, "steps": 4}}, ["--seed", str(2**127)],
+         f"--seed: {2**127} is greater than the maximum of {2**127 - 1}"),
+    ], ids=["config-above", "flag-below", "flag-above"])
+    def test_seed_outside_the_key_range_is_rejected(self, tmp_path, capsys, raw, flags,
+                                                    message):
+        cfg = write_config(tmp_path, "c.json", raw)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json",
+                           {"seed": 2**127 - 1, "params": {"samples": 10, "steps": 4}})
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out]) in (0, 1)
+        assert read_manifest(out)["config"]["seed"] == 2**127 - 1
+
     def test_seed_and_out_flags_override(self, tmp_path):
         cfg_path = write_config(tmp_path, "c.json", {"seed": 1, "out": "ignored"})
         cfg = load_config("curvature", cfg_path, 999, str(tmp_path / "real"))
@@ -243,6 +267,8 @@ class TestSchemaValidators:
         ("curvature", {"experiment": "nope"}),
         # a type and an enum error at one place: the first found wins
         ("curvature", {"experiment": 5}),
+        # one past the largest seed a path key holds
+        ("curvature", {"seed": 2**127}),
     ])
     def test_error_text_matches_jsonschema_validate(self, tmp_path, capsys, experiment, raw):
         try:
@@ -897,3 +923,10 @@ class TestDeterminism:
             out = str(tmp_path / experiment)
             assert main([experiment, "--out", out]) in (0, 1)
             assert read_manifest(out)["paths_drawn"] == paths
+
+    def test_convergence_draws_each_path_once(self, tmp_path):
+        # the refinement and the projection study read one path set
+        cfg = write_config(tmp_path, "c.json", {"params": TINY["convergence"]})
+        out = str(tmp_path / "o")
+        assert main(["convergence", "--config", cfg, "--out", out]) in (0, 1)
+        assert read_manifest(out)["paths_drawn"] == TINY["convergence"]["samples"]

@@ -3,12 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heislab import stochastic
 from heislab.groups import GroupElement, dilate, make_preset
+from heislab.rng import path_generator
 from heislab.stochastic import (
     _accumulate_vertical,
     _endpoint_area,
     _projected_vertical,
-    approximation_report,
+    convergence_study,
     refinement_convergence,
     sample_endpoints,
     sample_paths,
@@ -75,10 +77,9 @@ class TestEndpointArea:
         form = make_preset(name, **kw).form
         rng = np.random.default_rng(7)
         inc = rng.standard_normal((5, 40, form.n))
-        left = np.concatenate([np.zeros((5, 1, form.n)), np.cumsum(inc, axis=1)[:, :-1]],
-                              axis=1)
-        ref = _accumulate_vertical(form, left, inc)[..., -1, :]
-        got = _endpoint_area(form, left, inc)
+        B = np.concatenate([np.zeros((5, 1, form.n)), np.cumsum(inc, axis=1)], axis=1)
+        ref = _accumulate_vertical(form, B)[..., -1, :]
+        got = _endpoint_area(form, B[:, :-1], inc)
         assert got.shape == (5, form.d)
         assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
@@ -116,12 +117,13 @@ class TestMoments:
 
 
 class TestProjection:
-    """The rank-m projection of sample paths, as ``_sup_gap`` computes it."""
+    """The rank-m projection of sample paths, as ``approximation_report``
+    computes it."""
 
     def test_full_rank_is_identity(self):
         B, M = sample_paths(BS, 1.0, 32, 2, seed=43)
-        # np.diff(B) recovers the increments only up to round-off
-        assert np.allclose(_projected_vertical(BS, B, BS.n), M, rtol=0.0, atol=1e-13)
+        # the same left-point rule on the same positions
+        assert np.array_equal(_projected_vertical(BS, B, BS.n), M)
 
     def test_block_projection_zeroes_unfed_coordinate(self):
         B, M = sample_paths(BS, 1.0, 64, 2, seed=47, start=1)
@@ -162,14 +164,16 @@ class TestProjection:
         B, M = sample_paths(BS, 1.0, 8, 2, seed=61)
         with pytest.raises(ValueError, match="rank"):
             _projected_vertical(BS, B, rank)
+        drawn = stochastic.paths_drawn
         with pytest.raises(ValueError, match="rank"):
-            approximation_report(BS, 1.0, 8, [rank], 4, seed=61)
+            convergence_study(BS, 1.0, [8], [rank], 4, seed=61)
+        assert stochastic.paths_drawn == drawn      # rejected before any draw
 
 
 class TestApproximationReport:
     def test_full_rank_error_zero_and_monotone(self):
         form = make_preset("wiener_truncation", pairs=8, s=2).form
-        rep = approximation_report(form, 1.0, 128, [4, 8, 16], 600, seed=61)
+        _, rep = convergence_study(form, 1.0, [128], [4, 8, 16], 600, seed=61)
         assert rep.monotone_ok
         assert rep.errors[(16, 2)] == 0.0
         seq = rep.sequence(2)
@@ -177,49 +181,72 @@ class TestApproximationReport:
 
     def test_stderr_scales_with_samples(self):
         form = make_preset("wiener_truncation", pairs=4, s=2).form
-        r1 = approximation_report(form, 1.0, 64, [2, 4], 500, seed=67)
-        r4 = approximation_report(form, 1.0, 64, [2, 4], 2000, seed=67)
+        _, r1 = convergence_study(form, 1.0, [64], [2, 4], 500, seed=67)
+        _, r4 = convergence_study(form, 1.0, [64], [2, 4], 2000, seed=67)
         ratio = r1.stderrs[(2, 2)] / r4.stderrs[(2, 2)]
         assert ratio == pytest.approx(2.0, rel=0.35)
 
     def test_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        a = approximation_report(WT, 1.0, 32, [2, 8, 16], 20, seed=73)
-        r = refinement_convergence(H1, 1.0, [4, 8, 16], 20, seed=73)
+        def studies():
+            return [convergence_study(WT, 1.0, [8, 16, 32], [2, 8, 16], 20, seed=73),
+                    convergence_study(H1, 1.0, [4, 8, 16], [1, 2], 20, seed=73)]
+
+        before = studies()
         monkeypatch.setattr("heislab.stochastic.STUDY_CHUNK", 7)
-        b = approximation_report(WT, 1.0, 32, [2, 8, 16], 20, seed=73)
-        s = refinement_convergence(H1, 1.0, [4, 8, 16], 20, seed=73)
-        assert a.errors == b.errors and a.stderrs == b.stderrs
-        # the per-chunk sums of squares add in another order
-        assert s.rms == pytest.approx(r.rms, rel=1e-12, abs=0.0)
+        for (r, a), (s, b) in zip(before, studies()):
+            assert a.errors == b.errors and a.stderrs == b.stderrs
+            # the per-chunk sums of squares add in another order
+            assert s.rms == pytest.approx(r.rms, rel=1e-12, abs=0.0)
 
     def test_allocation_peak_is_bounded(self):
-        # one rank's projection at a time, beside the paths of one chunk
+        # both studies read the paths of one chunk: the draw's pairing
+        # temporary, then one level or one rank's projection at a time;
+        # the peak measures 2.18 chunks
         count, K = 400, 256
         tracemalloc.start()
         try:
-            approximation_report(WT, 1.0, K, [4, 8, 16], count, seed=79)
+            convergence_study(WT, 1.0, [32, 64, 128, K], [4, 8, 16], count, seed=79)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * count * (K + 1) * WT.n * 8
+        assert peak < 2.4 * count * (K + 1) * WT.n * 8
 
 
 class TestRefinement:
     def test_zero_increments_give_zero_integral(self):
         zeros = np.zeros((64, 2))
-        assert np.all(_accumulate_vertical(H1, zeros, zeros) == 0.0)
+        assert np.all(_accumulate_vertical(H1, zeros) == 0.0)
 
     def test_coupled_rms_positive_and_order_half(self):
-        rep = refinement_convergence(H1, 1.0, [16, 32, 64, 128, 256], 1500, seed=73)
+        rep, _ = convergence_study(H1, 1.0, [16, 32, 64, 128, 256], [H1.n], 1500, seed=73)
         assert all(r > 0 for r in rep.rms)
         assert rep.fitted_order == pytest.approx(0.5, abs=0.15)
 
     def test_rms_decreases_with_resolution(self):
-        rep = refinement_convergence(H1, 1.0, [8, 32, 128, 512], 800, seed=79)
+        rep, _ = convergence_study(H1, 1.0, [8, 32, 128, 512], [H1.n], 800, seed=79)
         assert rep.rms[0] > rep.rms[1] > rep.rms[2]
 
     def test_bad_k_lists(self):
         with pytest.raises(ValueError):
-            refinement_convergence(H1, 1.0, [32, 16], 10, seed=1)
+            convergence_study(H1, 1.0, [32, 16], [H1.n], 10, seed=1)
         with pytest.raises(ValueError):
-            refinement_convergence(H1, 1.0, [12, 64], 10, seed=1)
+            convergence_study(H1, 1.0, [12, 64], [H1.n], 10, seed=1)
+
+    @pytest.mark.parametrize("name,kw", PRESETS[1:])
+    def test_subsampled_levels_equal_summed_increments(self, name, kw):
+        form = make_preset(name, **kw).form
+        T, K_list, count, seed = 0.8, [4, 8, 16, 32], 5, 97
+        K_max = K_list[-1]
+        B, M = sample_paths(form, T, K_max, count, seed)
+        areas = refinement_convergence(form, B, M, K_list)
+        assert areas.shape == (len(K_list), count, form.d)
+        # reference: each path's own increments, summed in blocks of
+        # K_max // K, a fresh cumsum and the explicit left-point triple sum
+        inc = np.stack([path_generator(seed, p).standard_normal((K_max, form.n))
+                        for p in range(count)]) * np.sqrt(T / K_max)
+        for K, got in zip(K_list, areas):
+            inc_c = inc.reshape(count, K, K_max // K, form.n).sum(axis=2)
+            left = np.concatenate([np.zeros((count, 1, form.n)),
+                                   np.cumsum(inc_c, axis=1)[:, :-1]], axis=1)
+            ref = np.einsum("pki,ijl,pkj->pl", left, form.coeffs, inc_c)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
