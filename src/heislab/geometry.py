@@ -5,7 +5,9 @@ component is slaved to the path through the exact piecewise-linear rule
 
     a_{k+1} = a_k + 0.5 * form(A_k, A_{k+1} - A_k),
 
-which reproduces the line integral of the form exactly for polygonal paths.
+which reproduces the line integral of the form exactly for polygonal paths:
+a_k - a_0 is half of ``form.running_path_integral`` of the nodes, and the
+whole vertical displacement half of ``form.path_integral``.
 
 ``cc_distance`` is exact on every form whose vertical coordinates act on
 pairwise disjoint sets of horizontal coordinates: every d = 1 form and
@@ -31,7 +33,6 @@ __all__ = [
     "HorizontalPath",
     "DistanceOptions",
     "DistanceResult",
-    "vertical_displacement",
     "cc_distance",
     "projected_distance_convergence",
 ]
@@ -71,22 +72,10 @@ class HorizontalPath:
 
     def vertical_profile(self, form: OmegaForm) -> np.ndarray:
         """Vertical coordinates at every node, from the exact segment rule."""
-        inc = self.increments()
-        if len(inc) == 0:
-            return self.start_vertical[None, :].copy()
-        steps = 0.5 * form.pair(self.nodes[:-1], inc)
-        return np.vstack([self.start_vertical, self.start_vertical + np.cumsum(steps, axis=0)])
+        return self.start_vertical + 0.5 * form.running_path_integral(self.nodes)
 
     def endpoint(self, form: OmegaForm) -> GroupElement:
         return GroupElement(self.nodes[-1], self.vertical_profile(form)[-1])
-
-
-def vertical_displacement(form: OmegaForm, path: HorizontalPath) -> np.ndarray:
-    """Total vertical displacement a_K - a_0; refinement invariant."""
-    inc = path.increments()
-    if len(inc) == 0:
-        return np.zeros(form.d)
-    return 0.5 * form.pair(path.nodes[:-1], inc).sum(axis=0)
 
 
 @dataclass
@@ -280,8 +269,7 @@ def _closed_form_distance(form, x, z, e1, e2, q, owner, K) -> DistanceResult:
                 looped = True
     rel = t[:, None] * free[None, :] + paths.real @ e1.T + paths.imag @ e2.T
     rel[-1] = z.w
-    residual = float(np.linalg.norm(
-        vertical_displacement(form, HorizontalPath(rel, np.zeros(form.d))) - z.c))
+    residual = float(np.linalg.norm(0.5 * form.path_integral(rel) - z.c))
     return DistanceResult(
         math.sqrt(energy), HorizontalPath(rel + x.w[None, :], x.c), energy, residual,
         {"loop_area": loops},

@@ -8,6 +8,12 @@ vertical vector c in R^d.  The product is
 where the form is an antisymmetric bilinear map R^n x R^n -> R^d given by a
 dense coefficient tensor.  All types here are immutable values; arrays are
 copied on construction and never mutated afterwards.
+
+The vertical part of a horizontal path is the integral of the form along
+it.  ``OmegaForm.running_path_integral`` and ``OmegaForm.path_integral``
+are the one left-point rule for it, sum_k form(B_k, B_{k+1} - B_k) over
+positions B: exact for polygonal paths, and the Ito (equally Stratonovich)
+sum for Brownian ones.
 """
 
 from __future__ import annotations
@@ -87,6 +93,28 @@ class OmegaForm:
     def vertical_matrices(self):
         """The d antisymmetric n x n matrices coeffs[:, :, l]."""
         return np.moveaxis(self.coeffs, 2, 0)
+
+    def running_path_integral(self, B):
+        """Running left-point sums of form(B_k, B_{k+1} - B_k) along the
+        positions B, shape (..., K+1, n); the result has shape (..., K+1, d)
+        with a zero row 0.
+
+        Each step pairs consecutive positions, form(B_k, B_{k+1}), which
+        equals form(B_k, dB_k) because the form is antisymmetric, so no
+        increment array is formed.
+        """
+        M = np.zeros(B.shape[:-1] + (self.d,))
+        np.cumsum(self.pair(B[..., :-1, :], B[..., 1:, :]), axis=-2, out=M[..., 1:, :])
+        return M
+
+    def path_integral(self, B):
+        """The whole left-point sum, shape (..., d): the last row of
+        ``running_path_integral(B)`` up to round-off.  The step sum collapses
+        into one batched matrix product S = B[..., :-1, :]^T B[..., 1:, :] of
+        shape (..., n, n), so no per-step temporary is formed.
+        """
+        S = B[..., :-1, :].swapaxes(-1, -2) @ B[..., 1:, :]
+        return np.einsum("...ij,lij->...l", S, self.vertical_matrices())
 
     def restrict(self, m: int) -> "OmegaForm":
         """The form of the rank-m projection group: the leading m x m block

@@ -1,14 +1,15 @@
 """Group Brownian motion: horizontal Brownian paths with the slaved vertical
-stochastic integral, computed by the left-point rule.
+stochastic integral, computed by the left-point rule of
+``OmegaForm.running_path_integral`` and ``OmegaForm.path_integral``.
 
-The running vertical process M accumulates form(B_k, B_{k+1} - B_k) over grid
-steps.  Because the form is antisymmetric the Ito and Stratonovich integrals
-coincide, so this left-point sum targets the group Brownian motion whose
+Because the form is antisymmetric the Ito and Stratonovich integrals
+coincide, so the left-point sum M targets the group Brownian motion whose
 endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
 (seed, path index); the batch size never changes the draws.  Paths are
-arrays: ``sample_paths`` gives a batch (B, M) and ``sample_endpoints`` gives
-only the endpoints (W, C).  The rank-m projection of a path is its leading m
-coordinates, a path of the group of ``form.restrict(m)``.
+arrays, all drawn in place by one route: ``sample_paths`` gives a batch
+(B, M) and ``sample_endpoints`` gives only the endpoints (W, C).  The rank-m
+projection of a path is its leading m coordinates, a path of the group of
+``form.restrict(m)``.
 
 ``convergence_study`` draws one path set and both of its studies read each
 batch: the time-step refinement of the left-point area reads coarser grids
@@ -40,34 +41,6 @@ STUDY_CHUNK = 512
 paths_drawn = 0
 
 
-def _accumulate_vertical(form: OmegaForm, B):
-    """Running left-point sums of form(B_k, B_{k+1} - B_k) along the paths B.
-
-    B has shape (..., K+1, n); the result has shape (..., K+1, d) with a
-    zero row 0.  Each step pairs consecutive positions, form(B_k, B_{k+1}),
-    which equals form(B_k, dB_k) because the form is antisymmetric, so no
-    increment array is formed.  A rank-m projection passes
-    ``form.restrict(m)`` and the leading m columns (``_projected_vertical``),
-    never zeroed columns.
-    """
-    M = np.zeros(B.shape[:-1] + (form.d,))
-    np.cumsum(form.pair(B[..., :-1, :], B[..., 1:, :]), axis=-2, out=M[..., 1:, :])
-    return M
-
-
-def _endpoint_area(form: OmegaForm, left, inc):
-    """The whole left-point sum form(B_k, dB_k), without its running values.
-
-    ``left`` and ``inc`` have shape (..., K, n); ``inc`` may also be the
-    right endpoints B_{k+1}, which give the same sum by antisymmetry.  The
-    result, shape (..., d), equals the last row of ``_accumulate_vertical``.
-    The step sum collapses into one batched matrix product S = left^T inc of
-    shape (..., n, n), so no per-step temporary is formed.
-    """
-    S = left.swapaxes(-1, -2) @ inc
-    return np.einsum("...ij,lij->...l", S, form.vertical_matrices())
-
-
 def _check_grid(T, K):
     if not T > 0:
         raise ValueError(f"terminal time must be positive, got {T}")
@@ -81,30 +54,20 @@ def _chunks(samples, size):
         yield start, min(size, samples - start)
 
 
-def _draw_normals(seed, start, out):
-    """Fill out[p], one contiguous block per path, with the standard normals
-    of path start + p, keyed (seed, start + p)."""
+def _draw_positions(form: OmegaForm, T, K, seed, start, count):
+    """Positions (count, K+1, n) of paths start..start+count-1, keyed
+    (seed, p), with row 0 zero.  Each path's normals are drawn straight into
+    its rows 1..K, one contiguous block, then scaled and summed there in
+    place, so the positions are the only path-sized array."""
     global paths_drawn
-    paths_drawn += len(out)
-    for p in range(len(out)):
-        path_generator(seed, start + p).standard_normal(out=out[p])
-
-
-def _batch_increments(form, T, K, seed, start, count):
-    inc = np.empty((count, K, form.n))
-    _draw_normals(seed, start, inc)
-    inc *= np.sqrt(T / K)
-    return inc
-
-
-def _endpoint_sums(form, inc):
-    """Final values (B_K, M_K) of the paths with increments ``inc`` (count, K, n).
-
-    The first step starts at the origin and adds no area, so the area sum
-    pairs the positions after steps 1..K-1 with the increments 2..K.
-    """
-    B = np.cumsum(inc, axis=1)
-    return B[:, -1, :], _endpoint_area(form, B[:, :-1, :], inc[:, 1:, :])
+    paths_drawn += count
+    B = np.empty((count, K + 1, form.n))
+    B[:, 0] = 0.0
+    for p in range(count):
+        path_generator(seed, start + p).standard_normal(out=B[p, 1:])
+    B *= np.sqrt(T / K)
+    np.cumsum(B, axis=1, out=B)
+    return B
 
 
 def _mean_se(v):
@@ -116,62 +79,43 @@ def _mean_se(v):
 def sample_paths(form: OmegaForm, T: float, K: int, count: int, seed: int,
                  start: int = 0):
     """Paths start..start+count-1 of K steps on [0, T], keyed (seed, p), as
-    arrays B (count, K+1, n) and M (count, K+1, d) whose row 0 is zero.
-
-    The increments are drawn into rows 1..K of B and summed there in place,
-    so B is the only path-sized array besides M.
-    """
+    arrays B (count, K+1, n) and M (count, K+1, d) whose row 0 is zero."""
     _check_grid(T, K)
-    B = np.empty((count, K + 1, form.n))
-    B[:, 0] = 0.0
-    _draw_normals(seed, start, B[:, 1:])
-    B *= np.sqrt(T / K)
-    np.cumsum(B, axis=1, out=B)
-    return B, _accumulate_vertical(form, B)
+    B = _draw_positions(form, T, K, seed, start, count)
+    return B, form.running_path_integral(B)
 
 
 def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
                      chunk: int = 2048):
     """Endpoints of ``samples`` independent paths as arrays (W, C).
 
-    W has shape (samples, n) and C = M_K/2 shape (samples, d), the last rows
-    of ``sample_paths`` (C up to round-off: its sum runs in another order).
-    Path p always uses the generator keyed (seed, p), so results are
-    independent of the chunk size.
+    W has shape (samples, n) and C = M_K/2 shape (samples, d): W is the last
+    row of ``sample_paths`` and C is half of ``form.path_integral`` of its
+    positions (the last row of M up to round-off).  Only one chunk of
+    positions is held at a time.  Path p always uses the generator keyed
+    (seed, p), so results are independent of the chunk size.
     """
     _check_grid(T, K)
     W = np.empty((samples, form.n))
     C = np.empty((samples, form.d))
     for start, count in _chunks(samples, chunk):
-        inc = _batch_increments(form, T, K, seed, start, count)
-        W[start:start + count], M = _endpoint_sums(form, inc)
-        C[start:start + count] = 0.5 * M
+        B = _draw_positions(form, T, K, seed, start, count)
+        W[start:start + count] = B[:, -1]
+        C[start:start + count] = 0.5 * form.path_integral(B)
+        del B                   # before the next chunk is drawn
     return W, C
-
-
-def _projected_vertical(form: OmegaForm, B, m: int):
-    """The left-point vertical part of the rank-m projection of the paths B.
-
-    The sums run over the leading columns B[..., :m] with
-    ``form.restrict(m)``, by the same left-point rule as ``sample_paths``;
-    the result is recomputed from those columns, not a projection of M.
-    """
-    return _accumulate_vertical(form.restrict(m), B[..., :m])
 
 
 def refinement_convergence(form: OmegaForm, B, M, K_list):
     """Endpoint areas M_T of one batch of paths at each step count of K_list.
 
     B and M are a ``sample_paths`` batch of K_list[-1] steps, which every
-    step count divides.  Level K reads its grid's positions
-    B[:, ::K_list[-1] // K], so each coarse step sums consecutive fine
-    steps (the levels are coupled), and pairs consecutive rows; the finest
-    level is the last row of M.  Returns shape (len(K_list), count, d).
+    step count divides.  Level K is ``form.path_integral`` of its grid's
+    positions B[:, ::K_list[-1] // K], so each coarse step sums consecutive
+    fine steps (the levels are coupled); the finest level is the last row
+    of M.  Returns shape (len(K_list), count, d).
     """
-    areas = []
-    for K in K_list[:-1]:
-        Bc = B[:, ::K_list[-1] // K]
-        areas.append(_endpoint_area(form, Bc[:, :-1], Bc[:, 1:]))
+    areas = [form.path_integral(B[:, ::K_list[-1] // K]) for K in K_list[:-1]]
     areas.append(M[:, -1])
     return np.stack(areas)
 
@@ -180,15 +124,18 @@ def approximation_report(form: OmegaForm, B, M, ranks):
     """Per rank m, each path's sup over grid times of the homogeneous norm
     of (B, M/2) minus its rank-m projection: shape (len(ranks), count).
 
-    The horizontal gap is B[..., m:] and the projection's vertical part dies
-    on return; no projected copy of B is made.  The sup runs over grid times
+    The horizontal gap is B[..., m:]; the projection's vertical part is
+    recomputed from the leading columns B[..., :m] by ``form.restrict(m)``,
+    not projected from M, and dies on return.  No projected copy of B is
+    made.  The sup runs over grid times
     only; the continuous-time gap is not corrected.
     """
     sups = np.zeros((len(ranks), len(B)))
     for i, m in enumerate(ranks):
         if m < form.n:
             dw2 = np.einsum("pki,pki->pk", B[..., m:], B[..., m:])
-            dc = np.linalg.norm(0.5 * (M - _projected_vertical(form, B, m)), axis=2)
+            Mm = form.restrict(m).running_path_integral(B[..., :m])
+            dc = np.linalg.norm(0.5 * (M - Mm), axis=2)
             sups[i] = np.sqrt(dw2 + dc).max(axis=1)
     return sups
 

@@ -6,7 +6,6 @@ from heislab.geometry import (
     HorizontalPath,
     cc_distance,
     projected_distance_convergence,
-    vertical_displacement,
 )
 from heislab.groups import (
     DimensionMismatchError, GroupElement, HormanderError, OmegaForm, dilate, identity, inverse,
@@ -71,7 +70,7 @@ def circle_loop_oracle(area, K=64):
         theta = 2 * np.pi * np.arange(K + 1) / K
         nodes = np.stack([r * (np.cos(theta) - 1.0), r * np.sin(theta)], axis=1)
         path = HorizontalPath(nodes, [0.0])
-        return vertical_displacement(H1, path)[0], path
+        return 0.5 * H1.path_integral(path.nodes)[0], path
     lo, hi = 1e-6, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -88,33 +87,33 @@ class TestVerticalDisplacement:
     def test_straight_line_vanishes(self):
         t = np.linspace(0, 1, 9)[:, None]
         path = HorizontalPath(t * np.array([[2.0, -1.0]]), [0.0])
-        assert abs(vertical_displacement(H1, path)[0]) < 1e-15
+        assert abs(0.5 * H1.path_integral(path.nodes)[0]) < 1e-15
 
     def test_unit_square_encloses_area_one(self):
         nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
         path = HorizontalPath(nodes, [0.0])
-        assert vertical_displacement(H1, path)[0] == pytest.approx(1.0)
+        assert 0.5 * H1.path_integral(path.nodes)[0] == pytest.approx(1.0)
 
     def test_reversal_negates(self):
         rng = np.random.default_rng(0)
         nodes = rng.normal(size=(12, 2))
         path = HorizontalPath(nodes, [0.0])
-        fwd = vertical_displacement(H1, path)
-        bwd = vertical_displacement(H1, path.reversed())
+        fwd = 0.5 * H1.path_integral(path.nodes)
+        bwd = 0.5 * H1.path_integral(path.reversed().nodes)
         assert np.allclose(fwd, -bwd, atol=1e-14)
 
     def test_refinement_invariance(self):
         rng = np.random.default_rng(1)
         nodes = rng.normal(size=(9, 2))
         path = HorizontalPath(nodes, [0.0])
-        base = vertical_displacement(H1, path)
+        base = 0.5 * H1.path_integral(path.nodes)
         # subdivide every segment at a random interior point
         refined = [nodes[0]]
         for k in range(8):
             s = rng.uniform(0.2, 0.8)
             refined.append(nodes[k] + s * (nodes[k + 1] - nodes[k]))
             refined.append(nodes[k + 1])
-        ref = vertical_displacement(H1, HorizontalPath(np.array(refined), [0.0]))
+        ref = 0.5 * H1.path_integral(np.array(refined))
         assert np.allclose(base, ref, atol=1e-12)
 
     def test_vertical_profile_endpoint(self):

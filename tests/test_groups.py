@@ -248,6 +248,63 @@ class TestPair:
         assert np.allclose(tc, rc, rtol=1e-14, atol=0.0)
 
 
+def _running_integral_by_definition(form, B):
+    """Running left-point sums of form(B_k, B_{k+1}) with a zero row 0, by
+    the explicit loop of ``_pair_by_definition``, and the running absolute
+    sums of their terms."""
+    steps, scale = _pair_by_definition(form, B[..., :-1, :], B[..., 1:, :])
+    zero = np.zeros(B.shape[:-2] + (1, form.d))
+    return (np.concatenate([zero, np.cumsum(steps, axis=-2)], axis=-2),
+            np.concatenate([zero, np.cumsum(scale, axis=-2)], axis=-2))
+
+
+def _random_positions(form, lead, K):
+    rng = np.random.default_rng(form.n * form.d + K)
+    return rng.standard_normal(lead + (K + 1, form.n)).cumsum(axis=-2)
+
+
+class TestPathIntegral:
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 2)])
+    def test_matches_the_definition(self, form, lead):
+        B = _random_positions(form, lead, 30)
+        ref, scale = _running_integral_by_definition(form, B)
+        running = form.running_path_integral(B)
+        assert running.shape == B.shape[:-1] + (form.d,)
+        assert np.all(running[..., 0, :] == 0.0)
+        assert np.all(np.abs(running - ref) <= 1e-13 * scale)
+        total = form.path_integral(B)
+        assert total.shape == lead + (form.d,)
+        assert np.all(np.abs(total - ref[..., -1, :]) <= 1e-13 * scale[..., -1, :])
+
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    def test_one_node_gives_zeros(self, form):
+        for lead in [(), (5,)]:
+            B = _random_positions(form, lead, 0)
+            running = form.running_path_integral(B)
+            assert running.shape == lead + (1, form.d) and np.all(running == 0.0)
+            total = form.path_integral(B)
+            assert total.shape == lead + (form.d,) and np.all(total == 0.0)
+
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    def test_last_running_row_is_the_path_integral(self, form):
+        B = _random_positions(form, (6,), 64)
+        last = form.running_path_integral(B)[:, -1]
+        assert np.allclose(form.path_integral(B), last, rtol=0.0,
+                           atol=1e-13 * np.abs(last).max())
+
+    @pytest.mark.parametrize("form", PAIR_FORMS)
+    def test_translation_adds_the_pairing_with_the_displacement(self, form):
+        # sum_k form(B_k + x, B_{k+1} + x) = sum_k form(B_k, B_{k+1})
+        #                                   + form(x, B_K - B_0)
+        B = _random_positions(form, (6,), 40)
+        x = np.random.default_rng(form.n + 1).standard_normal(form.n)
+        got = form.path_integral(B + x)
+        want = form.path_integral(B) + form.pair(x, B[:, -1] - B[:, 0])
+        scale = _running_integral_by_definition(form, B + x)[1][:, -1]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
 class TestBatchedOps:
     def test_matches_scalar_multiply(self):
         rng = np.random.default_rng(3)

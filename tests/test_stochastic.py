@@ -7,9 +7,6 @@ from heislab import stochastic
 from heislab.groups import GroupElement, dilate, make_preset
 from heislab.rng import path_generator
 from heislab.stochastic import (
-    _accumulate_vertical,
-    _endpoint_area,
-    _projected_vertical,
     convergence_study,
     refinement_convergence,
     sample_endpoints,
@@ -40,6 +37,7 @@ class TestSamplePath:
             B, M = sample_paths(form, 0.7, 48, 9, seed=3)
             W, C = sample_endpoints(form, 0.7, 48, 9, seed=3)
             assert np.array_equal(W, B[:, -1])
+            assert np.array_equal(C, 0.5 * form.path_integral(B))
             scale = np.abs(C).max()
             assert np.allclose(C, 0.5 * M[:, -1], rtol=0.0, atol=1e-13 * scale)
 
@@ -71,17 +69,20 @@ class TestDeterminism:
             assert np.array_equal(Bi[0], B[i]) and np.array_equal(Mi[0], M[i])
 
 
-class TestEndpointArea:
-    @pytest.mark.parametrize("name,kw", PRESETS)
-    def test_matches_last_running_sum(self, name, kw):
-        form = make_preset(name, **kw).form
-        rng = np.random.default_rng(7)
-        inc = rng.standard_normal((5, 40, form.n))
-        B = np.concatenate([np.zeros((5, 1, form.n)), np.cumsum(inc, axis=1)], axis=1)
-        ref = _accumulate_vertical(form, B)[..., -1, :]
-        got = _endpoint_area(form, B[:, :-1], inc)
-        assert got.shape == (5, form.d)
-        assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+class TestEndpointMemory:
+    @pytest.mark.parametrize("form", [H1, WT], ids=["heisenberg(1)", "wiener_truncation(8,2)"])
+    def test_allocation_peak_is_one_chunk(self, form):
+        # each chunk's positions are drawn, summed and integrated in place,
+        # and freed before the next chunk is drawn
+        chunk, K = 512, 256
+        sample_endpoints(form, 1.0, 2, 2, seed=5)     # loads numpy.random untraced
+        tracemalloc.start()
+        try:
+            sample_endpoints(form, 1.0, K, 2 * chunk, seed=5, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * chunk * (K + 1) * form.n * 8
 
 
 class TestMoments:
@@ -123,23 +124,23 @@ class TestProjection:
     def test_full_rank_is_identity(self):
         B, M = sample_paths(BS, 1.0, 32, 2, seed=43)
         # the same left-point rule on the same positions
-        assert np.array_equal(_projected_vertical(BS, B, BS.n), M)
+        assert np.array_equal(BS.restrict(BS.n).running_path_integral(B[..., :BS.n]), M)
 
     def test_block_projection_zeroes_unfed_coordinate(self):
         B, M = sample_paths(BS, 1.0, 64, 2, seed=47, start=1)
-        Mq = _projected_vertical(BS, B, 2)
+        Mq = BS.restrict(2).running_path_integral(B[..., :2])
         assert np.all(Mq[..., 1] == 0.0)          # second block cannot feed it
         assert not np.all(Mq[..., 0] == 0.0)
 
     def test_projection_chain_is_idempotent(self):
         B, M = sample_paths(BS, 1.0, 32, 2, seed=53, start=2)
-        a = _projected_vertical(BS.restrict(3), B[..., :3], 2)
-        assert np.array_equal(a, _projected_vertical(BS, B, 2))
+        a = BS.restrict(3).restrict(2).running_path_integral(B[..., :3][..., :2])
+        assert np.array_equal(a, BS.restrict(2).running_path_integral(B[..., :2]))
 
     def test_vertical_is_recomputed_not_projected(self):
         B, M = sample_paths(H1, 1.0, 128, 2, seed=59)
         # a single horizontal direction generates no area at all
-        assert np.all(_projected_vertical(H1, B, 1) == 0.0)
+        assert np.all(H1.restrict(1).running_path_integral(B[..., :1]) == 0.0)
         assert not np.all(M == 0.0)
 
     @pytest.mark.parametrize("name,kw,rank", [
@@ -149,7 +150,7 @@ class TestProjection:
     def test_leading_block_matches_the_zeroed_full_form(self, name, kw, rank):
         form = make_preset(name, **kw).form
         B, M = sample_paths(form, 1.0, 64, 6, seed=83)
-        Mq = _projected_vertical(form, B, rank)
+        Mq = form.restrict(rank).running_path_integral(B[..., :rank])
         # reference: the whole form's left-point sum over the zeroed paths
         Bz = B.copy()
         Bz[..., rank:] = 0.0
@@ -163,7 +164,7 @@ class TestProjection:
     def test_rank_outside_one_to_n_is_rejected(self, rank):
         B, M = sample_paths(BS, 1.0, 8, 2, seed=61)
         with pytest.raises(ValueError, match="rank"):
-            _projected_vertical(BS, B, rank)
+            BS.restrict(rank).running_path_integral(B[..., :rank])
         drawn = stochastic.paths_drawn
         with pytest.raises(ValueError, match="rank"):
             convergence_study(BS, 1.0, [8], [rank], 4, seed=61)
@@ -215,7 +216,7 @@ class TestApproximationReport:
 class TestRefinement:
     def test_zero_increments_give_zero_integral(self):
         zeros = np.zeros((64, 2))
-        assert np.all(_accumulate_vertical(H1, zeros) == 0.0)
+        assert np.all(H1.running_path_integral(zeros) == 0.0)
 
     def test_coupled_rms_positive_and_order_half(self):
         rep, _ = convergence_study(H1, 1.0, [16, 32, 64, 128, 256], [H1.n], 1500, seed=73)
