@@ -435,9 +435,7 @@ def exp_simulate(cfg, form):
     T, steps, samples = p["T"], p["steps"], p["samples"]
     W, C = sample_endpoints(form, T, steps, samples, cfg.seed)
     header = ",".join([f"w{i+1}" for i in range(form.n)] + [f"c{l+1}" for l in range(form.d)])
-    lines = [header]
-    for k in range(samples):
-        lines.append(",".join(fmt_float(v) for v in np.concatenate([W[k], C[k]])))
+    lines = [header] + [",".join(map(fmt_float, row)) for row in np.hstack([W, C]).tolist()]
     # every |mean c_l| must lie within 3 se_l; the smallest margin is reported
     abs_mean = np.abs(C.mean(axis=0))
     bound = 3.0 * (C.std(axis=0, ddof=1) / math.sqrt(samples))

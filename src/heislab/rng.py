@@ -41,14 +41,17 @@ def child_seed(master_seed: int, experiment: str, index: int) -> int:
 def _shared_philox():
     """The Philox that ``path_generator`` re-keys, its Generator, and the
     state it assigns: a freshly keyed Philox's (zero counter, empty buffer,
-    no spare 32-bit half) with its key array kept for rewriting.
+    no spare 32-bit half) with its key list kept for rewriting.
 
+    The state holds Python ints and lists, not numpy arrays: numpy's setter
+    reads it element by element, and a list element costs less to convert.
     Built on first use, not at import, so that runs which draw no paths
     never load ``numpy.random``.
     """
     bitgen = np.random.Philox(key=0)
-    state = bitgen.state
-    return np.random.Generator(bitgen), bitgen, state, state["state"]["key"]
+    key = [0, 0]
+    state = dict(bitgen.state, state={"counter": [0] * 4, "key": key}, buffer=[0] * 4)
+    return np.random.Generator(bitgen), bitgen, state, key
 
 
 @functools.lru_cache(maxsize=1)

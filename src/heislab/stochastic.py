@@ -5,11 +5,16 @@ stochastic integral, computed by the left-point rule of
 Because the form is antisymmetric the Ito and Stratonovich integrals
 coincide, so the left-point sum M targets the group Brownian motion whose
 endpoint is (B_K, M_K / 2).  Every path is reproducible bit for bit from
-(seed, path index); the batch size never changes the draws.  Paths are
-arrays, all drawn in place by one route: ``sample_paths`` gives a batch
-(B, M) and ``sample_endpoints`` gives only the endpoints (W, C).  The rank-m
-projection of a path is its leading m coordinates, a path of the group of
-``form.restrict(m)``.
+(seed, path index).  Paths are arrays, all drawn in place by one route:
+``sample_paths`` gives a batch (B, M) and ``sample_endpoints`` gives only
+the endpoints (W, C).  The rank-m projection of a path is its leading m
+coordinates, a path of the group of ``form.restrict(m)``.
+
+Every batch of paths is sized by one rule, ``_chunks``: as many whole paths
+as ``CHUNK_BYTES`` of positions hold, at least one.  So the memory of a
+sampler does not grow with the number of paths, and each temporary that
+scales with a batch, such as the pairing of consecutive positions, is at
+most one budget.  No output depends on the batch size, bit for bit.
 
 ``convergence_study`` draws one path set and both of its studies read each
 batch: the time-step refinement of the left-point area reads coarser grids
@@ -34,8 +39,8 @@ __all__ = [
     "approximation_report",
 ]
 
-# paths per batch of the convergence study, which keeps whole paths in memory
-STUDY_CHUNK = 512
+# bytes of positions in one batch of paths, for every sampler
+CHUNK_BYTES = 1 << 20
 
 # path keys drawn since cli.run last set this to 0; it goes to manifest.json
 paths_drawn = 0
@@ -48,8 +53,11 @@ def _check_grid(T, K):
         raise ValueError(f"step count must be at least 1, got {K}")
 
 
-def _chunks(samples, size):
-    """(start, count) of consecutive batches of at most ``size`` path indices."""
+def _chunks(samples, K, n):
+    """(start, count) of consecutive batches of the path indices 0..samples-1:
+    each is as many whole paths of positions (K+1, n) as ``CHUNK_BYTES``
+    holds, and at least one."""
+    size = max(1, CHUNK_BYTES // ((K + 1) * n * 8))
     for start in range(0, samples, size):
         yield start, min(size, samples - start)
 
@@ -85,24 +93,25 @@ def sample_paths(form: OmegaForm, T: float, K: int, count: int, seed: int,
     return B, form.running_path_integral(B)
 
 
-def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int,
-                     chunk: int = 2048):
+def sample_endpoints(form: OmegaForm, T: float, K: int, samples: int, seed: int):
     """Endpoints of ``samples`` independent paths as arrays (W, C).
 
     W has shape (samples, n) and C = M_K/2 shape (samples, d): W is the last
     row of ``sample_paths`` and C is half of ``form.path_integral`` of its
-    positions (the last row of M up to round-off).  Only one chunk of
-    positions is held at a time.  Path p always uses the generator keyed
-    (seed, p), so results are independent of the chunk size.
+    positions (the last row of M up to round-off).  Only one batch of
+    positions, at most ``CHUNK_BYTES`` or one path, is held at a time, so
+    the memory beyond W and C does not grow with ``samples``.  Path p always
+    uses the generator keyed (seed, p), so results do not depend on the
+    batch size.
     """
     _check_grid(T, K)
     W = np.empty((samples, form.n))
     C = np.empty((samples, form.d))
-    for start, count in _chunks(samples, chunk):
+    for start, count in _chunks(samples, K, form.n):
         B = _draw_positions(form, T, K, seed, start, count)
         W[start:start + count] = B[:, -1]
         C[start:start + count] = 0.5 * form.path_integral(B)
-        del B                   # before the next chunk is drawn
+        del B                   # before the next batch is drawn
     return W, C
 
 
@@ -120,21 +129,24 @@ def refinement_convergence(form: OmegaForm, B, M, K_list):
     return np.stack(areas)
 
 
-def approximation_report(form: OmegaForm, B, M, ranks):
-    """Per rank m, each path's sup over grid times of the homogeneous norm
-    of (B, M/2) minus its rank-m projection: shape (len(ranks), count).
+def approximation_report(B, M, forms):
+    """Per projected form, of rank m = its n, each path's sup over grid
+    times of the homogeneous norm of (B, M/2) minus its rank-m projection:
+    shape (len(forms), count).  ``forms`` are ``form.restrict(m)`` of the
+    form that drew B and M, built once by the caller.
 
     The horizontal gap is B[..., m:]; the projection's vertical part is
-    recomputed from the leading columns B[..., :m] by ``form.restrict(m)``,
+    recomputed from the leading columns B[..., :m] by the projected form,
     not projected from M, and dies on return.  No projected copy of B is
     made.  The sup runs over grid times
     only; the continuous-time gap is not corrected.
     """
-    sups = np.zeros((len(ranks), len(B)))
-    for i, m in enumerate(ranks):
-        if m < form.n:
+    sups = np.zeros((len(forms), len(B)))
+    for i, form_m in enumerate(forms):
+        m = form_m.n
+        if m < B.shape[-1]:
             dw2 = np.einsum("pki,pki->pk", B[..., m:], B[..., m:])
-            Mm = form.restrict(m).running_path_integral(B[..., :m])
+            Mm = form_m.running_path_integral(B[..., :m])
             dc = np.linalg.norm(0.5 * (M - Mm), axis=2)
             sups[i] = np.sqrt(dw2 + dc).max(axis=1)
     return sups
@@ -175,17 +187,17 @@ def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
         raise ValueError("every step count must divide the largest one")
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ValueError("ranks must be strictly increasing")
-    for m in ranks:
-        form.restrict(m)        # a bad rank fails before any path is drawn
-    sq_diffs = np.zeros(len(K_list) - 1)
-    sups = []
-    for start, count in _chunks(samples, STUDY_CHUNK):
+    # a bad rank fails here, before any path is drawn
+    forms = [form.restrict(m) for m in ranks]
+    diffs, sups = [], []
+    for start, count in _chunks(samples, K_list[-1], form.n):
         B, M = sample_paths(form, T, K_list[-1], count, seed, start)
         areas = refinement_convergence(form, B, M, K_list)
-        sq_diffs += np.sum((areas[:-1] - areas[1:]) ** 2, axis=(1, 2))
-        sups.append(approximation_report(form, B, M, ranks))
+        diffs.append(areas[:-1] - areas[1:])
+        sups.append(approximation_report(B, M, forms))
         del B, M                # before the next batch is drawn
-    rms = np.sqrt(sq_diffs / samples)
+    # squared and summed once over all paths, so no batch size moves the sum
+    rms = np.sqrt(np.sum(np.concatenate(diffs, axis=1) ** 2, axis=(1, 2)) / samples)
     steps = [T / k for k in K_list[:-1]]
     if len(steps) >= 2 and np.all(rms > 0):
         order = float(np.polyfit(np.log(steps), np.log(rms), 1)[0])

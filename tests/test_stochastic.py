@@ -59,30 +59,52 @@ class TestDeterminism:
         b, _ = sample_paths(H1, 1.0, 64, 1, seed=9, start=6)
         assert not np.array_equal(a, b)
 
-    def test_batch_matches_single_and_chunking(self):
-        W3, C3 = sample_endpoints(H1, 1.0, 32, 11, seed=21, chunk=3)
-        W7, C7 = sample_endpoints(H1, 1.0, 32, 11, seed=21, chunk=7)
-        assert np.array_equal(W3, W7) and np.array_equal(C3, C7)
+    def test_batch_matches_single_and_chunking(self, monkeypatch):
+        W, C = sample_endpoints(H1, 1.0, 32, 11, seed=21)
+        path_bytes = 33 * H1.n * 8
+        # one path per batch (a budget below one path), then 3 and 7 paths
+        for budget in (1, 3 * path_bytes, 7 * path_bytes + 5):
+            monkeypatch.setattr(stochastic, "CHUNK_BYTES", budget)
+            Wb, Cb = sample_endpoints(H1, 1.0, 32, 11, seed=21)
+            assert np.array_equal(Wb, W) and np.array_equal(Cb, C)
         B, M = sample_paths(H1, 1.0, 32, 11, seed=21)
         for i in (0, 4, 10):
             Bi, Mi = sample_paths(H1, 1.0, 32, 1, seed=21, start=i)
             assert np.array_equal(Bi[0], B[i]) and np.array_equal(Mi[0], M[i])
 
 
+def _allocation_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatching:
+    @pytest.mark.parametrize("K,n,size", [(256, 2, 255), (256, 16, 31), (1, 1, 65536),
+                                          (70000, 2, 1)])
+    def test_a_batch_is_the_whole_paths_the_budget_holds(self, K, n, size):
+        batches = list(stochastic._chunks(1000, K, n))
+        assert batches[0] == (0, min(size, 1000))
+        assert sum(count for _, count in batches) == 1000
+        assert all(start == i * size for i, (start, _) in enumerate(batches))
+
+
 class TestEndpointMemory:
     @pytest.mark.parametrize("form", [H1, WT], ids=["heisenberg(1)", "wiener_truncation(8,2)"])
     def test_allocation_peak_is_one_chunk(self, form):
-        # each chunk's positions are drawn, summed and integrated in place,
-        # and freed before the next chunk is drawn
-        chunk, K = 512, 256
+        # each batch's positions are drawn, summed and integrated in place,
+        # and freed before the next batch is drawn; beside W and C the peak
+        # is one budget, whatever the number of paths
+        K = 256
+        per_batch = stochastic.CHUNK_BYTES // ((K + 1) * form.n * 8)
         sample_endpoints(form, 1.0, 2, 2, seed=5)     # loads numpy.random untraced
-        tracemalloc.start()
-        try:
-            sample_endpoints(form, 1.0, K, 2 * chunk, seed=5, chunk=chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * chunk * (K + 1) * form.n * 8
+        for samples in (4 * per_batch, 16 * per_batch):
+            peak = _allocation_peak(sample_endpoints, form, 1.0, K, samples, seed=5)
+            outputs = samples * (form.n + form.d) * 8
+            assert peak <= 1.25 * stochastic.CHUNK_BYTES + outputs, samples
 
 
 class TestMoments:
@@ -193,24 +215,27 @@ class TestApproximationReport:
                     convergence_study(H1, 1.0, [4, 8, 16], [1, 2], 20, seed=73)]
 
         before = studies()
-        monkeypatch.setattr("heislab.stochastic.STUDY_CHUNK", 7)
-        for (r, a), (s, b) in zip(before, studies()):
-            assert a.errors == b.errors and a.stderrs == b.stderrs
-            # the per-chunk sums of squares add in another order
-            assert s.rms == pytest.approx(r.rms, rel=1e-12, abs=0.0)
+        # one path per batch, then 7 paths of WT's 32 steps per batch
+        for budget in (1, 7 * 33 * WT.n * 8):
+            monkeypatch.setattr(stochastic, "CHUNK_BYTES", budget)
+            for (r, a), (s, b) in zip(before, studies()):
+                assert a.errors == b.errors and a.stderrs == b.stderrs
+                assert s.rms == r.rms
+                assert s.fitted_order == r.fitted_order
 
-    def test_allocation_peak_is_bounded(self):
-        # both studies read the paths of one chunk: the draw's pairing
+    def test_allocation_peak_is_bounded(self, monkeypatch):
+        # both studies read the paths of one batch: the draw's pairing
         # temporary, then one level or one rank's projection at a time;
-        # the peak measures 2.18 chunks
-        count, K = 400, 256
-        tracemalloc.start()
-        try:
-            convergence_study(WT, 1.0, [32, 64, 128, K], [4, 8, 16], count, seed=79)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.4 * count * (K + 1) * WT.n * 8
+        # only the per-path differences and sup gaps are kept across
+        # batches, so the peak is a few budgets at any number of paths
+        K_list, ranks = [32, 64, 128, 256], [4, 8, 16]
+        for budget in (1 << 18, 1 << 20):
+            monkeypatch.setattr(stochastic, "CHUNK_BYTES", budget)
+            for count in (400, 1600):
+                peak = _allocation_peak(convergence_study, WT, 1.0, K_list, ranks, count,
+                                        seed=79)
+                kept = count * ((len(K_list) - 1) * WT.d + len(ranks)) * 8
+                assert peak < 2.5 * budget + 2 * kept, (budget, count)
 
 
 class TestRefinement:
