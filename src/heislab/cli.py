@@ -10,7 +10,7 @@ both read it), and writes three files to the output directory:
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
 * manifest.json - resolved config echo (every params default filled in from
-                  PARAMS_DEFAULTS, and the ranks, points and h that runners
+                  PARAMS_DEFAULTS, and the ranks and points that runners
                   derive), artifact version, wall clock, the seconds spent
                   loading and validating the config (config_s), the number of
                   sample paths drawn (paths_drawn), failure list (the only
@@ -141,7 +141,7 @@ _REVERSE = {
         "T_grid": {"type": "array", "items": _POSNUM, "minItems": 1},
         "samples": _POSINT, "steps": _POSINT,
         "points": {"type": "array", "items": _POINT, "minItems": 1},
-        "bump": _BUMP, "h": _POSNUM,
+        "bump": _BUMP,
     },
 }
 
@@ -226,10 +226,9 @@ _REVERSE_DEFAULTS = {"T_grid": [0.25, 0.5, 1.0, 2.0], **_SAMPLER_DEFAULTS, "bump
 
 # Every experiment's params defaults.  load_config merges a config's params
 # over them, one level into the nested bump and grid objects, and the runners
-# read the result.  The runners fill in the defaults derived from the form or
-# the bump, and write them back into the config so that the manifest echoes
-# them: the reverse sweeps' points and h, and the ranks of curvature and
-# convergence.
+# read the result.  The runners fill in the defaults derived from the form,
+# and write them back into the config so that the manifest echoes them: the
+# reverse sweeps' points, and the ranks of curvature and convergence.
 PARAMS_DEFAULTS = {
     "curvature": {},
     "list-presets": {},
@@ -513,7 +512,6 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
     p = cfg.params
     T_grid, bump = p["T_grid"], _bump(form, p["bump"])
     points = [_point(form, q) for q in p.setdefault("points", _default_points(form))]
-    h = p.setdefault("h", 1e-3 * bump.radius)
     constants = curvature_constants(form)
     verify = verify_reverse_logsobolev if log_version else verify_reverse_poincare
     name = "reverse-logsobolev" if log_version else "reverse-poincare"
@@ -523,7 +521,7 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
     for T in T_grid:
         sampler = base.dilated(T)
         for j, x in enumerate(points):
-            records.append(verify(sampler, bump, x, constants, h,
+            records.append(verify(sampler, bump, x, constants,
                                   record_id=f"{name}-T{T:g}-x{j}"))
     return records, {"T_grid": T_grid, "points": len(points)}, {}
 

@@ -4,17 +4,17 @@ Two independent routes to the semigroup P_T = exp(T L / 2) live here:
 
 * Monte Carlo: P_T f(x) is the sample mean of f(x * g_T) over simulated group
   Brownian endpoints.  One endpoint set is drawn per sampler and reused for
-  every function and every evaluation point, so finite differences of the
-  semigroup share their noise (common random numbers) and differences of
-  estimates are themselves mean estimates.
+  every function and every evaluation point (common random numbers).  The
+  derivatives of P_T f are means too, of the chain rule through
+  x * (e u, 0) * g path by path, so Gamma carries no differencing bias.
 * A grid PDE solver for the three-dimensional group (n=2, d=1), stepping
   du/dt = (X^2 + Y^2)u/2 with X = d/dw1 - (w2/2) d/dc, Y = d/dw2 + (w1/2) d/dc
   by second-order centered stencils and Runge-Kutta-Legendre super steps in
   time.
 
 Each inequality check reads P_T f once per point and returns VerificationRecords,
-one per value of its p, q or offset grid, with both sides, the propagated
-statistical errors, and the stated deterministic slack.
+one per value of its p, q or offset grid, with both sides and the propagated
+statistical errors.
 """
 
 from __future__ import annotations
@@ -59,20 +59,34 @@ class BumpFunction:
     radius: float
     height: float = 1.0
     floor: float = 0.0
+    _center: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("bump radius must be positive")
         if self.floor < 0:
             raise ValueError("bump floor must be nonnegative")
+        object.__setattr__(self, "_center", self.center.coords())
+
+    def _support(self, coords):
+        """Offsets from the center, the inside mask, and s = 1/(1 - r^2) inside."""
+        delta = np.atleast_2d(np.asarray(coords, dtype=float)) - self._center
+        r2 = np.sum(delta * delta, axis=1) / (self.radius * self.radius)
+        inside = r2 < 1.0
+        return delta, inside, 1.0 / (1.0 - r2[inside])
 
     def __call__(self, coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        delta = coords - self.center.coords()[None, :]
-        r2 = np.sum(delta * delta, axis=1) / (self.radius * self.radius)
-        out = np.full(r2.shape, self.floor)
-        inside = r2 < 1.0
-        out[inside] += self.height * np.exp(-1.0 / (1.0 - r2[inside]))
+        delta, inside, s = self._support(coords)
+        out = np.full(len(delta), self.floor)
+        out[inside] += self.height * np.exp(-s)
+        return out
+
+    def gradient(self, coords):
+        """Coordinate gradient, shape (N, n+d); exactly zero off the support."""
+        delta, inside, s = self._support(coords)
+        out = np.zeros_like(delta)
+        out[inside] = ((-2.0 * self.height / (self.radius * self.radius))
+                       * (s * s * np.exp(-s)))[:, None] * delta[inside]
         return out
 
     def sup_bound(self) -> float:
@@ -143,44 +157,40 @@ class SemigroupSampler:
         W, C = multiply_arrays(self.form, x.w, x.c, self._W, self._C)
         return np.asarray(func(np.concatenate([W, C], axis=1)), dtype=float)
 
-    # -- common-random-number derivative estimates ---------------------------
+    def derivatives(self, func, x: GroupElement) -> np.ndarray:
+        """Per-sample derivatives whose means are those of P_T f at x along
+        X_i (column i) and Z_l (column n+l).  With z = x * g_i, g_i = (W, C),
+        d/de f(x * (e u, 0) * g_i) at e = 0 is grad_w f(z) . u
+        + (1/2) sum_l d_{c_l} f(z) form(u, W - x.w)_l; along Z_l, d_{c_l} f(z)."""
+        n, offset = self.form.n, self._W - x.w
+        D = self.values(func.gradient, x)
+        for l, A in enumerate(self.form.vertical_matrices()):
+            D[:, :n] += 0.5 * D[:, n + l, None] * (offset @ A.T)   # form(e_i, v)_l = (A v)_i
+        return D
 
-    def _difference(self, func, x, direction, h, use_log):
-        """Central difference of P_T f (or of ln P_T f) at x along ``direction``.
+    def squared_gradient(self, func, x, directions, use_log=False):
+        """Sum of squared derivatives of P_T f (or ln P_T f) at x along ``directions``,
+        ("w", i) for Gamma and ("c", l) for Gamma^Z, and its standard error."""
+        cols = [i if kind == "w" else self.form.n + i for kind, i in directions]
+        fvals = self.values(func, x) if use_log else None
+        return _squared_sum(self.derivatives(func, x)[:, cols], fvals)
 
-        ``direction`` is ("w", i) or ("c", l); both sides read the same
-        endpoints, so the difference is itself a mean estimate.  Returns the
-        estimate and its standard error.
-        """
-        kind, idx = direction
-        vals = []
-        for step in (h, -h):
-            w, c = np.zeros(self.form.n), np.zeros(self.form.d)
-            (w if kind == "w" else c)[idx] = step
-            vals.append(self.values(func, multiply(self.form, x, GroupElement(w, c))))
-        vp, vm = vals
-        if not use_log:
-            return _mean_se((vp - vm) / (2.0 * h))
-        up, um = vp.mean(), vm.mean()
-        if up <= 0 or um <= 0:
+
+def _squared_sum(D, fvals=None):
+    """Sum over the columns of D of their squared means, and its standard
+    error.  Given the values ``fvals`` of f, each mean d is divided by
+    b = mean(fvals), the derivative of ln P_T f, and its error is the delta
+    method's: that of (D - d f) / b."""
+    d = D.mean(axis=0)
+    if fvals is not None:
+        b = fvals.mean()
+        if b <= 0:
             raise ValueError("semigroup estimate not positive; log derivative undefined")
-        # delta method: the log difference linearizes to the mean of vp/up - vm/um
-        return ((math.log(up) - math.log(um)) / (2.0 * h),
-                _mean_se(vp / up - vm / um)[1] / (2.0 * h))
-
-    def squared_gradient(self, func, x, h, directions, use_log=False):
-        """Sum of squared derivatives of P_T f (or of ln P_T f) at x along
-        ``directions``: ("w", i) for Gamma, ("c", l) for Gamma^Z.  Returns the
-        sum, its standard error, and the Richardson gap of steps h and h/2,
-        which bounds the O(h^2) differencing bias."""
-        total, var, bias = 0.0, 0.0, 0.0
-        for direction in directions:
-            d_h, se = self._difference(func, x, direction, h, use_log)
-            d_half, _ = self._difference(func, x, direction, 0.5 * h, use_log)
-            total += d_half * d_half
-            var += (2.0 * d_half * se) ** 2
-            bias += abs(d_half * d_half - d_h * d_h)
-        return total, math.sqrt(var), bias
+        d /= b
+        D = (D - d * fvals[:, None]) / b
+    se = D.std(axis=0, ddof=1) / math.sqrt(len(D)) if len(D) > 1 else 0.0
+    # hypot scales, so errors of a path at the support's edge do not underflow
+    return float(d @ d), 2.0 * math.hypot(*(d * se))
 
 
 # --------------------------------------------------------------------------
@@ -468,59 +478,51 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
 # inequality verifiers
 
 
-def _record(lhs, rhs, se_lhs, se_rhs, slack, **fields) -> VerificationRecord:
-    """The record of lhs <= rhs, with margin rhs - lhs.
-
-    It passes unless the margin falls below three combined standard errors
-    plus the deterministic ``slack``.
-    """
+def _record(lhs, rhs, se_lhs, se_rhs, **fields) -> VerificationRecord:
+    """The record of lhs <= rhs, with margin rhs - lhs; it passes unless the
+    margin falls below three combined standard errors."""
     margin = rhs - lhs
-    tolerance = 3.0 * math.sqrt(se_lhs * se_lhs + se_rhs * se_rhs) + slack
+    tolerance = 3.0 * math.hypot(se_lhs, se_rhs)
     return VerificationRecord(lhs=lhs, rhs=rhs, stderr_lhs=se_lhs, stderr_rhs=se_rhs,
                               margin=margin, passed=bool(margin >= -tolerance), **fields)
 
 
-def _reverse_record(sampler, f, x, constants, h, use_log, core, se_core,
+def _reverse_record(sampler, f, x, constants, log_fvals, core, se_core,
                     record_id, **detail) -> VerificationRecord:
     """Gamma(g) + rho2 T Gamma^Z(g) against (harnack_coeff / T) core at x.
 
-    g is P_T f, or ln P_T f when ``use_log``; ``core`` is the variance or
-    entropy term with standard error ``se_core``.  The Richardson gap of the
-    squared gradients is the slack.
+    g is P_T f, or ln P_T f given ``log_fvals``, the values of f the verifier
+    read; ``core`` is the variance or entropy term with standard error
+    ``se_core``.  Both gradients come from one read of the pathwise derivatives.
     """
     T, form = sampler.T, sampler.form
-    grad, se_g, bias_g = sampler.squared_gradient(
-        f, x, h, [("w", i) for i in range(form.n)], use_log)
-    gradz, se_gz, bias_gz = sampler.squared_gradient(
-        f, x, h, [("c", l) for l in range(form.d)], use_log)
+    D = sampler.derivatives(f, x)
+    grad, se_g = _squared_sum(D[:, :form.n], log_fvals)
+    gradz, se_gz = _squared_sum(D[:, form.n:], log_fvals)
     coeff = constants.harnack_coeff / T
     vertical = constants.rho2 * T
-    se_v = vertical * se_gz
-    slack = bias_g + vertical * bias_gz
     return _record(
-        grad + vertical * gradz, coeff * core, math.sqrt(se_g * se_g + se_v * se_v),
-        coeff * se_core, slack, record_id=record_id, rank=form.n, T=T,
+        grad + vertical * gradz, coeff * core, math.hypot(se_g, vertical * se_gz),
+        coeff * se_core, record_id=record_id, rank=form.n, T=T,
         x=coords_str(x.coords()),
-        detail={"grad_sq": grad, "grad_z_sq": gradz, "richardson_slack": slack,
-                "h": h, "samples": sampler.samples, **detail},
+        detail={"grad_sq": grad, "grad_z_sq": gradz, "samples": sampler.samples, **detail},
     )
 
 
 def verify_reverse_poincare(sampler: SemigroupSampler, f, x: GroupElement,
-                            constants: CurvatureConstants, h: float,
+                            constants: CurvatureConstants,
                             record_id: str = "reverse-poincare") -> VerificationRecord:
     """Squared gradients of P_T f against the variance bound at x."""
     vals = sampler.values(f, x)
     # centred form: E[f^2] - E[f]^2 cancels to a negative value on constant f
     dev_sq = (vals - vals.mean()) ** 2
     var_est = dev_sq.mean()
-    return _reverse_record(sampler, f, x, constants, h, False, var_est,
+    return _reverse_record(sampler, f, x, constants, None, var_est,
                            _mean_se(dev_sq - var_est)[1], record_id, variance=var_est)
 
 
 def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
                               x: GroupElement, constants: CurvatureConstants,
-                              h: float,
                               record_id: str = "reverse-logsobolev") -> VerificationRecord:
     """Squared gradients of ln P_T f against the entropy bound at x."""
     if not getattr(f, "floor", 0.0) > 0.0:
@@ -536,7 +538,7 @@ def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
     terms = u * np.log(u) - u + 1.0
     core = terms.mean()
     lin = (terms - core) - core * (u - 1.0)
-    return _reverse_record(sampler, f, x, constants, h, True, core,
+    return _reverse_record(sampler, f, x, constants, fv, core,
                            _mean_se(lin)[1], record_id, entropy_core=core)
 
 
@@ -558,7 +560,7 @@ def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
         my, sy = _mean_se(fy ** p)
         factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
         records.append(_record(
-            mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy, 0.0,
+            mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy,
             record_id=f"{record_id}-p{p:g}", rank=sampler.form.n, T=T, p_or_q=p,
             x=coords_str(x.coords()), y=coords_str(y.coords()),
             detail={"dist_sq": dist_sq, "factor": factor},
@@ -626,7 +628,7 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
     m, se_m = _mean_se(diffs)
     rhs = sup_bound**2 * math.expm1(constants.harnack_coeff * dist_sq / (2.0 * T))
     return _record(
-        m * m, rhs, 2.0 * abs(m) * se_m, 0.0, 0.0,
+        m * m, rhs, 2.0 * abs(m) * se_m, 0.0,
         record_id=record_id, rank=sampler.form.n, T=T,
         x=coords_str(x.coords()), y=coords_str(y.coords()),
         detail={"dist_sq": dist_sq, "difference": m, "sup_bound": sup_bound},

@@ -81,6 +81,14 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", {"params": {"typo_tolerance": 1}})
         assert main(["verify-cd", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("experiment", ["verify-reverse-poincare",
+                                            "verify-reverse-logsobolev"])
+    def test_reverse_step_size_is_rejected(self, tmp_path, experiment):
+        # the squared gradients are pathwise derivatives: there is no step h
+        cfg = write_config(tmp_path, "c.json", {"params": {**TINY[experiment], "h": 1e-3}})
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_experiment_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"experiment": "distance"})
         assert main(["curvature", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -315,8 +323,8 @@ class TestParamsDefaults:
     """Every params default lives in PARAMS_DEFAULTS; load_config resolves it."""
 
     # keys with no table default: required, accepted and ignored, or derived
-    # from the form or the bump in their runner
-    NO_DEFAULT = {"target", "restarts", "points", "h"}
+    # from the form in their runner
+    NO_DEFAULT = {"target", "restarts", "points"}
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_defaults_are_valid_params(self, experiment):
@@ -349,9 +357,9 @@ class TestParamsDefaults:
         params["grid"]["box"][0][0] = -1
         assert PARAMS_DEFAULTS["oracle-h3"]["grid"]["box"][0] == [-6, 6]
 
-    # what a runner derives from the form or the bump, echoed all the same
-    DERIVED_PARAMS = {"verify-reverse-poincare": {"points", "h"},
-                      "verify-reverse-logsobolev": {"points", "h"}}
+    # what a runner derives from the form, echoed all the same
+    DERIVED_PARAMS = {"verify-reverse-poincare": {"points"},
+                      "verify-reverse-logsobolev": {"points"}}
     DERIVED_RANKS = {"curvature": [2], "convergence": [1, 2]}
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
