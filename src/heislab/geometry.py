@@ -27,14 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import GroupElement, OmegaForm, homogeneous_norm, identity, inverse, multiply
+from .groups import GroupElement, OmegaForm, homogeneous_norm, inverse, multiply
 
 __all__ = [
     "HorizontalPath",
     "DistanceOptions",
     "DistanceResult",
     "cc_distance",
-    "projected_distance_convergence",
 ]
 
 
@@ -57,25 +56,9 @@ class HorizontalPath:
     def segments(self) -> int:
         return self.nodes.shape[0] - 1
 
-    def increments(self) -> np.ndarray:
-        return np.diff(self.nodes, axis=0)
-
-    def length(self) -> float:
-        return float(np.linalg.norm(self.increments(), axis=1).sum())
-
-    def energy(self) -> float:
-        inc = self.increments()
-        return float(self.segments * np.sum(inc * inc))
-
-    def reversed(self) -> "HorizontalPath":
-        return HorizontalPath(self.nodes[::-1].copy(), self.start_vertical)
-
     def vertical_profile(self, form: OmegaForm) -> np.ndarray:
         """Vertical coordinates at every node, from the exact segment rule."""
         return self.start_vertical + 0.5 * form.running_path_integral(self.nodes)
-
-    def endpoint(self, form: OmegaForm) -> GroupElement:
-        return GroupElement(self.nodes[-1], self.vertical_profile(form)[-1])
 
 
 @dataclass
@@ -274,31 +257,3 @@ def _closed_form_distance(form, x, z, e1, e2, q, owner, K) -> DistanceResult:
         math.sqrt(energy), HorizontalPath(rel + x.w[None, :], x.c), energy, residual,
         {"loop_area": loops},
     )
-
-
-@dataclass
-class ConvergenceReport:
-    distances: list
-    monotone_ok: bool
-
-
-def projected_distance_convergence(form, x: GroupElement, ranks) -> ConvergenceReport:
-    """Distances d_m(e, x) for increasing ranks m: the distance of
-    ``form.restrict(m)`` to x on its leading m coordinates.
-
-    A geodesic at one rank is admissible at every larger rank, so the exact
-    sequence is nonincreasing up to round-off.
-    """
-    ranks = list(ranks)
-    if any(b <= a for a, b in zip(ranks, ranks[1:])):
-        raise ValueError("ranks must be strictly increasing")
-    support = np.nonzero(x.w)[0]
-    if len(support) and support.max() >= ranks[0]:
-        raise ValueError("target horizontal support must fit inside the smallest rank")
-    distances = []
-    for m in ranks:
-        lead = form.restrict(m)
-        distances.append(cc_distance(lead, identity(lead), GroupElement(x.w[:m], x.c)).distance)
-    tol = 1e-12 * max(distances[0], 1.0)
-    mono = all(b <= a + tol for a, b in zip(distances, distances[1:]))
-    return ConvergenceReport(distances, mono)

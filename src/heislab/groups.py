@@ -30,8 +30,6 @@ __all__ = [
     "GroupPreset",
     "multiply",
     "inverse",
-    "bracket",
-    "dilate",
     "homogeneous_norm",
     "make_preset",
     "preset_catalog",
@@ -173,14 +171,6 @@ class GroupElement:
             and np.array_equal(self.c, other.c)
         )
 
-    def isclose(self, other, atol=1e-12):
-        return (
-            self.n == other.n
-            and self.d == other.d
-            and np.allclose(self.w, other.w, atol=atol, rtol=0)
-            and np.allclose(self.c, other.c, atol=atol, rtol=0)
-        )
-
 
 def identity(form: OmegaForm) -> GroupElement:
     return GroupElement(np.zeros(form.n), np.zeros(form.d))
@@ -206,19 +196,6 @@ def multiply(form: OmegaForm, x: GroupElement, y: GroupElement) -> GroupElement:
 def inverse(x: GroupElement) -> GroupElement:
     """Group inverse, which is componentwise negation."""
     return GroupElement(-x.w, -x.c)
-
-
-def bracket(form: OmegaForm, x: GroupElement, y: GroupElement) -> GroupElement:
-    """Lie bracket (0, form(w1, w2)); bilinear and antisymmetric."""
-    _check_same_group(form, x, y)
-    return GroupElement(np.zeros(form.n), form.pair(x.w, y.w))
-
-
-def dilate(lam: float, x: GroupElement) -> GroupElement:
-    """Grading automorphism (w, c) -> (lam*w, lam^2*c); requires lam > 0."""
-    if not lam > 0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    return GroupElement(lam * x.w, lam * lam * x.c)
 
 
 def homogeneous_norm(x: GroupElement) -> float:

@@ -168,13 +168,6 @@ class SemigroupSampler:
             D[:, :n] += 0.5 * D[:, n + l, None] * (offset @ A.T)   # form(e_i, v)_l = (A v)_i
         return D
 
-    def squared_gradient(self, func, x, directions, use_log=False):
-        """Sum of squared derivatives of P_T f (or ln P_T f) at x along ``directions``,
-        ("w", i) for Gamma and ("c", l) for Gamma^Z, and its standard error."""
-        cols = [i if kind == "w" else self.form.n + i for kind, i in directions]
-        fvals = self.values(func, x) if use_log else None
-        return _squared_sum(self.derivatives(func, x)[:, cols], fvals)
-
 
 def _squared_sum(D, fvals=None):
     """Sum over the columns of D of their squared means, and its standard
@@ -586,15 +579,10 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
     if not all(q > 1 for q in q_grid):
         raise ValueError("the exponent must exceed one")
     T = density.T
-    w1, w2, c = density.grid_coords()
-    # z * y^{-1} = (w_z - w_y, c_z - c_y - form(w_z, w_y)/2)
-    wy1, wy2 = y.w[0], y.w[1]
-    pairing = form.coeffs[0, 1, 0] * (w1 * wy2 - w2 * wy1)
-    shifted = np.stack([
-        (w1 - wy1).ravel(), (w2 - wy2).ravel(),
-        (c - y.c[0] - 0.5 * pairing).ravel(),
-    ], axis=1)
-    p_shift = density.interpolate(shifted, fill=np.nan).reshape(density.values.shape)
+    # z * y^-1 at every grid point z, written over z
+    z = np.stack(density.grid_coords(), axis=-1).reshape(-1, 3)
+    z[:, :2], z[:, 2:] = multiply_arrays(form, z[:, :2], z[:, 2:], -y.w, -y.c)
+    p_shift = density.interpolate(z, fill=np.nan).reshape(density.values.shape)
     floor = 1e-15 * float(density.values.max())
     valid = ~np.isnan(p_shift) & (density.values > floor)
     pv = density.values[valid]

@@ -2,15 +2,15 @@
 
 Terms are stored as a dict from exponent tuples to float coefficients; exact
 zeros are never stored.  These are the test functions for the group calculus:
-every derivative taken there lands back in this class, so identity checks can
-compare coefficients instead of finite differences.
+every derivative taken there lands back in this class, so the calculus is
+exact and only its end results are evaluated, never differenced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["PolynomialFunction", "variable", "constant", "random_polynomial"]
+__all__ = ["PolynomialFunction", "constant", "random_polynomial"]
 
 
 class PolynomialFunction:
@@ -35,9 +35,6 @@ class PolynomialFunction:
         p.nvars = nvars
         p.terms = terms
         return p
-
-    def copy(self) -> "PolynomialFunction":
-        return PolynomialFunction._raw(self.nvars, dict(self.terms))
 
     # -- ring operations -------------------------------------------------------
 
@@ -120,7 +117,7 @@ class PolynomialFunction:
             out[key] = c * coeff
         return PolynomialFunction._raw(self.nvars, out)
 
-    # -- evaluation and diagnostics ----------------------------------------------
+    # -- evaluation ---------------------------------------------------------------
 
     def __call__(self, point):
         """Evaluate at one point (length nvars) or a batch (N, nvars)."""
@@ -139,15 +136,6 @@ class PolynomialFunction:
                     mono *= pts[:, v] ** k
             total += mono
         return float(total[0]) if single else total
-
-    def coeff_norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        if not self.terms:
-            return 0.0
-        return float(np.sqrt(sum(c * c for c in self.terms.values())))
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -173,12 +161,6 @@ def constant(nvars: int, value: float) -> PolynomialFunction:
     if value == 0.0:
         return PolynomialFunction._raw(nvars, {})
     return PolynomialFunction._raw(nvars, {(0,) * nvars: float(value)})
-
-
-def variable(nvars: int, var: int) -> PolynomialFunction:
-    exps = [0] * nvars
-    exps[var] = 1
-    return PolynomialFunction._raw(nvars, {tuple(exps): 1.0})
 
 
 def random_polynomial(nvars, max_degree, rng, terms=8, coeff_range=(-2.0, 2.0)):

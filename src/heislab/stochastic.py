@@ -79,9 +79,21 @@ def _draw_positions(form: OmegaForm, T, K, seed, start, count):
 
 
 def _mean_se(v):
-    """Sample mean of v and its standard error (0 for a single sample)."""
-    se = v.std(ddof=1) / np.sqrt(len(v)) if len(v) > 1 else 0.0
-    return float(v.mean()), float(se)
+    """Sample mean of v and its standard error (0 for a single sample).
+
+    ``v.std`` squares the deviations, and those below about 1e-154 square
+    to zero, so a spread under 2^-450 is taken again of v / 2^e, with 2^e
+    the smallest power of two above max|v|, and scaled back.  Scaling by a
+    power of two is exact, and above 2^-450 the lost squares are far below
+    the sum's rounding.
+    """
+    if len(v) < 2:
+        return float(v.mean()), 0.0
+    sd = v.std(ddof=1)
+    if sd < 2.0 ** -450:
+        e = int(np.frexp(np.abs(v).max())[1])
+        sd = np.ldexp(np.ldexp(v, -e).std(ddof=1), e)
+    return float(v.mean()), float(sd / np.sqrt(len(v)))
 
 
 def sample_paths(form: OmegaForm, T: float, K: int, count: int, seed: int,

@@ -119,9 +119,9 @@ class TestSemigroupSampler:
 
     def test_gamma_of_constant_is_exactly_zero(self, sampler):
         f = BumpFunction(E, radius=2.0, height=0.0, floor=0.7)
-        for use_log in (False, True):
-            val, se = sampler.squared_gradient(f, GroupElement([0.3, -0.2], [0.1]),
-                                               [("w", 0), ("w", 1), ("c", 0)], use_log)
+        x = GroupElement([0.3, -0.2], [0.1])
+        for fvals in (None, sampler.values(f, x)):
+            val, se = heat._squared_sum(sampler.derivatives(f, x), fvals)
             assert val == 0.0 and se == 0.0
 
     def test_dilation_matches_a_fresh_draw(self):
@@ -366,22 +366,23 @@ class TestMcPdeConsistency:
         g2 = (u(shift(x, 1, h)) - u(shift(x, 1, -h))) / (2 * h)
         oracle = g1 * g1 + g2 * g2
         samp = SemigroupSampler(H1, T, 256, 60000, seed=93)
-        val, se = samp.squared_gradient(bump, GroupElement(x[:2], x[2:]),
-                                        [("w", 0), ("w", 1)])
+        val, se = heat._squared_sum(samp.derivatives(bump, GroupElement(x[:2], x[2:]))[:, :2])
         assert abs(val - oracle) <= 3 * se + 0.05 * (abs(oracle) + 0.01)
 
 
-def _crn_squared_gradient(sampler, f, x, directions, use_log, h):
-    """The squared gradient by central differences of step h that reuse the
+def _crn_squared_gradient(sampler, f, x, cols, use_log, h):
+    """The squared gradient along the coordinate directions ``cols`` (X_i for
+    i < n, Z_l at n + l) by central differences of step h that reuse the
     sampler's endpoints (common random numbers)."""
     form = sampler.form
     total = 0.0
-    for kind, idx in directions:
+    for col in cols:
         means = []
         for step in (h, -h):
-            w, c = np.zeros(form.n), np.zeros(form.d)
-            (w if kind == "w" else c)[idx] = step
-            means.append(sampler.values(f, multiply(form, x, GroupElement(w, c))).mean())
+            e = np.zeros(form.n + form.d)
+            e[col] = step
+            y = multiply(form, x, GroupElement(e[:form.n], e[form.n:]))
+            means.append(sampler.values(f, y).mean())
         up, um = np.log(means) if use_log else means
         total += ((up - um) / (2.0 * h)) ** 2
     return total
@@ -400,9 +401,10 @@ class TestPathwiseGradient:
         center = GroupElement(np.resize([0.3, -0.2, 0.1], n), np.resize([0.1, -0.1], d))
         f = BumpFunction(center, radius=1.5 * math.sqrt(n + d), floor=0.1)
         x = GroupElement(np.resize([0.4, -0.3, 0.2], n), np.resize([0.2, -0.15], d))
-        for directions in ([("w", i) for i in range(n)], [("c", l) for l in range(d)]):
-            val, se = samp.squared_gradient(f, x, directions, use_log)
-            crn = _crn_squared_gradient(samp, f, x, directions, use_log, 1e-4)
+        D, fvals = samp.derivatives(f, x), (samp.values(f, x) if use_log else None)
+        for cols in (slice(0, n), slice(n, n + d)):
+            val, se = heat._squared_sum(D[:, cols], fvals)
+            crn = _crn_squared_gradient(samp, f, x, range(n + d)[cols], use_log, 1e-4)
             assert val > 0 and se > 0
             assert val == pytest.approx(crn, rel=1e-5)
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -26,21 +27,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "heislab"
 
 # Exported names whose only callers are tests, each listed on purpose: the
-# Gamma-calculus identities, the group structure and polynomial builders the
-# tests are written in, the H3 generator the grid oracle is tested against,
-# and the distance monotonicity of the projection groups.
-TEST_FACING = {
-    "differential.check_bracket_relation",
-    "differential.check_commutation",
-    "differential.check_gamma2z_sum_of_squares",
-    "differential.check_gamma_decomposition",
-    "differential.check_generator_decomposition",
-    "geometry.projected_distance_convergence",
-    "groups.bracket",
-    "groups.dilate",
-    "heat.apply_h3_generator",
-    "polynomials.variable",
-}
+# H3 generator the grid oracle is tested against.
+TEST_FACING = {"heat.apply_h3_generator"}
+PROGRAM = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _referenced_names(path):
@@ -67,12 +56,52 @@ def _referenced_names(path):
     return names
 
 
+def _attributes_read(path):
+    """Every attribute name a file reads, of any value (``res.witness``)."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _exports():
+    """Every exported name, as ``module.name``, with its object."""
+    out = {}
+    for name in MODULES:
+        module = importlib.import_module(f"heislab.{name}")
+        out.update({f"{name}.{n}": getattr(module, n) for n in getattr(module, "__all__", ())})
+    return out
+
+
+def unused_exports():
+    """Exported names outside TEST_FACING that no file of src/ or bench/ reads."""
+    referenced = set().union(*map(_referenced_names, PROGRAM))
+    return sorted(q for q in set(_exports()) - TEST_FACING if q.split(".")[1] not in referenced)
+
+
+def unused_methods():
+    """Public methods and properties of exported classes whose name no file of
+    src/ or bench/ reads as an attribute."""
+    read = set().union(*map(_attributes_read, PROGRAM))
+    return sorted(f"{q}.{attr}" for q, obj in _exports().items() if inspect.isclass(obj)
+                  for attr, value in vars(obj).items()
+                  if not attr.startswith("_") and attr not in read
+                  and (inspect.isfunction(value) or isinstance(value, (property, classmethod,
+                                                                       staticmethod))))
+
+
 def test_every_export_has_a_caller_outside_the_tests():
-    exported = {f"{name}.{n}" for name in MODULES
-                for n in getattr(importlib.import_module(f"heislab.{name}"), "__all__", ())}
-    referenced = set()
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        referenced |= _referenced_names(path)
-    unused = sorted(q for q in exported - TEST_FACING if q.split(".")[1] not in referenced)
-    assert unused == []
-    assert TEST_FACING <= exported
+    assert unused_exports() == []
+    assert TEST_FACING <= set(_exports())
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    assert unused_methods() == []
+
+
+def test_the_audits_reject_a_test_only_name(monkeypatch):
+    from heislab import geometry
+    monkeypatch.setattr(geometry, "__all__", [*geometry.__all__, "probe_only_tests_call"])
+    monkeypatch.setattr(geometry, "probe_only_tests_call", lambda: None, raising=False)
+    monkeypatch.setattr(geometry.HorizontalPath, "probe_only_tests_call",
+                        lambda self: None, raising=False)
+    assert unused_exports() == ["geometry.probe_only_tests_call"]
+    assert unused_methods() == ["geometry.HorizontalPath.probe_only_tests_call"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from heislab import stochastic
-from heislab.groups import GroupElement, dilate, make_preset
+from heislab.groups import make_preset
 from heislab.rng import path_generator
 from heislab.stochastic import (
     convergence_study,
@@ -131,12 +131,29 @@ class TestMoments:
         T = 0.49
         BT, MT = sample_paths(H1, T, 64, 4, seed=41)
         B1, M1 = sample_paths(H1, 1.0, 64, 4, seed=41)
-        for i in range(4):
-            scaled = dilate(1.0 / np.sqrt(T), GroupElement(BT[i, -1], 0.5 * MT[i, -1]))
-            assert np.allclose(scaled.w, B1[i, -1], atol=1e-12)
-            assert np.allclose(scaled.c, 0.5 * M1[i, -1], atol=1e-12)
         assert np.allclose(BT / np.sqrt(T), B1, atol=1e-12)
         assert np.allclose(MT / T, M1, atol=1e-12)
+
+
+class TestMeanSe:
+    def test_matches_the_plain_formula(self):
+        # the power-of-two scaling is exact: same bits as std / sqrt(N)
+        rng = np.random.default_rng(43)
+        for scale in (1e-120, 1e-3, 1.0, 1e90):
+            v = rng.normal(size=257) * scale
+            assert stochastic._mean_se(v) == (v.mean(), v.std(ddof=1) / np.sqrt(257))
+
+    def test_tiny_values_do_not_underflow(self):
+        # one path at a bump's support edge, as on wiener_truncation(8,2):
+        # its square, 1e-351, is below the smallest double
+        v = np.zeros(1000)
+        v[3] = 3.4e-176
+        mean, se = stochastic._mean_se(v)
+        assert mean == pytest.approx(3.4e-179, rel=1e-12, abs=0.0)
+        assert se == pytest.approx(3.4e-179, rel=1e-12, abs=0.0)   # a / N for one value a
+        # below the cut-over the error scales exactly with the values
+        w = np.random.default_rng(44).normal(size=257)
+        assert stochastic._mean_se(np.ldexp(w, -600))[1] == np.ldexp(stochastic._mean_se(w)[1], -600)
 
 
 class TestProjection:
