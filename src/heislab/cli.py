@@ -131,6 +131,7 @@ _GRID = {
                                            "minItems": 2, "maxItems": 2},
                 "minItems": 3, "maxItems": 3},
         "shape": {"type": "array", "items": _POSINT, "minItems": 3, "maxItems": 3},
+        # cfl_fraction: accepted and ignored; the grid solve takes no time steps
         "cfl_fraction": _POSNUM,
         "mollifier_cells": _POSNUM,
     },
@@ -221,7 +222,7 @@ _ZERO = {"w": [0.0], "c": [0.0]}
 _BUMP_DEFAULTS = {"center": _ZERO, "radius": 2.5, "height": 1.0, "floor": 0.0}
 _SAMPLER_DEFAULTS = {"samples": 30000, "steps": 256}
 _GRID_DEFAULTS = {"T": 1.0, "grid": {"box": [[-6, 6], [-6, 6], [-8, 8]], "shape": [96, 96, 128],
-                                     "cfl_fraction": 0.5, "mollifier_cells": 3.0}}
+                                     "mollifier_cells": 3.0}}
 _REVERSE_DEFAULTS = {"T_grid": [0.25, 0.5, 1.0, 2.0], **_SAMPLER_DEFAULTS, "bump": _BUMP_DEFAULTS}
 
 # Every experiment's params defaults.  load_config merges a config's params
@@ -570,8 +571,8 @@ def _grid_solve(form, p):
     grid = p["grid"]
     density = pde_oracle_h3(
         "delta", p["T"], box=tuple(tuple(b) for b in grid["box"]), shape=tuple(grid["shape"]),
-        cfl_fraction=grid["cfl_fraction"], mollifier_cells=grid["mollifier_cells"])
-    facts = ("steps", "dt", "stability_bound", "stages", "operator_applications")
+        mollifier_cells=grid["mollifier_cells"])
+    facts = ("steps", "spectral_bound", "truncation_bound")
     return density, {"mass": density.mass, **{k: density.meta[k] for k in facts}}
 
 
@@ -608,14 +609,15 @@ def exp_verify_strong_feller(cfg, form):
 # Inversion asymmetry max|u(z) - u(z^-1)| / max u of the grid solve at T = 1
 # on the default box, against the largest grid spacing h and the mollifier
 # width in cells m: 1.53e-3, 1.24e-3 and 0.88e-3 on 48x48x64, 64x64x85 and
-# 96x96x128 (h = 0.255, 0.190, 0.126) at m = 3; 2.55e-3, 2.27e-3 and 1.05e-3
+# 96x96x128 (h = 0.255, 0.190, 0.126) at m = 3; 2.56e-3, 2.27e-3 and 1.05e-3
 # at m = 1.5, 2 and 4 on 48x48x64; 1.88e-3 and 1.62e-3 at m = 1.5 and 2 on
-# 64x64x85.  A least-squares fit of all eight gives 1.0e-2 h^0.77 m^-0.8 to
-# within 11%: the asymmetry falls like h^0.8 at a fixed m, not like h^2,
-# because a start that spans a fixed number of cells is never resolved
-# better.  Time steps do not enter (cfl_fraction 0.1 gives the same 1.53e-3).
-# The record allows twice the fit, which also covers T = 2 (1.79e-3 on
-# 48x48x64) and the benchmark grid (2.75e-3 at T = 0.25).
+# 64x64x85.  A least-squares fit of all eight gives 1.02e-2 h^0.77 m^-0.80 to
+# within 11%, and its rounding below to within 13%: the asymmetry falls like
+# h^0.8 at a fixed m, not like h^2, because a start that spans a fixed number
+# of cells is never resolved better.  The solve is exact in time up to its
+# truncation bound, so the asymmetry is the stencil's.  The record allows
+# twice the fit, which also covers T = 2 (1.79e-3 on 48x48x64) and the
+# benchmark grid (2.75e-3 at T = 0.25).
 _SYMMETRY_FIT = (1.0e-2, 0.77, 0.8)
 
 

@@ -7,10 +7,11 @@ Two independent routes to the semigroup P_T = exp(T L / 2) live here:
   every function and every evaluation point (common random numbers).  The
   derivatives of P_T f are means too, of the chain rule through
   x * (e u, 0) * g path by path, so Gamma carries no differencing bias.
-* A grid PDE solver for the three-dimensional group (n=2, d=1), stepping
-  du/dt = (X^2 + Y^2)u/2 with X = d/dw1 - (w2/2) d/dc, Y = d/dw2 + (w1/2) d/dc
-  by second-order centered stencils and Runge-Kutta-Legendre super steps in
-  time.
+* A grid PDE solver for the three-dimensional group (n=2, d=1): the
+  semi-discrete solution u(T) = exp(T L_h) u_0 of du/dt = (X^2 + Y^2)u/2,
+  with X = d/dw1 - (w2/2) d/dc, Y = d/dw2 + (w1/2) d/dc and L_h the
+  second-order centered stencil of (X^2 + Y^2)/2, as one Chebyshev
+  expansion in L_h.
 
 Each inequality check reads P_T f once per point and returns VerificationRecords,
 one per value of its p, q or offset grid, with both sides and the propagated
@@ -171,9 +172,11 @@ class SemigroupSampler:
 
 def _squared_sum(D, fvals=None):
     """Sum over the columns of D of their squared means, and its standard
-    error.  Given the values ``fvals`` of f, each mean d is divided by
-    b = mean(fvals), the derivative of ln P_T f, and its error is the delta
-    method's: that of (D - d f) / b."""
+    error.  Every column reads the same paths, so the error is the delta
+    method's for the whole sum: that of D @ (2d), with d the column means.
+    Given the values ``fvals`` of f, each mean d is divided by
+    b = mean(fvals), the derivative of ln P_T f, and D by the delta method
+    becomes (D - d f) / b."""
     d = D.mean(axis=0)
     if fvals is not None:
         b = fvals.mean()
@@ -181,9 +184,8 @@ def _squared_sum(D, fvals=None):
             raise ValueError("semigroup estimate not positive; log derivative undefined")
         d /= b
         D = (D - d * fvals[:, None]) / b
-    se = D.std(axis=0, ddof=1) / math.sqrt(len(D)) if len(D) > 1 else 0.0
-    # hypot scales, so errors of a path at the support's edge do not underflow
-    return float(d @ d), 2.0 * math.hypot(*(d * se))
+    # _mean_se rescales, so errors of a path at the support's edge do not underflow
+    return float(d @ d), 2.0 * _mean_se(D @ d)[1]
 
 
 # --------------------------------------------------------------------------
@@ -251,13 +253,27 @@ def _trapezoid3(axes, vals) -> float:
 
 
 def _spectral_radius_bound(w1, w2, c):
-    """Gershgorin bound on the spectral radius of ``apply_h3_generator``.
+    """Gershgorin bound rho_G on the spectral radius of ``apply_h3_generator``,
+    whose spectrum lies in [-rho_G, 0].
 
     The row of interior node (w1=a, w2=b) has absolute sum
     2(1/dw1^2 + 1/dw2^2 + (a^2+b^2)/(4dc^2)) + (|a|/dw2 + |b|/dw1)/(2dc),
-    largest at the interior nodes farthest from the axes.  The operator is
-    symmetric (a and b commute with the central differences), so its
-    eigenvalues are real and lie in [-bound, bound].
+    largest at the interior nodes farthest from the axes.
+
+    The upper end: on the interior nodes, with zero faces, write D for the
+    wide central first differences (v_{j+1} - v_{j-1})/2h and delta^2 for
+    the three-point second differences along each axis.  With
+    X_D = D_1 - (w2/2) D_c and Y_D = D_2 + (w1/2) D_c, the stencil is
+    L = (X_D^2 + Y_D^2)/2 + [(delta_1^2 - D_1^2) + (delta_2^2 - D_2^2)
+    + ((w1^2 + w2^2)/4)(delta_c^2 - D_c^2)]/2, because the coefficients w1 and
+    w2 commute with the differences along the other axes.  X_D and Y_D are
+    antisymmetric, so their squares are negative semidefinite.  In one
+    dimension, with S the shift, (S - S^T)^2 = S^2 + S^T^2 - 2 + E, where E
+    is 1 at the two corner entries of the diagonal and 0 elsewhere, so
+    4h^2 (delta^2 - D^2) = -(S^2 + S^T^2 - 4S - 4S^T + 6) - E: minus the
+    Toeplitz matrix of the nonnegative symbol (2 - 2cos t)^2, minus E, which
+    is negative definite.  Hence L is symmetric and spec(L) lies in
+    [-rho_G, 0].
     """
     dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
     a = max(abs(w1[1]), abs(w1[-2]))
@@ -266,67 +282,32 @@ def _spectral_radius_bound(w1, w2, c):
             + (a / dw2 + b / dw1) / (2 * dc))
 
 
-# RKL2 stages per super step.  The deviation from a fine-dt explicit solve
-# grows with the stage count: on the 33x33x41 benchmark grid at T = 0.25 it
-# is 2.1e-4 of the peak at six stages and 5.0e-4 at eight, against 3.9e-4
-# for 1,125 explicit Euler steps.
-_RKL_STAGES = 6
+# Tail of the Chebyshev coefficients at which the expansion stops: 256 units
+# of round-off, about what the few hundred terms of a solve lose to rounding.
+_CHEBYSHEV_TAIL = 256 * np.finfo(float).eps
 
 
-def _rkl2_b(s):
-    """b_0..b_s of RKL2 (Meyer, Balsara & Aslam 2014, J. Comput. Phys. 257)."""
-    j = np.arange(s + 1, dtype=float)
-    b = np.full(s + 1, 1.0 / 3.0)
-    b[2:] = (j[2:] ** 2 + j[2:] - 2) / (2 * j[2:] * (j[2:] + 1))
-    return b
+def _chebyshev_coefficients(z):
+    """c_0..c_{m-1} of exp(z(x - 1)) = sum_k c_k T_k(x) on [-1, 1], and the
+    tail sum_{k>=m} c_k, with m the first degree whose tail is below
+    ``_CHEBYSHEV_TAIL``.
 
-
-def _rkl2_coefficients(s):
-    """(b_1, [(mu_j, nu_j, kappa_j) for j = 2..s]) of an s-stage RKL2 step.
-
-    mu_j = (2j-1)/j b_j/b_{j-1} and nu_j = -(j-1)/j b_j/b_{j-2} as in Meyer,
-    Balsara & Aslam; kappa_j = mu_j b_{j-1}/b_1 weighs Z_1 in the
-    difference form of ``_rkl2_super_step``.
+    c_k = (2 - delta_k0) e^-z I_k(z).  The ratios I_k/I_{k-1} come from
+    Miller's backward recurrence, started well past the degrees in use, and
+    sum_k c_k = exp(0) = 1 normalizes their products; every c_k is positive.
     """
-    b = _rkl2_b(s)
-    stages = []
-    for j in range(2, s + 1):
-        mu = (2 * j - 1) / j * b[j] / b[j - 1]
-        stages.append((mu, -(j - 1) / j * b[j] / b[j - 2], mu * b[j - 1] / b[1]))
-    return b[1], stages
-
-
-def _rkl2_super_step(y0, z1, ring, coeffs, h, args, work):
-    """One RKL2 super step, in place on y0; h = w_1 tau, w_1 = 4/(s^2+s-2).
-
-    With Z_j = Y_j - Y_0 the stages are Z_1 = b_1 h L Y_0 and
-    Z_j = mu_j (Z_{j-1} + h L Z_{j-1}) + nu_j Z_{j-2} + kappa_j Z_1,
-    so every stage is one ``_step_numpy`` call at dt = h (the first at
-    b_1 h) and Y_0 enters only at the end.  The history term
-    nu_j Z_{j-2} + kappa_j Z_1 is built in place of Z_{j-2}, which no later
-    stage reads, so the stages need only the three ``ring`` grids.  ``z1``
-    and ``ring`` must have zero faces; the stepper never writes them.
-    """
-    b1, stages = coeffs
-    _step_numpy(y0, z1, *args, b1 * h, work=work)
-    np.subtract(z1, y0, out=z1)
-    zm2, zm1 = None, z1
-    for mu, nu, kappa in stages:
-        free = [r for r in ring if r is not zm1 and r is not zm2]
-        out = free[0]
-        if zm2 is None or zm2 is z1:     # Z_0 = 0; Z_1 stays for later stages
-            hist = free[1]
-            np.multiply(z1, kappa if zm2 is None else kappa + nu, out=hist)
-        else:
-            hist = zm2
-            np.multiply(z1, kappa, out=out)     # scratch until the stencil fills out
-            np.multiply(hist, nu, out=hist)
-            np.add(hist, out, out=hist)
-        _step_numpy(zm1, out, *args, h, work=work)
-        np.multiply(out, mu, out=out)
-        np.add(out, hist, out=out)
-        zm2, zm1 = zm1, out
-    np.add(y0, zm1, out=y0)
+    top = int(12.0 * math.sqrt(z)) + 40       # I_top(z) e^-z < 1e-30 here
+    ratio, r = np.empty(top + 1), 0.0
+    ratio[0] = 1.0
+    for k in range(top, 0, -1):
+        r = z / (2.0 * k + z * r)
+        ratio[k] = r
+    c = np.cumprod(ratio)
+    c[1:] *= 2.0
+    c /= c.sum()
+    tail = np.cumsum(c[::-1])[::-1]
+    m = int(np.argmax(tail < _CHEBYSHEV_TAIL))
+    return c[:m], float(tail[m])
 
 
 def _step_work(shape):
@@ -394,43 +375,35 @@ def _mollified_delta(axes, cells):
     return g1[:, None, None] * g2[None, :, None] * g3[None, None, :]
 
 
-def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
+def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
                   mollifier_cells: float = 2.0) -> GridDensity:
     """Grid solve of the group heat equation on the n=2, d=1 group.
 
     ``initial`` is "delta" (a Gaussian of ``mollifier_cells`` cells per axis,
     normalized to unit mass) or a callable on (N, 3) coordinates; anything
     else raises ValueError.  Boundary values are pinned to zero, so mass
-    leaks only through the box walls.
+    leaks only through the box walls.  ``cfl_fraction`` is accepted and
+    ignored: the solve takes no time steps.
 
-    Time steps are super steps of the second-order Runge-Kutta-Legendre
-    scheme RKL2 (Meyer, Balsara & Aslam 2014, J. Comput. Phys. 257) with
-    ``_RKL_STAGES`` stages, each stage one application of the stencil
-    ``_step_numpy``.  The stencil operator is symmetric with spectral radius
-    at most the closed-form Gershgorin bound rho_G
-    (``_spectral_radius_bound``), so a super step is stable up to
-    tau_max = (2/rho_G)(s^2+s-2)/4.  The super step is ``cfl_fraction``
-    (at most 1) times tau_max, shortened so that a whole number of super
-    steps reaches T.  ``meta`` reports the
-    super step ``dt``, the number of super ``steps`` (steps * dt = T), the
-    ``stages`` per step, the ``operator_applications`` (stages * steps) and
-    tau_max as ``stability_bound``.
+    The solution u(T) = exp(T L) u_0 of the semi-discrete equation, with L the
+    stencil operator of ``_step_numpy``, is one Chebyshev expansion (Tal-Ezer
+    & Kosloff 1984, J. Chem. Phys. 81).  spec(L) lies in [-rho_G, 0]
+    (``_spectral_radius_bound``), so A = 1 + 2L/rho_G has its spectrum in
+    [-1, 1] and exp(T L) = sum_k c_k T_k(A) with the coefficients of
+    ``_chebyshev_coefficients`` at z = T rho_G / 2.  T_k(A) u_0 comes from
+    the three-term recurrence T_{k+1} = 2A T_k - T_{k-1}, one stencil
+    application per term, and |T_k| <= 1 on [-1, 1] bounds the error of the
+    m kept terms by tail * ||u_0||_2 in the Euclidean norm of the grid.
+    ``meta`` reports the stencil applications as ``steps`` (m - 1), rho_G as
+    ``spectral_bound`` and tail * ||u_0||_2 as ``truncation_bound``.
 
-    The stencil's work buffers and the three extra grids of the stages are
-    allocated once per solve.
+    The stencil's work buffers, the sum and the three grids of the
+    recurrence are allocated once per solve.
     """
     if not T > 0:
         raise ValueError("terminal time must be positive")
     axes = tuple(np.linspace(lo, hi, num) for (lo, hi), num in zip(box, shape))
     w1, w2, c = axes
-    stages = _RKL_STAGES
-    bound = float(2.0 / _spectral_radius_bound(w1, w2, c)) * (stages * stages + stages - 2) / 4.0
-    if not 0 < cfl_fraction <= 1:
-        raise ValueError(f"cfl_fraction={cfl_fraction} must lie in (0, 1]: a super step "
-                         f"above the stability bound {bound:.3e} is unstable")
-    dt = cfl_fraction * bound
-    steps = max(1, int(math.ceil(T / dt)))
-    dt = T / steps
 
     is_density = isinstance(initial, str) and initial == "delta"
     if is_density:
@@ -448,22 +421,32 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction: float = 0.5,
     if is_density:
         u /= _trapezoid3(axes, u)
 
+    rho = float(_spectral_radius_bound(w1, w2, c))
+    coeffs, tail = _chebyshev_coefficients(0.5 * T * rho)
     dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
+    # a step of dt = 2 / rho_G applies A
     args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2,
-            1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc))
-    coeffs = _rkl2_coefficients(stages)
-    h = 4.0 * dt / (stages * stages + stages - 2)
-    z1 = np.zeros_like(u)
-    ring = tuple(np.zeros_like(u) for _ in range(3))
+            1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc), 2.0 / rho)
+    truncation = tail * float(np.linalg.norm(u))
     work = _step_work(u.shape)
-    for _ in range(steps):
-        _rkl2_super_step(u, z1, ring, coeffs, h, args, work)
+    # the faces of every grid stay zero: the stencil writes only interiors
+    total, prev, cur, scratch = coeffs[0] * u, u, np.zeros_like(u), np.zeros_like(u)
+    for k, ck in enumerate(coeffs[1:], start=1):
+        if k == 1:
+            _step_numpy(prev, cur, *args, work=work)
+        else:
+            _step_numpy(cur, scratch, *args, work=work)
+            np.multiply(scratch, 2.0, out=scratch)
+            np.subtract(scratch, prev, out=prev)
+            prev, cur = cur, prev
+        np.multiply(cur, ck, out=scratch)
+        np.add(total, scratch, out=total)
 
-    mass = _trapezoid3(axes, u)
+    mass = _trapezoid3(axes, total)
     mass_ok = (0.99 <= mass <= 1.0 + 1e-9) if is_density else True
-    return GridDensity(axes, u, T, mass, mass_ok,
-                       {"dt": dt, "steps": steps, "stability_bound": bound,
-                        "stages": stages, "operator_applications": stages * steps,
+    return GridDensity(axes, total, T, mass, mass_ok,
+                       {"steps": len(coeffs) - 1, "spectral_bound": rho,
+                        "truncation_bound": truncation,
                         "mollifier_cells": mollifier_cells if is_density else None})
 
 

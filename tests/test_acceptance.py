@@ -39,8 +39,7 @@ H1 = make_preset("heisenberg", pairs=1).form
 E2 = GroupElement([0.0, 0.0], [0.0])
 
 ACCEPTANCE_GRID = {"box": ((-6.0, 6.0), (-6.0, 6.0), (-8.0, 8.0)),
-                   "shape": (96, 96, 128), "mollifier_cells": 3.0,
-                   "cfl_fraction": 0.5}
+                   "shape": (96, 96, 128), "mollifier_cells": 3.0}
 
 
 def report(num, name, ok, details=""):

@@ -25,7 +25,9 @@ from heislab.geometry import cc_distance
 from heislab.groups import (
     GroupElement, OmegaForm, identity, inverse, make_preset, multiply, preset_catalog,
 )
-from heislab.heat import SemigroupSampler, pde_oracle_h3
+from heislab.heat import (
+    SemigroupSampler, _chebyshev_coefficients, _spectral_radius_bound, pde_oracle_h3,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
@@ -324,7 +326,7 @@ class TestParamsDefaults:
 
     # keys with no table default: required, accepted and ignored, or derived
     # from the form in their runner
-    NO_DEFAULT = {"target", "restarts", "points"}
+    NO_DEFAULT = {"target", "restarts", "points", "cfl_fraction"}
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_defaults_are_valid_params(self, experiment):
@@ -339,7 +341,8 @@ class TestParamsDefaults:
         assert set(schema["properties"]) - set(defaults) <= self.NO_DEFAULT
         for key, value in defaults.items():     # bump, grid and the points
             if isinstance(value, dict):
-                assert set(value) == set(schema["properties"][key]["properties"])
+                nested = set(schema["properties"][key]["properties"])
+                assert set(value) <= nested and nested - set(value) <= self.NO_DEFAULT
 
     def test_partial_bump_keeps_the_other_defaults(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"params": {"bump": {"radius": 3.0}}})
@@ -612,12 +615,26 @@ class TestVerifyCommands:
             out = str(tmp_path / experiment)
             assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
             report = read_summary(out)["report"]
-            facts.append({k: report[k] for k in ("steps", "dt", "stability_bound", "stages",
-                                                 "operator_applications")})
+            facts.append({k: report[k] for k in ("steps", "spectral_bound", "truncation_bound")})
         assert facts[0] == facts[1]
-        assert facts[0]["steps"] * facts[0]["dt"] == pytest.approx(0.3)
-        assert facts[0]["dt"] <= facts[0]["stability_bound"]
-        assert facts[0]["operator_applications"] == facts[0]["stages"] * facts[0]["steps"]
+        axes = [np.linspace(lo, hi, n) for (lo, hi), n in zip(params["grid"]["box"],
+                                                               params["grid"]["shape"])]
+        assert facts[0]["spectral_bound"] == _spectral_radius_bound(*axes)
+        coeffs, _ = _chebyshev_coefficients(0.5 * 0.3 * facts[0]["spectral_bound"])
+        assert facts[0]["steps"] == len(coeffs) - 1
+        assert 0.0 < facts[0]["truncation_bound"] < 1e-9
+
+    def test_cfl_fraction_is_accepted_and_ignored(self, tmp_path):
+        bodies = []
+        for extra in ({}, {"cfl_fraction": 0.1}, {"cfl_fraction": 7.0}):
+            cfg = write_config(tmp_path, "c.json", {"params": {"T": 0.5,
+                                                                "grid": {**SMALL_GRID, **extra}}})
+            out = tmp_path / f"o{len(bodies)}"
+            assert main(["oracle-h3", "--config", cfg, "--out", str(out)]) == 0
+            bodies.append((out / "records.csv").read_bytes())
+            echo = read_manifest(str(out))["config"]["params"]["grid"]
+            assert ("cfl_fraction" in echo) == bool(extra)
+        assert bodies[0] == bodies[1] == bodies[2]
 
 
 def _assert_grid_rejects_non_unit_h3(tmp_path, experiment):

@@ -183,10 +183,6 @@ class TestPdeOracle:
         assert np.array_equal(shared[0], fresh[0])
         assert np.array_equal(shared[1], fresh[1])
 
-    def test_stability_bound_enforced(self):
-        with pytest.raises(ValueError):
-            pde_oracle_h3("delta", T=0.1, box=SMALL_BOX, shape=SMALL_SHAPE, cfl_fraction=1.5)
-
     def test_small_time_taylor_expansion(self):
         bump = BumpFunction(GroupElement([0.3, 0.0], [0.0]), radius=2.0)
         T = 0.002
@@ -235,16 +231,17 @@ class TestPdeOracle:
         assert 0 < outside.sum() < len(pts)
 
 
-def _power_estimate(axes, iters):
-    """||L v|| / ||v|| after ``iters`` power iterations of apply_h3_generator;
-    a lower bound on the spectral radius of the symmetric operator."""
+def _dense_generator(axes):
+    """apply_h3_generator as a dense matrix on the interior nodes."""
+    inner = tuple(len(a) - 2 for a in axes)
+    size = math.prod(inner)
+    dense = np.empty((size, size))
     v = np.zeros(tuple(len(a) for a in axes))
-    v[1:-1, 1:-1, 1:-1] = np.random.default_rng(5).normal(size=tuple(len(a) - 2 for a in axes))
-    for _ in range(iters):
-        g = apply_h3_generator(axes, v)
-        est = np.linalg.norm(g) / np.linalg.norm(v)
-        v = g / np.linalg.norm(g)
-    return est
+    for j in range(size):
+        v[1:-1, 1:-1, 1:-1].flat[j] = 1.0
+        dense[:, j] = apply_h3_generator(axes, v)[1:-1, 1:-1, 1:-1].ravel()
+        v[1:-1, 1:-1, 1:-1].flat[j] = 0.0
+    return dense
 
 
 def _explicit_euler(axes, T, dt, cells):
@@ -279,7 +276,7 @@ def explicit_references():
 
 
 def _deviations(explicit_references):
-    """(RKL2, explicit) maximum deviation from the fine reference, over its peak."""
+    """(Chebyshev, explicit) maximum deviation from the fine reference, over its peak."""
     coarse, fine = explicit_references
     sol = pde_oracle_h3("delta", COARSE_T, box=COARSE_BOX, shape=ACCURACY_SHAPE,
                         mollifier_cells=2.0)
@@ -299,32 +296,100 @@ def _mass_and_moment_errors():
     return [abs(sol.mass - 1.0)] + [abs(m / e - 1.0) for m, e in zip(moments, exact)]
 
 
-class TestRkl2Solve:
+# a grid small enough for a dense exponential, and a bump that fills it
+TINY_BOX = ((-2.0, 3.0), (-1.5, 1.5), (-2.0, 2.0))
+TINY_SHAPE = (7, 8, 9)
+TINY_BUMP = BumpFunction(GroupElement([0.3, -0.2], [0.1]), radius=2.5)
+# from three stencil applications to 45; at T = 1e-4 the last kept term is
+# 1.7e-10, so a solve one term short is seen at 1e-12 of the peak
+TINY_TIMES = (1e-4, 0.01, 0.5, 2.0)
+
+
+def _expm_errors():
+    """Largest deviation from scipy's expm of the dense operator, over the
+    peak, of the solves at TINY_TIMES."""
+    from scipy.linalg import expm
+
+    axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(TINY_BOX, TINY_SHAPE))
+    dense = _dense_generator(axes)
+    errors = []
+    for T in TINY_TIMES:
+        sol = pde_oracle_h3(TINY_BUMP, T, box=TINY_BOX, shape=TINY_SHAPE)
+        u0 = TINY_BUMP(np.stack([g.ravel() for g in sol.grid_coords()], axis=1))
+        ref = expm(T * dense) @ u0.reshape(TINY_SHAPE)[1:-1, 1:-1, 1:-1].ravel()
+        got = sol.values[1:-1, 1:-1, 1:-1].ravel()
+        errors.append(np.abs(got - ref).max() / np.abs(ref).max())
+    return errors
+
+
+class TestChebyshevSolve:
     @pytest.mark.parametrize("box,shape", [
         (((-2.0, 3.0), (-1.5, 1.5), (-2.0, 2.0)), (11, 13, 17)),
         (((-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0)), (17, 17, 21)),
         (((-1.0, 4.0), (-2.0, 2.5), (-3.0, 1.0)), (16, 20, 24)),
     ])
-    def test_gershgorin_bound_covers_the_spectrum(self, box, shape):
+    def test_spectrum_lies_in_the_gershgorin_interval(self, box, shape):
         axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape))
-        rng = np.random.default_rng(9)
-        u, v = (np.pad(rng.normal(size=tuple(n - 2 for n in shape)), 1) for _ in range(2))
-        lu, lv = apply_h3_generator(axes, u), apply_h3_generator(axes, v)
-        assert np.sum(lu * v) == pytest.approx(np.sum(u * lv), rel=1e-12)
-        assert _spectral_radius_bound(*axes) >= _power_estimate(axes, 200)
+        dense = _dense_generator(axes)
+        assert np.array_equal(dense, dense.T)
+        eig = np.linalg.eigvalsh(dense)
+        assert -_spectral_radius_bound(*axes) <= eig[0] and eig[-1] < 0.0
+
+    def test_one_dimensional_difference_gap_is_negative_definite(self):
+        # delta^2 - D^2 of the spectral bound's derivation, at h = 1
+        for n in range(5, 129):
+            shift = np.eye(n, k=-1)
+            central = 0.5 * (shift.T - shift)
+            gap = shift + shift.T - 2.0 * np.eye(n) - central @ central
+            assert np.linalg.eigvalsh(gap)[-1] < 0.0
+
+    def test_coefficients_match_the_bessel_functions(self):
+        from scipy.special import ive
+
+        for z in np.geomspace(1e-9, 1e4, 40):
+            coeffs, tail = heat._chebyshev_coefficients(z)
+            k = np.arange(len(coeffs))
+            exact = np.where(k == 0, 1.0, 2.0) * ive(k, z)
+            assert np.abs(coeffs - exact).max() <= 1e-14
+            assert 0.0 <= tail < heat._CHEBYSHEV_TAIL
+            assert tail + coeffs[-1] >= heat._CHEBYSHEV_TAIL  # no term to spare
+            assert abs(coeffs.sum() + tail - 1.0) <= 1e-14
+
+    def test_matches_the_dense_exponential(self):
+        assert max(_expm_errors()) <= 1e-12
+
+    @pytest.mark.parametrize("mutant", ["drop-last-term", "scale-c1"])
+    def test_mutant_coefficients_fail(self, monkeypatch, mutant):
+        true_coefficients = heat._chebyshev_coefficients
+
+        def wrong(z):
+            coeffs, tail = true_coefficients(z)
+            if mutant == "drop-last-term":
+                return coeffs[:-1], tail
+            coeffs = coeffs.copy()
+            coeffs[1] *= 1.01
+            return coeffs, tail
+
+        monkeypatch.setattr(heat, "_chebyshev_coefficients", wrong)
+        assert max(_expm_errors()) > 1e-12
+
+    def test_reports_its_applications_and_bounds(self, small_density):
+        meta = small_density.meta
+        axes = small_density.axes
+        assert meta["spectral_bound"] == _spectral_radius_bound(*axes)
+        coeffs, tail = heat._chebyshev_coefficients(0.5 * 0.6 * meta["spectral_bound"])
+        assert meta["steps"] == len(coeffs) - 1
+        u0 = _mollified_delta(axes, 3.0)
+        u0[[0, -1], :, :] = u0[:, [0, -1], :] = u0[:, :, [0, -1]] = 0.0
+        u0 /= heat._trapezoid3(axes, u0)
+        assert meta["truncation_bound"] == pytest.approx(tail * np.linalg.norm(u0), rel=1e-12)
 
     def test_no_less_accurate_than_explicit_euler(self, explicit_references):
-        rkl, explicit = _deviations(explicit_references)
-        assert rkl <= explicit
+        cheb, explicit = _deviations(explicit_references)
+        assert cheb <= explicit
 
     def test_mass_and_second_moments(self):
         assert max(_mass_and_moment_errors()) <= 2e-3
-
-    def test_mutant_coefficient_fails(self, monkeypatch, explicit_references):
-        true_b = heat._rkl2_b
-        monkeypatch.setattr(heat, "_rkl2_b", lambda s: 1.01 * true_b(s))
-        rkl, explicit = _deviations(explicit_references)
-        assert rkl > explicit or max(_mass_and_moment_errors()) > 2e-3
 
 
 class TestMcPdeConsistency:
@@ -407,6 +472,16 @@ class TestPathwiseGradient:
             crn = _crn_squared_gradient(samp, f, x, range(n + d)[cols], use_log, 1e-4)
             assert val > 0 and se > 0
             assert val == pytest.approx(crn, rel=1e-5)
+
+    def test_error_counts_the_shared_paths(self):
+        # n identical columns: the sum is n x^2, whose delta-method error is
+        # 2 n |x| se(x); columns taken as independent give sqrt(n) times less
+        x = np.random.default_rng(3).normal(0.4, 1.0, 2000)
+        n = 6
+        val, se = heat._squared_sum(np.repeat(x[:, None], n, axis=1))
+        mean, se_x = _mean_se(x)
+        assert val == pytest.approx(n * mean * mean, rel=1e-12)
+        assert se == pytest.approx(2.0 * n * abs(mean) * se_x, rel=1e-12)
 
     def test_errors_at_the_support_edge_do_not_underflow(self):
         # one path in the support, at its edge, as on wiener_truncation(8,2)
