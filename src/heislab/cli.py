@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, stochastic
-from .curvature import curvature_constants, rho2
+from .curvature import curvature_constants
 from .differential import check_cd_inequality
 from .geometry import DistanceOptions, cc_distance
 from .groups import GroupElement, HormanderError, identity, make_preset, preset_catalog
@@ -483,7 +483,7 @@ def exp_verify_cd(cfg, form):
     p = cfg.params
     nu_grid, half_width = p["nu_grid"], p["box_half_width"]
     nvars = form.n + form.d
-    vc = p["vertical_coeff_scale"] * rho2(form)
+    vc = p["vertical_coeff_scale"] * curvature_constants(form).rho2
 
     records = []
     for idx in range(p["functions"]):

@@ -31,7 +31,7 @@ import numpy as np
 
 from .groups import HormanderError, OmegaForm
 
-__all__ = ["CurvatureConstants", "hs_norm_sq", "vertical_gram", "rho2", "curvature_constants"]
+__all__ = ["CurvatureConstants", "hs_norm_sq", "vertical_gram", "curvature_constants"]
 
 # Relative eigenvalue floor below which the form is treated as degenerate;
 # everything downstream divides by rho2.
@@ -64,17 +64,13 @@ def vertical_gram(form: OmegaForm) -> np.ndarray:
     return np.einsum("ijl,ijk->lk", form.coeffs, form.coeffs)
 
 
-def rho2(form: OmegaForm) -> float:
-    """Smallest eigenvalue of the vertical Gram matrix (see curvature_constants)."""
-    return curvature_constants(form).rho2
-
-
 def curvature_constants(form: OmegaForm) -> CurvatureConstants:
     """hs_norm_sq, rho2, harnack_coeff and the Gram matrix, from one Gram matrix.
 
-    Raises HormanderError when rho2 is zero or negligible relative to the
-    trace, since the horizontal directions then fail to generate some
-    vertical direction.
+    This is the one Hormander rank rule of the package: it raises
+    HormanderError when rho2 is zero or negligible relative to the trace,
+    since the horizontal directions then fail to generate some vertical
+    direction, and every constant divides by rho2.
     """
     gram = vertical_gram(form)
     hs = hs_norm_sq(form)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import OmegaForm
-from .curvature import hs_norm_sq, rho2
+from .curvature import hs_norm_sq
 from .polynomials import PolynomialFunction, constant
 from .records import VerificationRecord, coords_str
 
@@ -105,28 +105,22 @@ def cd_terms(form, f):
 
 
 def check_cd_inequality(form, f, points, nu_grid,
-                        vertical_coeff: float | None = None) -> list[VerificationRecord]:
+                        vertical_coeff: float) -> list[VerificationRecord]:
     """Pointwise curvature-dimension margins of f at points, for each coupling nu.
 
     ``points`` holds one row (w, c) per point.  The four polynomials of
     ``cd_terms`` are built once and evaluated at all points in one batch.
     Each record carries margin = G2 + nu*G2Z - vc*GZ + (hs/nu)*G at one
-    (point, nu), points in the outer loop, with the vertical coefficient vc
-    defaulting to the group constant rho2; it passes when the margin is
-    above -1e-8 times the scale of the terms.
-
-    The default nominal rho2 is not a valid curvature-dimension constant: the
-    vertical coordinate along the smallest Gram eigenvector has margin
-    -3/4*rho2 at the identity.  The sharp coefficient is rho2/4, at which that
-    margin is exactly 0; pass vertical_coeff=rho2/4 to check the inequality
-    that holds.
+    (point, nu), points in the outer loop, with vc = ``vertical_coeff``; it
+    passes when the margin is above -1e-8 times the scale of the terms.  The
+    sharp coefficient is rho2/4 (see ``curvature``).
     """
     for nu in nu_grid:
         if not nu > 0:
             raise ValueError(f"coupling constant must be positive, got {nu}")
     pts = np.asarray(points, dtype=float)
     values = zip(*(t(pts).tolist() for t in cd_terms(form, f)))
-    vc = rho2(form) if vertical_coeff is None else float(vertical_coeff)
+    vc = float(vertical_coeff)
     hs = hs_norm_sq(form)
     records = []
     for pt, (t_g2, t_g2z, t_gz, t_g) in zip(pts, values):

@@ -17,7 +17,9 @@ symplectic pairs q_j J, so the distance is the closed form on pairs (Gaveau
 in the rotated basis.  A horizontal target is reached by the straight
 segment on every form; any other target on a form whose vertical
 coordinates share a horizontal one has no closed form here and raises
-``ValueError``.
+``ValueError``.  The rank condition comes from the same rule as every
+curvature constant, ``curvature.curvature_constants``: a form that fails it
+gets ``HormanderError``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curvature import curvature_constants
 from .groups import GroupElement, OmegaForm, homogeneous_norm, inverse, multiply
 
 __all__ = [
@@ -87,14 +90,15 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
 
     The witness is the geodesic sampled at ``opts.segments`` + 1 uniform
     times, and ``constraint_residual`` is that polygon's vertical miss.  The
-    form must satisfy the bracket-generating rank condition; the distance of
-    the rank-m projection group is that of ``form.restrict(m)``.  Raises
+    form must pass the rank rule of ``curvature_constants``, which raises
+    ``HormanderError`` otherwise; the distance of the rank-m projection group
+    is that of ``form.restrict(m)``.  Raises
     ``ValueError`` when x^-1 y is not horizontal and two vertical
     coordinates of the form act on a common horizontal coordinate: that
     form has no closed form.
     """
     opts = opts or DistanceOptions()
-    form.require_hormander()
+    curvature_constants(form)
     z = multiply(form, inverse(x), y)
     if homogeneous_norm(z) == 0.0:
         witness = HorizontalPath(x.w[None, :], x.c)

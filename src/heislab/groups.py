@@ -14,6 +14,11 @@ it.  ``OmegaForm.running_path_integral`` and ``OmegaForm.path_integral``
 are the one left-point rule for it, sum_k form(B_k, B_{k+1} - B_k) over
 positions B: exact for polygonal paths, and the Ito (equally Stratonovich)
 sum for Brownian ones.
+
+Every preset is a direct sum of weighted symplectic pairs, built by one
+rule.  Whether a form's horizontal directions bracket-generate its vertical
+space (the Hormander rank condition) is decided in one place,
+``curvature.curvature_constants``, which raises ``HormanderError``.
 """
 
 from __future__ import annotations
@@ -34,10 +39,6 @@ __all__ = [
     "make_preset",
     "preset_catalog",
 ]
-
-# Numerical rank threshold, relative to the largest singular value.
-RANK_RTOL = 1e-10
-
 
 class DimensionMismatchError(ValueError):
     """Operands belong to groups of different dimensions."""
@@ -121,22 +122,6 @@ class OmegaForm:
             raise ValueError(f"rank must be in [1, {self.n}], got {m}")
         return self if m == self.n else OmegaForm(m, self.d, self.coeffs[:m, :m])
 
-    def hormander_ok(self) -> bool:
-        """True iff the horizontal directions bracket-generate R^d."""
-        iu, ju = np.triu_indices(self.n, k=1)
-        cols = self.coeffs[iu, ju, :].T
-        if cols.size == 0:
-            return False
-        sv = np.linalg.svd(cols, compute_uv=False)
-        return bool(sv[0] > 0 and sv[-1] > RANK_RTOL * sv[0]) and len(sv) >= self.d
-
-    def require_hormander(self):
-        if not self.hormander_ok():
-            raise HormanderError(
-                f"the {self.n} horizontal coordinates of the form do not span "
-                f"its {self.d} vertical directions"
-            )
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -219,42 +204,16 @@ class GroupPreset:
     description: str
 
 
-def _heisenberg_form(pairs: int) -> OmegaForm:
-    n = 2 * pairs
-    coeffs = np.zeros((n, n, 1))
-    for j in range(pairs):
-        coeffs[2 * j, 2 * j + 1, 0] = 1.0
-        coeffs[2 * j + 1, 2 * j, 0] = -1.0
-    return OmegaForm(n, 1, coeffs)
-
-
-def _block_sum_form(weights) -> OmegaForm:
-    weights = [float(w) for w in weights]
-    d = len(weights)
-    if d == 0:
-        raise ValueError("block_sum needs at least one block weight")
-    n = 2 * d
-    coeffs = np.zeros((n, n, d))
-    for l, wt in enumerate(weights):
-        if wt == 0:
-            raise ValueError("block weights must be nonzero")
-        coeffs[2 * l, 2 * l + 1, l] = wt
-        coeffs[2 * l + 1, 2 * l, l] = -wt
-    return OmegaForm(n, d, coeffs)
-
-
-def _wiener_truncation_form(pairs: int, s: float) -> OmegaForm:
-    if not s > 1:
-        raise ValueError(
-            f"spectral decay exponent must exceed 1 for a summable weight sequence, got {s}"
-        )
-    n = 2 * pairs
-    coeffs = np.zeros((n, n, 1))
-    for j in range(pairs):
-        q = float(j + 1) ** (-s)
-        coeffs[2 * j, 2 * j + 1, 0] = q
-        coeffs[2 * j + 1, 2 * j, 0] = -q
-    return OmegaForm(n, 1, coeffs)
+def _pairs_form(weights, owner, d: int) -> OmegaForm:
+    """Direct sum of weighted symplectic pairs: pair j spans horizontal
+    coordinates 2j and 2j+1, with weight weights[j] on vertical coordinate
+    owner[j]."""
+    q = np.asarray(weights, dtype=float)
+    j = np.arange(len(q))
+    coeffs = np.zeros((2 * len(q), 2 * len(q), d))
+    coeffs[2 * j, 2 * j + 1, owner] = q
+    coeffs[2 * j + 1, 2 * j, owner] = -q
+    return OmegaForm(2 * len(q), d, coeffs)
 
 
 def make_preset(name: str, **params) -> GroupPreset:
@@ -268,13 +227,18 @@ def make_preset(name: str, **params) -> GroupPreset:
         _reject_extra(params)
         if pairs < 1:
             raise ValueError("heisenberg preset needs pairs >= 1")
-        form = _heisenberg_form(pairs)
+        form = _pairs_form([1.0] * pairs, [0] * pairs, 1)
         desc = f"Heisenberg group with {pairs} symplectic pair(s), n={form.n}, d=1"
         return GroupPreset(f"heisenberg({pairs})", form, desc)
     if name == "block_sum":
         weights = params.pop("weights")
         _reject_extra(params)
-        form = _block_sum_form(weights)
+        q = [float(w) for w in weights]
+        if not q:
+            raise ValueError("block_sum needs at least one block weight")
+        if 0.0 in q:
+            raise ValueError("block weights must be nonzero")
+        form = _pairs_form(q, range(len(q)), len(q))
         desc = f"direct sum of {form.d} weighted symplectic blocks, n={form.n}, d={form.d}"
         return GroupPreset(f"block_sum({list(weights)})", form, desc)
     if name == "wiener_truncation":
@@ -283,7 +247,11 @@ def make_preset(name: str, **params) -> GroupPreset:
         _reject_extra(params)
         if pairs < 1:
             raise ValueError("wiener_truncation preset needs pairs >= 1")
-        form = _wiener_truncation_form(pairs, s)
+        if not s > 1:
+            raise ValueError(
+                f"spectral decay exponent must exceed 1 for a summable weight sequence, got {s}"
+            )
+        form = _pairs_form([float(j + 1) ** (-s) for j in range(pairs)], [0] * pairs, 1)
         desc = (
             f"rank-{form.n} truncation of the symplectic form with weights "
             f"j^-{s:g}, n={form.n}, d=1"

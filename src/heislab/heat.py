@@ -30,7 +30,6 @@ from .curvature import CurvatureConstants
 from .geometry import cc_distance
 from .groups import GroupElement, OmegaForm, identity, multiply, multiply_arrays
 from .records import VerificationRecord, coords_str
-from .rng import mix64
 from .stochastic import _mean_se, sample_endpoints
 
 __all__ = [
@@ -103,31 +102,14 @@ class SemigroupSampler:
 
     ``dilated`` moves the set to another time on the same paths, so a sweep
     over T shares its random numbers across T as well.
-
-    Optionally composes every endpoint with an independent Gaussian start
-    point (diagonal standard deviations ``mollifier``), which matches a grid
-    solve whose delta initial condition was mollified by the same Gaussian:
-    ``mollifier=cells * np.array(density.steps())`` for a ``pde_oracle_h3``
-    solve at ``mollifier_cells=cells``.
     """
 
-    def __init__(self, form: OmegaForm, T: float, steps: int, samples: int,
-                 seed: int, mollifier=None):
+    def __init__(self, form: OmegaForm, T: float, steps: int, samples: int, seed: int):
         self.form = form
         self.T = float(T)
         self.steps = int(steps)
         self.samples = int(samples)
-        self.mollified = mollifier is not None
-        W, C = sample_endpoints(form, T, steps, samples, seed)
-        if self.mollified:
-            sig = np.asarray(mollifier, dtype=float)
-            if sig.shape != (form.n + form.d,):
-                raise ValueError("mollifier needs one standard deviation per coordinate")
-            rng = np.random.Generator(np.random.Philox(key=mix64(seed, "mollifier", 0)))
-            start = rng.standard_normal((samples, form.n + form.d)) * sig[None, :]
-            W, C = multiply_arrays(form, start[:, :form.n], start[:, form.n:], W, C)
-        self._W = W
-        self._C = C
+        self._W, self._C = sample_endpoints(form, T, steps, samples, seed)
 
     def endpoints(self):
         """The cached endpoint coordinate arrays (W, C); read-only by convention."""
@@ -139,11 +121,8 @@ class SemigroupSampler:
         Brownian scaling is exact for the left-point sums: B_T = sqrt(T) B_1
         and M_T = T M_1, so the endpoints at T are the group dilation by
         sqrt(T / self.T) of these, and equal a fresh draw at T with the same
-        seed up to round-off.  A mollified start point does not scale with
-        T, so a mollified sampler cannot be dilated.
+        seed up to round-off.
         """
-        if self.mollified:
-            raise ValueError("a mollified sampler cannot be dilated in time")
         if not T > 0:
             raise ValueError(f"terminal time must be positive, got {T}")
         ratio = float(T) / self.T

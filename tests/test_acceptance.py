@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from heislab.cli import main as cli_main
-from heislab.curvature import curvature_constants, hs_norm_sq, rho2, vertical_gram
+from heislab.curvature import curvature_constants, hs_norm_sq, vertical_gram
 from heislab.differential import cd_terms
 from heislab.geometry import cc_distance
 from heislab.groups import GroupElement, OmegaForm, make_preset, multiply_arrays
@@ -34,6 +34,7 @@ from test_differential import (
     bracket_relation, commutation, coordinates, gamma2z_squares, gamma_expansion,
     generator_expansion, rel_close,
 )
+from test_heat import mollified_sampler
 
 H1 = make_preset("heisenberg", pairs=1).form
 E2 = GroupElement([0.0, 0.0], [0.0])
@@ -54,8 +55,8 @@ def acceptance_density():
 
 @pytest.fixture(scope="session")
 def acceptance_sampler(acceptance_density):
-    return SemigroupSampler(H1, 1.0, 1024, 200000, seed=child_seed(2024, "c7", 0),
-                            mollifier=3.0 * np.array(acceptance_density.steps()))
+    return mollified_sampler(H1, 1.0, 1024, 200000, child_seed(2024, "c7", 0),
+                             3.0 * np.array(acceptance_density.steps()))
 
 
 def test_criterion_01_group_algebra_exactness():
@@ -102,7 +103,7 @@ def test_criterion_02_curvature_constants():
                      ("wiener_truncation", {"pairs": 8, "s": 2}),
                      ("wiener_truncation", {"pairs": 16, "s": 2})]:
         form = make_preset(name, **kw).form
-        d1_exact &= rho2(form) == hs_norm_sq(form)
+        d1_exact &= curvature_constants(form).rho2 == hs_norm_sq(form)
     rng = np.random.default_rng(child_seed(2024, "c2", 0))
     sampled_ok = True
     for _ in range(100):
@@ -112,7 +113,7 @@ def test_criterion_02_curvature_constants():
         xs = rng.normal(size=(100000, 3))
         xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         sampled = np.einsum("ki,ij,kj->k", xs, gram, xs).min()
-        sampled_ok &= rho2(form) <= sampled + 1e-9
+        sampled_ok &= curvature_constants(form).rho2 <= sampled + 1e-9
     ok = exact_h1 and exact_bs and d1_exact and sampled_ok
     assert report(2, "curvature constants", ok,
                   f"heisenberg(1)=(2,2,3):{exact_h1} block_sum([1,3])=(20,2,21):{exact_bs} "
@@ -133,7 +134,7 @@ def test_criterion_03_curvature_dimension_inequality():
     for name, kw in presets:
         form = make_preset(name, **kw).form
         nvars = form.n + form.d
-        r2, hs = rho2(form), hs_norm_sq(form)
+        r2, hs = curvature_constants(form).rho2, hs_norm_sq(form)
         vc = 0.25 * r2
         rng = np.random.default_rng(child_seed(2024, f"c3-{name}", 0))
         for fi in range(1000):

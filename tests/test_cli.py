@@ -425,6 +425,25 @@ class TestDistanceCommand:
         assert len(witness) == 66  # header + 65 nodes
 
 
+class TestRankRule:
+    # block_sum([1, 1e-6]) has rho2 = 2e-12 against a Gram trace of 2, below
+    # curvature.RHO2_RTOL, though its pair columns have full numerical rank
+    @pytest.mark.parametrize("experiment,record_id,params", [
+        ("curvature", "curvature-rank4", {}),
+        ("distance", "distance", {"target": {"w": [0.3, 0.2, 0.0, 0.0], "c": [0.4, 0.0]}}),
+    ])
+    def test_a_nearly_degenerate_block_fails_everywhere(self, tmp_path, experiment,
+                                                        record_id, params):
+        cfg = write_config(tmp_path, "c.json", {
+            "preset": {"name": "block_sum", "params": {"weights": [1, 1e-6]}},
+            "params": params})
+        out = str(tmp_path / "o")
+        assert main([experiment, "--config", cfg, "--out", out]) == 1
+        [row] = csv.DictReader(io.StringIO(Path(out, "records.csv").read_text()))
+        assert (row["record_id"], row["rank"], row["lhs"], row["pass"]) == (
+            record_id, "4", "", "false")
+
+
 class TestSimulateAndConvergence:
     def test_simulate_writes_endpoints(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heislab.curvature import curvature_constants, hs_norm_sq, rho2, vertical_gram
+from heislab.curvature import curvature_constants, hs_norm_sq, vertical_gram
 from heislab.groups import HormanderError, OmegaForm, make_preset
 
 
@@ -55,7 +55,7 @@ class TestVerticalGram:
 class TestRho2:
     def test_heisenberg(self):
         form = make_preset("heisenberg", pairs=1).form
-        assert rho2(form.restrict(2)) == pytest.approx(2.0)
+        assert curvature_constants(form.restrict(2)).rho2 == pytest.approx(2.0)
 
     def test_d1_equals_hs_norm(self):
         for name, kw in [
@@ -63,22 +63,23 @@ class TestRho2:
             ("wiener_truncation", {"pairs": 4, "s": 2}),
         ]:
             form = make_preset(name, **kw).form
-            assert rho2(form) == pytest.approx(hs_norm_sq(form))
+            assert curvature_constants(form).rho2 == pytest.approx(hs_norm_sq(form))
 
     def test_block_sum_takes_smallest_block(self):
         form = make_preset("block_sum", weights=[1, 3]).form
-        assert rho2(form.restrict(4)) == pytest.approx(2.0)
+        assert curvature_constants(form.restrict(4)).rho2 == pytest.approx(2.0)
 
     def test_degenerate_rank_raises(self):
         form = make_preset("block_sum", weights=[1, 1]).form
         with pytest.raises(HormanderError):
-            rho2(form.restrict(2))  # first block only: second vertical direction unreachable
+            # first block only: second vertical direction unreachable
+            curvature_constants(form.restrict(2))
 
     def test_bounded_by_hs_norm_on_random_forms(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             form = random_form(rng, 5, 2)
-            assert rho2(form) <= hs_norm_sq(form) + 1e-12
+            assert curvature_constants(form).rho2 <= hs_norm_sq(form) + 1e-12
 
     def test_eigenvalue_below_sampled_minimum(self):
         # random unit vectors only over-estimate the infimum
@@ -89,7 +90,7 @@ class TestRho2:
             xs = rng.normal(size=(10000, 3))
             xs /= np.linalg.norm(xs, axis=1, keepdims=True)
             sampled = np.einsum("ki,ij,kj->k", xs, gram, xs).min()
-            assert rho2(form) <= sampled + 1e-9
+            assert curvature_constants(form).rho2 <= sampled + 1e-9
 
 
 class TestHarnackCoeff:
@@ -138,8 +139,7 @@ def test_constants_build_one_gram_matrix(monkeypatch):
     form = make_preset("block_sum", weights=[1, 3]).form
     c = curvature_constants(form)
     assert len(calls) == 1
-    # the same bits as the one-constant function, and the same rank check
-    assert c.rho2 == rho2(form)
+    # the smallest eigenvalue of that matrix, and the rank check
     assert c.rho2 == np.linalg.eigvalsh(c.gram)[0]
     with pytest.raises(HormanderError, match="at rank 2 is singular"):
         curvature_constants(make_preset("block_sum", weights=[1, 1]).form.restrict(2))

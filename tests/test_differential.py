@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heislab import differential
-from heislab.curvature import hs_norm_sq, rho2
+from heislab.curvature import curvature_constants, hs_norm_sq
 from heislab.differential import (
     cd_terms,
     check_cd_inequality,
@@ -17,6 +17,7 @@ from heislab.polynomials import PolynomialFunction, constant, random_polynomial
 
 H1 = make_preset("heisenberg", pairs=1).form
 BS = make_preset("block_sum", weights=[1, 1]).form
+RHO2 = curvature_constants(H1).rho2
 
 
 def coordinates(nvars):
@@ -271,13 +272,13 @@ def test_identities_hold_at_the_degree_cap():
 
 class TestCurvatureDimension:
     def test_constant_function(self):
-        [rec] = check_cd_inequality(H1, constant(3, 2.0), [[1, 1, 1]], [1.0])
+        [rec] = check_cd_inequality(H1, constant(3, 2.0), [[1, 1, 1]], [1.0], vertical_coeff=RHO2)
         assert rec.passed and rec.margin == 0.0
 
     def test_horizontal_coordinate(self):
         # all iterated terms vanish, leaving the positive hs/nu * Gamma term
         nu = 0.7
-        [rec] = check_cd_inequality(H1, W1, [[0.5, -1, 2]], [nu])
+        [rec] = check_cd_inequality(H1, W1, [[0.5, -1, 2]], [nu], vertical_coeff=RHO2)
         assert rec.passed
         assert rec.margin == pytest.approx(hs_norm_sq(H1) / nu)
 
@@ -286,16 +287,16 @@ class TestCurvatureDimension:
         # rho2 times its vertical form, so the quarter-weighted bound is tight
         # and the unweighted one is violated
         e = [[0, 0, 0]]
-        [quarter] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=rho2(H1) / 4)
+        [quarter] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=RHO2 / 4)
         assert quarter.passed and quarter.margin == pytest.approx(0.0, abs=1e-15)
-        [full] = check_cd_inequality(H1, C, e, [1.0])
+        [full] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=RHO2)
         assert not full.passed
-        assert full.margin == pytest.approx(0.5 - rho2(H1))
+        assert full.margin == pytest.approx(0.5 - RHO2)
 
     def test_quarter_coefficient_random_sweep(self):
         rng = np.random.default_rng(16)
         for form, nv in ((H1, 3), (BS, 6)):
-            vc = rho2(form) / 4
+            vc = curvature_constants(form).rho2 / 4
             for _ in range(15):
                 f = random_polynomial(nv, 4, rng, terms=8)
                 pts = rng.uniform(-3, 3, size=(10, nv))
@@ -306,4 +307,4 @@ class TestCurvatureDimension:
 
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
-            check_cd_inequality(H1, W1, [[0, 0, 0]], [1.0, 0.0])
+            check_cd_inequality(H1, W1, [[0, 0, 0]], [1.0, 0.0], vertical_coeff=RHO2)

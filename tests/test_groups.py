@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heislab.curvature import curvature_constants
 from heislab.groups import (
     DimensionMismatchError,
     GroupElement,
+    HormanderError,
     OmegaForm,
     homogeneous_norm,
     identity,
@@ -122,8 +124,9 @@ class TestNorms:
 
 class TestProjection:
     def test_h3_rank_one_fails_hormander(self):
-        assert not H1.form.restrict(1).hormander_ok()
-        assert H1.form.restrict(2).hormander_ok()
+        with pytest.raises(HormanderError):
+            curvature_constants(H1.form.restrict(1))
+        curvature_constants(H1.form.restrict(2))
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_restrict_rejects_rank_outside_one_to_n(self, m):
@@ -187,7 +190,7 @@ class TestPresets:
         for _, _, preset in preset_catalog():
             form = preset.form
             assert np.allclose(form.coeffs, -np.transpose(form.coeffs, (1, 0, 2)))
-            assert form.hormander_ok()
+            curvature_constants(form)     # raises HormanderError on a rank failure
 
 
 def _dense_form(n, d, seed):

@@ -5,7 +5,7 @@ import pytest
 
 from heislab import heat
 from heislab.curvature import curvature_constants
-from heislab.groups import GroupElement, make_preset, multiply
+from heislab.groups import GroupElement, make_preset, multiply, multiply_arrays
 from heislab.heat import (
     BumpFunction,
     SemigroupSampler,
@@ -22,6 +22,7 @@ from heislab.heat import (
     verify_strong_feller,
     verify_wang_harnack,
 )
+from heislab.rng import mix64
 from heislab.stochastic import _mean_se
 
 H1 = make_preset("heisenberg", pairs=1).form
@@ -37,6 +38,21 @@ COARSE_BOX = ((-3.0, 3.0), (-3.0, 3.0), (-2.0, 2.0))
 COARSE_T = 0.25
 MOMENT_SHAPE = (33, 33, 41)
 ACCURACY_SHAPE = (21, 21, 27)
+
+
+def mollified_sampler(form, T, steps, samples, seed, widths):
+    """A SemigroupSampler whose endpoints are composed with independent
+    Gaussian start points of standard deviations ``widths``, one per
+    coordinate.  It matches a grid solve whose delta initial condition was
+    mollified by the same Gaussian: ``widths = cells * np.array(density.steps())``
+    for a ``pde_oracle_h3`` solve at ``mollifier_cells=cells``.  The start
+    points do not scale with T, so the sampler must not be dilated."""
+    samp = SemigroupSampler(form, T, steps, samples, seed)
+    rng = np.random.Generator(np.random.Philox(key=mix64(seed, "mollifier", 0)))
+    start = rng.standard_normal((samples, form.n + form.d)) * np.asarray(widths)[None, :]
+    samp._W, samp._C = multiply_arrays(form, start[:, :form.n], start[:, form.n:],
+                                       *samp.endpoints())
+    return samp
 
 
 @pytest.fixture(scope="module")
@@ -135,15 +151,6 @@ class TestSemigroupSampler:
             assert moved.endpoints()[0] is not base.endpoints()[0]
         assert base.T == 0.5
 
-    def test_mollified_sampler_cannot_be_dilated(self):
-        samp = SemigroupSampler(H1, 0.5, 16, 100, seed=1, mollifier=[0.2, 0.2, 0.2])
-        with pytest.raises(ValueError):
-            samp.dilated(1.0)
-
-    def test_mollifier_needs_full_width(self):
-        with pytest.raises(ValueError):
-            SemigroupSampler(H1, 1.0, 16, 100, seed=1, mollifier=[0.1, 0.1])
-
 
 class TestPdeOracle:
     def test_mass_conserved(self, small_density):
@@ -232,16 +239,34 @@ class TestPdeOracle:
 
 
 def _dense_generator(axes):
-    """apply_h3_generator as a dense matrix on the interior nodes."""
+    """apply_h3_generator as a dense matrix on the interior nodes.
+
+    The stencil couples each node only to nodes within one step along every
+    axis.  So one probe per residue of the node indices mod 3 sets nodes
+    whose outputs never overlap: each row reads the one probed node within a
+    step of it, and 27 applications give every column.
+    """
     inner = tuple(len(a) - 2 for a in axes)
-    size = math.prod(inner)
-    dense = np.empty((size, size))
+    ijk = np.indices(inner).reshape(3, -1)
+    dense = np.zeros((ijk.shape[1], ijk.shape[1]))
     v = np.zeros(tuple(len(a) for a in axes))
-    for j in range(size):
-        v[1:-1, 1:-1, 1:-1].flat[j] = 1.0
-        dense[:, j] = apply_h3_generator(axes, v)[1:-1, 1:-1, 1:-1].ravel()
-        v[1:-1, 1:-1, 1:-1].flat[j] = 0.0
+    for residue in np.ndindex(3, 3, 3):
+        residue = np.array(residue)[:, None]
+        v[1:-1, 1:-1, 1:-1] = np.all(ijk % 3 == residue, axis=0).reshape(inner)
+        out = apply_h3_generator(axes, v)[1:-1, 1:-1, 1:-1].ravel()
+        src = ijk + (residue - ijk + 1) % 3 - 1
+        rows = np.flatnonzero(np.all((src >= 0) & (src < np.array(inner)[:, None]), axis=0))
+        dense[rows, np.ravel_multi_index(src[:, rows], inner)] = out[rows]
     return dense
+
+
+def _positive_definite(matrix):
+    """Whether the symmetric matrix has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _explicit_euler(axes, T, dt, cells):
@@ -329,11 +354,23 @@ class TestChebyshevSolve:
         (((-1.0, 4.0), (-2.0, 2.5), (-3.0, 1.0)), (16, 20, 24)),
     ])
     def test_spectrum_lies_in_the_gershgorin_interval(self, box, shape):
+        # -L and rho_G I + L both have Cholesky factors if and only if
+        # spec(L) lies in (-rho_G, 0).  The mutant bound 0.999 r, r the
+        # Rayleigh quotient of -L at the checkerboard vector, lies inside
+        # the spectrum, so its factorisation must fail.
         axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(box, shape))
         dense = _dense_generator(axes)
         assert np.array_equal(dense, dense.T)
-        eig = np.linalg.eigvalsh(dense)
-        assert -_spectral_radius_bound(*axes) <= eig[0] and eig[-1] < 0.0
+        v = (-1.0) ** np.indices([n - 2 for n in shape]).sum(axis=0).ravel()
+        rayleigh = -(v @ dense @ v) / (v @ v)
+        diag = np.diag_indices_from(dense)
+        dense *= -1.0
+        assert _positive_definite(dense)
+        dense *= -1.0
+        dense[diag] += _spectral_radius_bound(*axes)
+        assert _positive_definite(dense)
+        dense[diag] += 0.999 * rayleigh - _spectral_radius_bound(*axes)
+        assert not _positive_definite(dense)
 
     def test_one_dimensional_difference_gap_is_negative_definite(self):
         # delta^2 - D^2 of the spectral bound's derivation, at h = 1
@@ -394,8 +431,7 @@ class TestChebyshevSolve:
 
 class TestMcPdeConsistency:
     def test_mollified_sampler_matches_quadrature(self, small_density):
-        samp = SemigroupSampler(H1, 0.6, 256, 40000, seed=91,
-                                mollifier=3.0 * np.array(small_density.steps()))
+        samp = mollified_sampler(H1, 0.6, 256, 40000, 91, 3.0 * np.array(small_density.steps()))
         w1, w2, c = small_density.grid_coords()
         pts = np.stack([w1.ravel(), w2.ravel(), c.ravel()], axis=1)
         # the unit bump at e sees the peak, where the mollifier matters most:
