@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .groups import OmegaForm
-from .curvature import hs_norm_sq
+from .curvature import CurvatureConstants
 from .polynomials import PolynomialFunction, constant
 from .records import VerificationRecord, coords_str
 
@@ -62,26 +62,25 @@ def sublaplacian(form: OmegaForm, f: PolynomialFunction):
     return out
 
 
-def gamma(form, f, g=None) -> PolynomialFunction:
-    """Horizontal carre du champ: sum_i (X_i f)(X_i g)."""
+def _carre(form, field, count, f, g) -> PolynomialFunction:
+    """sum_i (V_i f)(V_i g) over the ``count`` fields V_i = field(form, i, .)."""
     g = f if g is None else g
     out = _zero(form)
-    for i in range(form.n):
-        xf = horizontal_field(form, i, f)
-        xg = xf if g is f else horizontal_field(form, i, g)
-        out = out + xf * xg
+    for i in range(count):
+        vf = field(form, i, f)
+        vg = vf if g is f else field(form, i, g)
+        out = out + vf * vg
     return out
+
+
+def gamma(form, f, g=None) -> PolynomialFunction:
+    """Horizontal carre du champ: sum_i (X_i f)(X_i g)."""
+    return _carre(form, horizontal_field, form.n, f, g)
 
 
 def gamma_z(form, f, g=None) -> PolynomialFunction:
     """Vertical carre du champ: sum_l (Z_l f)(Z_l g)."""
-    g = f if g is None else g
-    out = _zero(form)
-    for l in range(form.d):
-        zf = vertical_field(form, l, f)
-        zg = zf if g is f else vertical_field(form, l, g)
-        out = out + zf * zg
-    return out
+    return _carre(form, vertical_field, form.d, f, g)
 
 
 def _iterated(form, carre, f, lf, carre_f) -> PolynomialFunction:
@@ -104,16 +103,17 @@ def cd_terms(form, f):
     return _iterated(form, gamma, f, lf, g), _iterated(form, gamma_z, f, lf, gz), gz, g
 
 
-def check_cd_inequality(form, f, points, nu_grid,
+def check_cd_inequality(form, f, points, nu_grid, constants: CurvatureConstants,
                         vertical_coeff: float) -> list[VerificationRecord]:
     """Pointwise curvature-dimension margins of f at points, for each coupling nu.
 
     ``points`` holds one row (w, c) per point.  The four polynomials of
     ``cd_terms`` are built once and evaluated at all points in one batch.
     Each record carries margin = G2 + nu*G2Z - vc*GZ + (hs/nu)*G at one
-    (point, nu), points in the outer loop, with vc = ``vertical_coeff``; it
-    passes when the margin is above -1e-8 times the scale of the terms.  The
-    sharp coefficient is rho2/4 (see ``curvature``).
+    (point, nu), points in the outer loop, with vc = ``vertical_coeff`` and
+    hs = ``constants.hs_norm_sq``, the constants of ``form``; it passes when
+    the margin is above -1e-8 times the scale of the terms.  The sharp
+    coefficient is rho2/4 (see ``curvature``).
     """
     for nu in nu_grid:
         if not nu > 0:
@@ -121,7 +121,7 @@ def check_cd_inequality(form, f, points, nu_grid,
     pts = np.asarray(points, dtype=float)
     values = zip(*(t(pts).tolist() for t in cd_terms(form, f)))
     vc = float(vertical_coeff)
-    hs = hs_norm_sq(form)
+    hs = constants.hs_norm_sq
     records = []
     for pt, (t_g2, t_g2z, t_gz, t_g) in zip(pts, values):
         x = coords_str(pt)
@@ -131,14 +131,7 @@ def check_cd_inequality(form, f, points, nu_grid,
             scale = abs(t_g2) + nu * abs(t_g2z) + vc * abs(t_gz) + (hs / nu) * abs(t_g)
             margin = lhs - rhs
             records.append(VerificationRecord(
-                record_id="cd-inequality",
-                rank=form.n,
-                p_or_q=nu,
-                x=x,
-                lhs=lhs,
-                rhs=rhs,
-                margin=margin,
-                passed=bool(margin >= -CD_RTOL * scale),
-                detail={"scale": scale, "vertical_coeff": vc},
-            ))
+                record_id="cd-inequality", rank=form.n, p_or_q=nu, x=x, lhs=lhs, rhs=rhs,
+                margin=margin, passed=bool(margin >= -CD_RTOL * scale),
+                detail={"scale": scale, "vertical_coeff": vc}))
     return records

@@ -1,7 +1,7 @@
 """Horizontal paths and the Carnot-Caratheodory distance.
 
-A horizontal path is stored by its horizontal nodes only; the vertical
-component is slaved to the path through the exact piecewise-linear rule
+A horizontal path is the (K+1, n) array of its horizontal nodes; the
+vertical component is slaved to it through the exact piecewise-linear rule
 
     a_{k+1} = a_k + 0.5 * form(A_k, A_{k+1} - A_k),
 
@@ -33,35 +33,10 @@ from .curvature import curvature_constants
 from .groups import GroupElement, OmegaForm, homogeneous_norm, inverse, multiply
 
 __all__ = [
-    "HorizontalPath",
     "DistanceOptions",
     "DistanceResult",
     "cc_distance",
 ]
-
-
-@dataclass(frozen=True)
-class HorizontalPath:
-    """Piecewise-linear horizontal path: K segments, nodes at uniform times."""
-
-    nodes: np.ndarray          # (K+1, n) horizontal positions
-    start_vertical: np.ndarray  # (d,)
-
-    def __post_init__(self):
-        nodes = np.atleast_2d(np.array(self.nodes, dtype=float))
-        sv = np.atleast_1d(np.array(self.start_vertical, dtype=float))
-        nodes.flags.writeable = False
-        sv.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "start_vertical", sv)
-
-    @property
-    def segments(self) -> int:
-        return self.nodes.shape[0] - 1
-
-    def vertical_profile(self, form: OmegaForm) -> np.ndarray:
-        """Vertical coordinates at every node, from the exact segment rule."""
-        return self.start_vertical + 0.5 * form.running_path_integral(self.nodes)
 
 
 @dataclass
@@ -78,7 +53,7 @@ class DistanceOptions:
 @dataclass
 class DistanceResult:
     distance: float
-    witness: HorizontalPath
+    witness: np.ndarray         # (K+1, n) horizontal nodes of the geodesic
     energy: float
     constraint_residual: float
     diagnostics: dict = field(default_factory=dict)
@@ -88,8 +63,9 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
                 opts: DistanceOptions | None = None) -> DistanceResult:
     """Exact horizontal distance between x and y with a witness path.
 
-    The witness is the geodesic sampled at ``opts.segments`` + 1 uniform
-    times, and ``constraint_residual`` is that polygon's vertical miss.  The
+    The witness is the array of the horizontal nodes of the geodesic sampled
+    at ``opts.segments`` + 1 uniform times (one node x.w when x = y), and
+    ``constraint_residual`` is that polygon's vertical miss.  The
     form must pass the rank rule of ``curvature_constants``, which raises
     ``HormanderError`` otherwise; the distance of the rank-m projection group
     is that of ``form.restrict(m)``.  Raises
@@ -101,8 +77,7 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
     curvature_constants(form)
     z = multiply(form, inverse(x), y)
     if homogeneous_norm(z) == 0.0:
-        witness = HorizontalPath(x.w[None, :], x.c)
-        return DistanceResult(0.0, witness, 0.0, 0.0, {"shortcut": "coincident"})
+        return DistanceResult(0.0, x.w[None, :], 0.0, 0.0, {"shortcut": "coincident"})
     basis = _pair_basis(form)
     if basis is None:
         if np.any(z.c):
@@ -257,7 +232,5 @@ def _closed_form_distance(form, x, z, e1, e2, q, owner, K) -> DistanceResult:
     rel = t[:, None] * free[None, :] + paths.real @ e1.T + paths.imag @ e2.T
     rel[-1] = z.w
     residual = float(np.linalg.norm(0.5 * form.path_integral(rel) - z.c))
-    return DistanceResult(
-        math.sqrt(energy), HorizontalPath(rel + x.w[None, :], x.c), energy, residual,
-        {"loop_area": loops},
-    )
+    return DistanceResult(math.sqrt(energy), rel + x.w[None, :], energy, residual,
+                          {"loop_area": loops})

@@ -175,7 +175,7 @@ def _check_same_group(form: OmegaForm, x: GroupElement, y: GroupElement):
 def multiply(form: OmegaForm, x: GroupElement, y: GroupElement) -> GroupElement:
     """Group product (w1+w2, c1+c2+0.5*form(w1,w2))."""
     _check_same_group(form, x, y)
-    return GroupElement(x.w + y.w, x.c + y.c + 0.5 * form.pair(x.w, y.w))
+    return GroupElement(*multiply_arrays(form, x.w, x.c, y.w, y.c))
 
 
 def inverse(x: GroupElement) -> GroupElement:

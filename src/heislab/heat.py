@@ -30,11 +30,11 @@ from .curvature import CurvatureConstants
 from .geometry import cc_distance
 from .groups import GroupElement, OmegaForm, identity, multiply, multiply_arrays
 from .records import VerificationRecord, coords_str
-from .stochastic import _mean_se, sample_endpoints
+from .stochastic import mean_se, sample_endpoints, within_3se
 
 __all__ = [
     "BumpFunction", "SemigroupSampler", "GridDensity",
-    "pde_oracle_h3", "apply_h3_generator",
+    "pde_oracle_h3",
     "verify_reverse_poincare", "verify_reverse_logsobolev",
     "verify_wang_harnack", "verify_integrated_harnack", "verify_strong_feller",
     "strong_feller_modulus",
@@ -157,14 +157,12 @@ def _squared_sum(D, fvals=None):
     b = mean(fvals), the derivative of ln P_T f, and D by the delta method
     becomes (D - d f) / b."""
     d = D.mean(axis=0)
-    if fvals is not None:
+    if fvals is not None:       # the verifier has checked that b > 0
         b = fvals.mean()
-        if b <= 0:
-            raise ValueError("semigroup estimate not positive; log derivative undefined")
         d /= b
         D = (D - d * fvals[:, None]) / b
-    # _mean_se rescales, so errors of a path at the support's edge do not underflow
-    return float(d @ d), 2.0 * _mean_se(D @ d)[1]
+    # mean_se rescales, so errors of a path at the support's edge do not underflow
+    return float(d @ d), 2.0 * mean_se(D @ d)[1]
 
 
 # --------------------------------------------------------------------------
@@ -232,8 +230,8 @@ def _trapezoid3(axes, vals) -> float:
 
 
 def _spectral_radius_bound(w1, w2, c):
-    """Gershgorin bound rho_G on the spectral radius of ``apply_h3_generator``,
-    whose spectrum lies in [-rho_G, 0].
+    """Gershgorin bound rho_G on the spectral radius of L, the stencil operator
+    of ``_step_numpy`` (whose step is u + dt L u); spec(L) lies in [-rho_G, 0].
 
     The row of interior node (w1=a, w2=b) has absolute sum
     2(1/dw1^2 + 1/dw2^2 + (a^2+b^2)/(4dc^2)) + (|a|/dw2 + |b|/dw1)/(2dc),
@@ -297,8 +295,9 @@ def _step_work(shape):
     return (np.empty((I, J, L - 2)), np.empty(inner), np.empty(inner), np.empty(inner))
 
 
-def _step_numpy(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt, work=None):
-    """One explicit Euler step of du/dt = (X^2 + Y^2)u/2 on the interior of unew.
+def _step_numpy(u, unew, axes, dt, work=None):
+    """One explicit Euler step of du/dt = (X^2 + Y^2)u/2 on the interior of
+    unew, on the uniform grid of ``axes`` (w1, w2, c).
 
     Both mixed derivatives come from one vertical central difference, the
     three second differences share one 2u buffer, and the scalar factors are
@@ -306,6 +305,8 @@ def _step_numpy(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt, work=N
     ``_step_work``), so a solve that passes the same buffers at every step
     allocates only the small per-column coefficients.
     """
+    w1, w2, c = axes
+    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
     dcu, two_u, acc, tmp = _step_work(u.shape) if work is None else work
     ui = u[1:-1, 1:-1, 1:-1]
     a = w1[1:-1, None, None]
@@ -315,34 +316,23 @@ def _step_numpy(u, unew, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt, work=N
     # second differences along w1, w2 and c
     np.add(u[2:, 1:-1, 1:-1], u[:-2, 1:-1, 1:-1], out=acc)
     np.subtract(acc, two_u, out=acc)
-    np.multiply(acc, 0.5 * dt * idw1sq, out=acc)
+    np.multiply(acc, 0.5 * dt * (1 / dw1**2), out=acc)
     np.add(u[1:-1, 2:, 1:-1], u[1:-1, :-2, 1:-1], out=tmp)
     np.subtract(tmp, two_u, out=tmp)
-    np.multiply(tmp, 0.5 * dt * idw2sq, out=tmp)
+    np.multiply(tmp, 0.5 * dt * (1 / dw2**2), out=tmp)
     np.add(acc, tmp, out=acc)
     np.add(u[1:-1, 1:-1, 2:], u[1:-1, 1:-1, :-2], out=tmp)
     np.subtract(tmp, two_u, out=tmp)
-    np.multiply(tmp, (a * a + b * b) * (0.125 * dt * idcsq), out=tmp)
+    np.multiply(tmp, (a * a + b * b) * (0.125 * dt * (1 / dc**2)), out=tmp)
     np.add(acc, tmp, out=acc)
     # mixed terms a * d2u/dw2dc - b * d2u/dw1dc
     np.subtract(dcu[1:-1, 2:], dcu[1:-1, :-2], out=tmp)
-    np.multiply(tmp, a * (0.5 * dt * i4w2c), out=tmp)
+    np.multiply(tmp, a * (0.5 * dt * (1 / (4 * dw2 * dc))), out=tmp)
     np.add(acc, tmp, out=acc)
     np.subtract(dcu[2:, 1:-1], dcu[:-2, 1:-1], out=tmp)
-    np.multiply(tmp, b * (0.5 * dt * i4w1c), out=tmp)
+    np.multiply(tmp, b * (0.5 * dt * (1 / (4 * dw1 * dc))), out=tmp)
     np.subtract(acc, tmp, out=acc)
     np.add(ui, acc, out=unew[1:-1, 1:-1, 1:-1])
-
-
-def apply_h3_generator(axes, values) -> np.ndarray:
-    """One application of (X^2 + Y^2)/2 by the same stencils; zero on the boundary."""
-    w1, w2, c = axes
-    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    out = np.zeros_like(values)
-    _step_numpy(values, out, w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2,
-                1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc), 1.0)
-    out[1:-1, 1:-1, 1:-1] -= values[1:-1, 1:-1, 1:-1]
-    return out
 
 
 def _mollified_delta(axes, cells):
@@ -352,6 +342,10 @@ def _mollified_delta(axes, cells):
     g2 = np.exp(-0.5 * (w2 / sig[1]) ** 2) / (sig[1] * math.sqrt(2 * math.pi))
     g3 = np.exp(-0.5 * (c / sig[2]) ** 2) / (sig[2] * math.sqrt(2 * math.pi))
     return g1[:, None, None] * g2[None, :, None] * g3[None, None, :]
+
+
+# the least mass a delta solve may keep; the rest has leaked through the walls
+MASS_FLOOR = 0.99
 
 
 def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
@@ -382,14 +376,12 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
     if not T > 0:
         raise ValueError("terminal time must be positive")
     axes = tuple(np.linspace(lo, hi, num) for (lo, hi), num in zip(box, shape))
-    w1, w2, c = axes
 
     is_density = isinstance(initial, str) and initial == "delta"
     if is_density:
         u = _mollified_delta(axes, mollifier_cells)
     elif callable(initial):
-        g1, g2, g3 = np.meshgrid(w1, w2, c, indexing="ij")
-        pts = np.stack([g1.ravel(), g2.ravel(), g3.ravel()], axis=1)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         u = np.asarray(initial(pts), dtype=float).reshape(shape)
     else:
         raise ValueError(f'initial must be "delta" or a callable, got {type(initial).__name__}')
@@ -400,21 +392,18 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
     if is_density:
         u /= _trapezoid3(axes, u)
 
-    rho = float(_spectral_radius_bound(w1, w2, c))
+    rho = float(_spectral_radius_bound(*axes))
     coeffs, tail = _chebyshev_coefficients(0.5 * T * rho)
-    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    # a step of dt = 2 / rho_G applies A
-    args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2,
-            1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc), 2.0 / rho)
+    dt = 2.0 / rho      # a step of dt = 2 / rho_G applies A
     truncation = tail * float(np.linalg.norm(u))
     work = _step_work(u.shape)
     # the faces of every grid stay zero: the stencil writes only interiors
     total, prev, cur, scratch = coeffs[0] * u, u, np.zeros_like(u), np.zeros_like(u)
     for k, ck in enumerate(coeffs[1:], start=1):
         if k == 1:
-            _step_numpy(prev, cur, *args, work=work)
+            _step_numpy(prev, cur, axes, dt, work=work)
         else:
-            _step_numpy(cur, scratch, *args, work=work)
+            _step_numpy(cur, scratch, axes, dt, work=work)
             np.multiply(scratch, 2.0, out=scratch)
             np.subtract(scratch, prev, out=prev)
             prev, cur = cur, prev
@@ -422,7 +411,7 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
         np.add(total, scratch, out=total)
 
     mass = _trapezoid3(axes, total)
-    mass_ok = (0.99 <= mass <= 1.0 + 1e-9) if is_density else True
+    mass_ok = (MASS_FLOOR <= mass <= 1.0 + 1e-9) if is_density else True
     return GridDensity(axes, total, T, mass, mass_ok,
                        {"steps": len(coeffs) - 1, "spectral_bound": rho,
                         "truncation_bound": truncation,
@@ -437,9 +426,8 @@ def _record(lhs, rhs, se_lhs, se_rhs, **fields) -> VerificationRecord:
     """The record of lhs <= rhs, with margin rhs - lhs; it passes unless the
     margin falls below three combined standard errors."""
     margin = rhs - lhs
-    tolerance = 3.0 * math.hypot(se_lhs, se_rhs)
     return VerificationRecord(lhs=lhs, rhs=rhs, stderr_lhs=se_lhs, stderr_rhs=se_rhs,
-                              margin=margin, passed=bool(margin >= -tolerance), **fields)
+                              margin=margin, passed=within_3se(margin, se_lhs, se_rhs), **fields)
 
 
 def _reverse_record(sampler, f, x, constants, log_fvals, core, se_core,
@@ -473,7 +461,7 @@ def verify_reverse_poincare(sampler: SemigroupSampler, f, x: GroupElement,
     dev_sq = (vals - vals.mean()) ** 2
     var_est = dev_sq.mean()
     return _reverse_record(sampler, f, x, constants, None, var_est,
-                           _mean_se(dev_sq - var_est)[1], record_id, variance=var_est)
+                           mean_se(dev_sq - var_est)[1], record_id, variance=var_est)
 
 
 def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
@@ -494,7 +482,7 @@ def verify_reverse_logsobolev(sampler: SemigroupSampler, f: BumpFunction,
     core = terms.mean()
     lin = (terms - core) - core * (u - 1.0)
     return _reverse_record(sampler, f, x, constants, fv, core,
-                           _mean_se(lin)[1], record_id, entropy_core=core)
+                           mean_se(lin)[1], record_id, entropy_core=core)
 
 
 def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
@@ -508,11 +496,11 @@ def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
     if not all(p > 1 for p in p_grid):
         raise ValueError("the exponent must exceed one")
     T = sampler.T
-    mx, sx = _mean_se(sampler.values(f, x))
+    mx, sx = mean_se(sampler.values(f, x))
     fy = sampler.values(f, y)
     records = []
     for p in p_grid:
-        my, sy = _mean_se(fy ** p)
+        my, sy = mean_se(fy ** p)
         factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
         records.append(_record(
             mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy,
@@ -575,7 +563,7 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
     """|P_T f(x) - P_T f(y)|^2 against the distance-modulus bound, from the
     per-path differences ``diffs`` = f(x * g_i) - f(y * g_i) of ``sampler``."""
     T = sampler.T
-    m, se_m = _mean_se(diffs)
+    m, se_m = mean_se(diffs)
     rhs = sup_bound**2 * math.expm1(constants.harnack_coeff * dist_sq / (2.0 * T))
     return _record(
         m * m, rhs, 2.0 * abs(m) * se_m, 0.0,

@@ -2,16 +2,18 @@
 
 One record captures one inequality check: both sides, statistical errors,
 the margin, and the pass flag.  CSV bodies are byte-deterministic: floats are
-written with 17 significant digits and missing values as empty fields.
+written with 17 significant digits and missing values as empty fields.  Every
+CSV file of a run is written by ``csv_text``.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationRecord", "records_to_csv", "summarize"]
+__all__ = ["VerificationRecord", "csv_text", "records_to_csv", "summarize"]
 
 CSV_COLUMNS = [
     "record_id", "preset", "rank", "T", "p_or_q", "x", "y",
@@ -65,18 +67,18 @@ def coords_str(values) -> str:
     return " ".join(f"{float(v):.17g}" for v in values)
 
 
-def records_to_csv(records) -> str:
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows of strings, each line ending in "\n"; a
+    field is quoted only when it holds a comma, a quote or a line break."""
     buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        buf.write(",".join(_csv_escape(cell) for cell in rec.row()) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _csv_escape(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
+def records_to_csv(records) -> str:
+    return csv_text(CSV_COLUMNS, (rec.row() for rec in records))
 
 
 def summarize(records) -> dict:

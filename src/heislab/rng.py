@@ -69,7 +69,7 @@ def path_generator(seed: int, path_index: int) -> np.random.Generator:
     from more than one thread.
     """
     gen, bitgen, state, key = _shared_philox()
-    h = _path_key_prefix(seed).copy()
+    h = hashlib.blake2b.copy(_path_key_prefix(seed))
     h.update(_encode(path_index))
     key[0] = int.from_bytes(h.digest(), "little")   # mix64(seed, 0, path_index)
     bitgen.state = state

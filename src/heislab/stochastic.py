@@ -24,6 +24,7 @@ columns.  No path is drawn twice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "convergence_study",
     "refinement_convergence",
     "approximation_report",
+    "mean_se", "within_3se",
 ]
 
 # bytes of positions in one batch of paths, for every sampler
@@ -78,7 +80,7 @@ def _draw_positions(form: OmegaForm, T, K, seed, start, count):
     return B
 
 
-def _mean_se(v):
+def mean_se(v):
     """Sample mean of v and its standard error (0 for a single sample).
 
     ``v.std`` squares the deviations, and those below about 1e-154 square
@@ -94,6 +96,12 @@ def _mean_se(v):
         e = int(np.frexp(np.abs(v).max())[1])
         sd = np.ldexp(np.ldexp(v, -e).std(ddof=1), e)
     return float(v.mean()), float(sd / np.sqrt(len(v)))
+
+
+def within_3se(margin, *stderrs) -> bool:
+    """The pass rule of every statistical record: ``margin`` (positive when the
+    claim holds) is at least -3 times the combined error hypot(stderrs)."""
+    return bool(margin >= -3.0 * math.hypot(*stderrs))
 
 
 def sample_paths(form: OmegaForm, T: float, K: int, count: int, seed: int,
@@ -219,12 +227,8 @@ def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
     errors, stderrs = {}, {}
     for m, row in zip(ranks, sup):
         for p in p_moments:
-            errors[(m, p)], stderrs[(m, p)] = _mean_se(row ** p)
-    monotone = True
-    for p in p_moments:
-        for a, b in zip(ranks, ranks[1:]):
-            slack = 3.0 * np.hypot(stderrs[(a, p)], stderrs[(b, p)])
-            if errors[(b, p)] > errors[(a, p)] + slack:
-                monotone = False
+            errors[(m, p)], stderrs[(m, p)] = mean_se(row ** p)
+    monotone = all(within_3se(errors[(a, p)] - errors[(b, p)], stderrs[(a, p)], stderrs[(b, p)])
+                   for p in p_moments for a, b in zip(ranks, ranks[1:]))
     return (RefinementReport(K_list, [float(v) for v in rms], order),
             ApproximationReport(ranks, errors, stderrs, monotone))

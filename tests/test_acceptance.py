@@ -29,7 +29,7 @@ from heislab.heat import (
 )
 from heislab.polynomials import constant, random_polynomial
 from heislab.rng import child_seed
-from heislab.stochastic import _mean_se, convergence_study, sample_endpoints
+from heislab.stochastic import mean_se, convergence_study, sample_endpoints
 from test_differential import (
     bracket_relation, commutation, coordinates, gamma2z_squares, gamma_expansion,
     generator_expansion, rel_close,
@@ -273,7 +273,7 @@ def test_criterion_07_mc_pde_consistency(acceptance_density, acceptance_sampler)
     ok = True
     msgs = []
     for k, f in enumerate(bumps):
-        value, se = _mean_se(samp.values(f, E2))
+        value, se = mean_se(samp.values(f, E2))
         oracle = dens.quadrature(f(pts).reshape(dens.values.shape) * dens.values)
         slack = 0.01 * (f.sup_bound() + abs(oracle))
         good = abs(value - oracle) <= 3 * se + slack

@@ -443,6 +443,16 @@ class TestRankRule:
         assert (row["record_id"], row["rank"], row["lhs"], row["pass"]) == (
             record_id, "4", "", "false")
 
+    def test_curvature_reports_the_rank_rule_error_by_rank(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "preset": {"name": "block_sum", "params": {"weights": [1, 1e-6]}}})
+        out = str(tmp_path / "o")
+        assert main(["curvature", "--config", cfg, "--out", out]) == 1
+        report = read_summary(out)["report"]
+        assert report["constants"] == {}
+        assert list(report["error"]) == ["4"]
+        assert report["error"]["4"].startswith("vertical Gram matrix at rank 4 is singular")
+
 
 class TestSimulateAndConvergence:
     def test_simulate_writes_endpoints(self, tmp_path):
@@ -469,6 +479,29 @@ class TestSimulateAndConvergence:
         assert rec["pass"] == "false"
         assert margin < 0 and lhs > rhs
         assert margin == pytest.approx(rhs - lhs, rel=1e-12)
+
+    def test_simulate_fails_a_biased_draw_at_any_scale(self, tmp_path, monkeypatch):
+        # at T = 1e-13 every c is about 1e-13; a draw biased by ten standard
+        # errors must fail however small they are (an absolute slack of
+        # 1e-12 once let it pass)
+        import heislab.cli as cli
+
+        real = cli.sample_endpoints
+
+        def biased(*args):
+            W, C = real(*args)
+            return W, C + 10.0 * C.std(axis=0, ddof=1) / np.sqrt(len(C))
+
+        monkeypatch.setattr(cli, "sample_endpoints", biased)
+        cfg = write_config(tmp_path, "c.json", {
+            "params": {"T": 1e-13, "samples": 200, "steps": 8}})
+        out = str(tmp_path / "o")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "records.csv")) as fh:
+            [rec] = list(csv.DictReader(fh))
+        lhs, rhs = float(rec["lhs"]), float(rec["rhs"])
+        assert rec["pass"] == "false"
+        assert 0 < rhs < lhs < 1e-13
 
     def test_convergence_reports(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -735,7 +768,7 @@ class TestDistanceSq:
         # the witness is the circle sampled at 65 points: a regular 64-gon,
         # shorter by the factor (64 / pi) sin(pi / 64) and enclosing the
         # fraction 64 sin(2 pi / 64) / (2 pi) of the circle's area
-        length = np.linalg.norm(np.diff(res.witness.nodes, axis=0), axis=1).sum()
+        length = np.linalg.norm(np.diff(res.witness, axis=0), axis=1).sum()
         assert length / res.distance == pytest.approx(
             64 / np.pi * np.sin(np.pi / 64), rel=1e-9)
         assert res.constraint_residual == pytest.approx(
@@ -941,9 +974,20 @@ class TestDeterminism:
             assert row["preset"] == expected
 
     def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HEISLAB_WORKERS", "2")
-        out = str(tmp_path / "o")
-        assert main(["curvature", "--out", out]) == 0
+        # no environment variable is read: HEISLAB_WORKERS, once a worker
+        # count, leaves a sampling sweep's records as they are
+        cfg = write_config(tmp_path, "c.json",
+                           {"seed": 3, "params": TINY["verify-reverse-poincare"]})
+        bodies = []
+        for workers in (None, "2"):
+            if workers is None:
+                monkeypatch.delenv("HEISLAB_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("HEISLAB_WORKERS", workers)
+            out = str(tmp_path / f"o{workers}")
+            assert main(["verify-reverse-poincare", "--config", cfg, "--out", out]) == 0
+            bodies.append(Path(out, "records.csv").read_bytes())
+        assert bodies[0] == bodies[1]
 
     def test_manifest_roundtrip(self, tmp_path):
         out = str(tmp_path / "o")

@@ -17,7 +17,8 @@ from heislab.polynomials import PolynomialFunction, constant, random_polynomial
 
 H1 = make_preset("heisenberg", pairs=1).form
 BS = make_preset("block_sum", weights=[1, 1]).form
-RHO2 = curvature_constants(H1).rho2
+CC = curvature_constants(H1)
+RHO2 = CC.rho2
 
 
 def coordinates(nvars):
@@ -272,13 +273,14 @@ def test_identities_hold_at_the_degree_cap():
 
 class TestCurvatureDimension:
     def test_constant_function(self):
-        [rec] = check_cd_inequality(H1, constant(3, 2.0), [[1, 1, 1]], [1.0], vertical_coeff=RHO2)
+        [rec] = check_cd_inequality(H1, constant(3, 2.0), [[1, 1, 1]], [1.0], CC,
+                                    vertical_coeff=RHO2)
         assert rec.passed and rec.margin == 0.0
 
     def test_horizontal_coordinate(self):
         # all iterated terms vanish, leaving the positive hs/nu * Gamma term
         nu = 0.7
-        [rec] = check_cd_inequality(H1, W1, [[0.5, -1, 2]], [nu], vertical_coeff=RHO2)
+        [rec] = check_cd_inequality(H1, W1, [[0.5, -1, 2]], [nu], CC, vertical_coeff=RHO2)
         assert rec.passed
         assert rec.margin == pytest.approx(hs_norm_sq(H1) / nu)
 
@@ -287,24 +289,25 @@ class TestCurvatureDimension:
         # rho2 times its vertical form, so the quarter-weighted bound is tight
         # and the unweighted one is violated
         e = [[0, 0, 0]]
-        [quarter] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=RHO2 / 4)
+        [quarter] = check_cd_inequality(H1, C, e, [1.0], CC, vertical_coeff=RHO2 / 4)
         assert quarter.passed and quarter.margin == pytest.approx(0.0, abs=1e-15)
-        [full] = check_cd_inequality(H1, C, e, [1.0], vertical_coeff=RHO2)
+        [full] = check_cd_inequality(H1, C, e, [1.0], CC, vertical_coeff=RHO2)
         assert not full.passed
         assert full.margin == pytest.approx(0.5 - RHO2)
 
     def test_quarter_coefficient_random_sweep(self):
         rng = np.random.default_rng(16)
         for form, nv in ((H1, 3), (BS, 6)):
-            vc = curvature_constants(form).rho2 / 4
+            constants = curvature_constants(form)
+            vc = constants.rho2 / 4
             for _ in range(15):
                 f = random_polynomial(nv, 4, rng, terms=8)
                 pts = rng.uniform(-3, 3, size=(10, nv))
-                recs = check_cd_inequality(form, f, pts[:3], (0.1, 1.0, 10.0),
+                recs = check_cd_inequality(form, f, pts[:3], (0.1, 1.0, 10.0), constants,
                                            vertical_coeff=vc)
                 assert [rec.p_or_q for rec in recs] == [0.1, 1.0, 10.0] * 3
                 assert all(rec.passed for rec in recs)
 
     def test_rejects_nonpositive_nu(self):
         with pytest.raises(ValueError):
-            check_cd_inequality(H1, W1, [[0, 0, 0]], [1.0, 0.0], vertical_coeff=RHO2)
+            check_cd_inequality(H1, W1, [[0, 0, 0]], [1.0, 0.0], CC, vertical_coeff=RHO2)

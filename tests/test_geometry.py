@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heislab.geometry import DistanceOptions, HorizontalPath, cc_distance
+from heislab.geometry import DistanceOptions, cc_distance
 from heislab.groups import (
     DimensionMismatchError, GroupElement, HormanderError, OmegaForm, identity, inverse,
     make_preset, multiply,
@@ -80,27 +80,24 @@ def circle_loop_oracle(area, K=64):
 class TestVerticalDisplacement:
     def test_straight_line_vanishes(self):
         t = np.linspace(0, 1, 9)[:, None]
-        path = HorizontalPath(t * np.array([[2.0, -1.0]]), [0.0])
-        assert abs(0.5 * H1.path_integral(path.nodes)[0]) < 1e-15
+        nodes = t * np.array([[2.0, -1.0]])
+        assert abs(0.5 * H1.path_integral(nodes)[0]) < 1e-15
 
     def test_unit_square_encloses_area_one(self):
         nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
-        path = HorizontalPath(nodes, [0.0])
-        assert 0.5 * H1.path_integral(path.nodes)[0] == pytest.approx(1.0)
+        assert 0.5 * H1.path_integral(nodes)[0] == pytest.approx(1.0)
 
     def test_reversal_negates(self):
         rng = np.random.default_rng(0)
         nodes = rng.normal(size=(12, 2))
-        path = HorizontalPath(nodes, [0.0])
-        fwd = 0.5 * H1.path_integral(path.nodes)
-        bwd = 0.5 * H1.path_integral(path.nodes[::-1])
+        fwd = 0.5 * H1.path_integral(nodes)
+        bwd = 0.5 * H1.path_integral(nodes[::-1])
         assert np.allclose(fwd, -bwd, atol=1e-14)
 
     def test_refinement_invariance(self):
         rng = np.random.default_rng(1)
         nodes = rng.normal(size=(9, 2))
-        path = HorizontalPath(nodes, [0.0])
-        base = 0.5 * H1.path_integral(path.nodes)
+        base = 0.5 * H1.path_integral(nodes)
         # subdivide every segment at a random interior point
         refined = [nodes[0]]
         for k in range(8):
@@ -111,9 +108,9 @@ class TestVerticalDisplacement:
         assert np.allclose(base, ref, atol=1e-12)
 
     def test_vertical_profile_endpoint(self):
+        # the vertical coordinates along a path that starts at c = 0.5
         nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
-        path = HorizontalPath(nodes, [0.5])
-        prof = path.vertical_profile(H1)
+        prof = 0.5 + 0.5 * H1.running_path_integral(nodes)
         assert prof[0, 0] == 0.5
         assert prof[-1, 0] == pytest.approx(1.5)
 
@@ -126,7 +123,7 @@ class TestPathFunctionals:
         for target, rel in ((GroupElement([0.4, -0.3], [0.2]), 1e-3),
                             (GroupElement([3.0, 1.0], [0.0]), 1e-12)):
             res = cc_distance(H1, E, target)
-            length = np.linalg.norm(np.diff(res.witness.nodes, axis=0), axis=1).sum()
+            length = np.linalg.norm(np.diff(res.witness, axis=0), axis=1).sum()
             assert length ** 2 <= res.energy * (1 + 1e-12)
             assert length ** 2 == pytest.approx(res.energy, rel=rel)
 
@@ -153,7 +150,8 @@ class TestDistance:
         misses = []
         for K in (64, 256):
             res = cc_distance(ROTATED, E4, target, opts=DistanceOptions(segments=K))
-            nodes, end_c = res.witness.nodes, res.witness.vertical_profile(ROTATED)[-1]
+            nodes = res.witness
+            end_c = 0.5 * ROTATED.running_path_integral(nodes)[-1]
             assert np.allclose(nodes[-1], target.w, atol=1e-15)
             assert abs(end_c[0] - 0.3) == pytest.approx(res.constraint_residual, rel=1e-6)
             seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
@@ -172,13 +170,13 @@ class TestDistance:
         misses = []
         for K in (64, 256):
             res = cc_distance(H1, x, target, opts=DistanceOptions(segments=K))
-            end_w, end_c = res.witness.nodes[-1], res.witness.vertical_profile(H1)[-1]
+            end_w, end_c = res.witness[-1], x.c + 0.5 * H1.running_path_integral(res.witness)[-1]
             assert np.allclose(end_w, target.w, atol=1e-15)
             assert abs(end_c[0] - target.c[0]) == pytest.approx(res.constraint_residual,
                                                                 rel=1e-6)
             assert np.sign(end_c[0] - x.c[0] - 0.5 * (x.w[0] * end_w[1] - x.w[1] * end_w[0])) \
                 == np.sign(c)
-            seg = np.linalg.norm(np.diff(res.witness.nodes, axis=0), axis=1)
+            seg = np.linalg.norm(np.diff(res.witness, axis=0), axis=1)
             assert res.distance * (1 - 1e-3) < seg.sum() <= res.distance
             misses.append(res.constraint_residual)
         assert misses[1] == pytest.approx(misses[0] / 16, rel=0.01)
@@ -219,7 +217,7 @@ class TestDistance:
         x = GroupElement([1.0, 2.0], [3.0])
         res = cc_distance(H1, x, x)
         assert res.distance == 0.0
-        assert res.witness.segments == 0
+        assert np.array_equal(res.witness, [x.w])
         assert res.diagnostics.get("shortcut") == "coincident"
 
     def test_rank_restriction_requires_hormander(self):
@@ -245,7 +243,7 @@ class TestDistance:
             exact = cc_distance(form, identity(form), z).distance
             res = cc_distance(turned, identity(turned), GroupElement(rot @ z.w, z.c))
             assert res.distance == pytest.approx(exact, rel=1e-12)
-            assert np.allclose(res.witness.nodes[-1], rot @ z.w, atol=1e-15)
+            assert np.allclose(res.witness[-1], rot @ z.w, atol=1e-15)
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-15, 1e-30])
     def test_near_the_cut_locus(self, eps):
@@ -292,8 +290,8 @@ class TestDistance:
             d_pair = cc_distance(pair, identity(pair), GroupElement(w[:2], [c])).distance
             res = cc_distance(turned, identity(turned), GroupElement(rot @ w, [c]))
             assert res.energy == pytest.approx(d_pair ** 2 + w[2] ** 2, rel=1e-12)
-            assert np.allclose(res.witness.nodes[-1], rot @ w, atol=1e-15)
-            seg = np.linalg.norm(np.diff(res.witness.nodes, axis=0), axis=1)
+            assert np.allclose(res.witness[-1], rot @ w, atol=1e-15)
+            seg = np.linalg.norm(np.diff(res.witness, axis=0), axis=1)
             assert np.ptp(seg) <= 1e-12 * seg.mean()
 
     def test_d2_rotated_within_blocks(self):

@@ -13,7 +13,6 @@ from heislab.heat import (
     _spectral_radius_bound,
     _step_numpy,
     _step_work,
-    apply_h3_generator,
     pde_oracle_h3,
     strong_feller_modulus,
     verify_integrated_harnack,
@@ -23,7 +22,7 @@ from heislab.heat import (
     verify_wang_harnack,
 )
 from heislab.rng import mix64
-from heislab.stochastic import _mean_se
+from heislab.stochastic import mean_se
 
 H1 = make_preset("heisenberg", pairs=1).form
 CC = curvature_constants(H1)
@@ -114,19 +113,19 @@ class TestBumpFunction:
 
 class TestSemigroupSampler:
     def test_constant_function_exact(self, sampler):
-        assert _mean_se(sampler.values(lambda pts: np.ones(len(pts)), E)) == (1.0, 0.0)
+        assert mean_se(sampler.values(lambda pts: np.ones(len(pts)), E)) == (1.0, 0.0)
 
     def test_contraction(self, sampler):
         f = BumpFunction(E, radius=2.0, height=1.0, floor=0.05)
-        value, _ = _mean_se(sampler.values(f, GroupElement([0.4, 0.1], [0.2])))
+        value, _ = mean_se(sampler.values(f, GroupElement([0.4, 0.1], [0.2])))
         assert 0.05 - 1e-12 <= value <= f.sup_bound() + 1e-12
 
     def test_linearity_under_crn(self, sampler):
         f = BumpFunction(E, radius=2.0)
         g = BumpFunction(GroupElement([1.0, 0.0], [0.0]), radius=1.5)
         combo = lambda pts: 2.0 * f(pts) - 0.5 * g(pts)
-        lhs = _mean_se(sampler.values(combo, E))[0]
-        rhs = 2.0 * _mean_se(sampler.values(f, E))[0] - 0.5 * _mean_se(sampler.values(g, E))[0]
+        lhs = mean_se(sampler.values(combo, E))[0]
+        rhs = 2.0 * mean_se(sampler.values(f, E))[0] - 0.5 * mean_se(sampler.values(g, E))[0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
 
     def test_odd_function_centered(self, sampler):
@@ -238,6 +237,15 @@ class TestPdeOracle:
         assert 0 < outside.sum() < len(pts)
 
 
+def apply_h3_generator(axes, values) -> np.ndarray:
+    """One application of (X^2 + Y^2)/2 by the stencil of ``_step_numpy``;
+    zero on the boundary."""
+    out = np.zeros_like(values)
+    _step_numpy(values, out, axes, 1.0)
+    out[1:-1, 1:-1, 1:-1] -= values[1:-1, 1:-1, 1:-1]
+    return out
+
+
 def _dense_generator(axes):
     """apply_h3_generator as a dense matrix on the interior nodes.
 
@@ -271,19 +279,15 @@ def _positive_definite(matrix):
 
 def _explicit_euler(axes, T, dt, cells):
     """pde_oracle_h3's mollified delta, solved by explicit Euler steps of _step_numpy."""
-    w1, w2, c = axes
     u = _mollified_delta(axes, cells)
     u[[0, -1], :, :] = 0.0
     u[:, [0, -1], :] = 0.0
     u[:, :, [0, -1]] = 0.0
     u /= heat._trapezoid3(axes, u)
     steps = math.ceil(T / dt)
-    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2, 1 / (4 * dw2 * dc),
-            1 / (4 * dw1 * dc), T / steps)
     unew, work = np.zeros_like(u), _step_work(u.shape)
     for _ in range(steps):
-        _step_numpy(u, unew, *args, work=work)
+        _step_numpy(u, unew, axes, T / steps, work=work)
         u, unew = unew, u
     return u
 
@@ -439,7 +443,7 @@ class TestMcPdeConsistency:
         # tolerance
         for center, radius in [(E, 2.0), (GroupElement([0.8, 0.0], [0.3]), 1.5), (E, 1.0)]:
             f = BumpFunction(center, radius=radius)
-            value, se = _mean_se(samp.values(f, E))
+            value, se = mean_se(samp.values(f, E))
             fgrid = f(pts).reshape(small_density.values.shape)
             oracle = small_density.quadrature(fgrid * small_density.values)
             slack = 0.01 * (f.sup_bound() + abs(oracle))
@@ -515,7 +519,7 @@ class TestPathwiseGradient:
         x = np.random.default_rng(3).normal(0.4, 1.0, 2000)
         n = 6
         val, se = heat._squared_sum(np.repeat(x[:, None], n, axis=1))
-        mean, se_x = _mean_se(x)
+        mean, se_x = mean_se(x)
         assert val == pytest.approx(n * mean * mean, rel=1e-12)
         assert se == pytest.approx(2.0 * n * abs(mean) * se_x, rel=1e-12)
 
@@ -650,18 +654,19 @@ def _random_stencil_problem():
     spacings, a second grid to step into, and stepper arguments at half the
     stability bound."""
     rng = np.random.default_rng(11)
-    w1, w2, c = np.linspace(-2.0, 3.0, 11), np.linspace(-1.5, 1.5, 13), np.linspace(-2.0, 2.0, 17)
-    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    dt = 0.5 * 2.0 / _spectral_radius_bound(w1, w2, c)   # half the Euler limit
-    args = (w1, w2, 1 / dw1**2, 1 / dw2**2, 1 / dc**2, 1 / (4 * dw2 * dc),
-            1 / (4 * dw1 * dc), dt)
-    shape = (len(w1), len(w2), len(c))
-    return rng.normal(size=shape), rng.normal(size=shape), args
+    axes = np.linspace(-2.0, 3.0, 11), np.linspace(-1.5, 1.5, 13), np.linspace(-2.0, 2.0, 17)
+    dt = 0.5 * 2.0 / _spectral_radius_bound(*axes)   # half the Euler limit
+    shape = tuple(len(a) for a in axes)
+    return rng.normal(size=shape), rng.normal(size=shape), (axes, dt)
 
 
-def _reference_step(u, w1, w2, idw1sq, idw2sq, idcsq, i4w2c, i4w1c, dt):
+def _reference_step(u, axes, dt):
     """The stencil written out term by term, one temporary per term; returns
     the new interior."""
+    w1, w2, c = axes
+    dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
+    idw1sq, idw2sq, idcsq = 1 / dw1**2, 1 / dw2**2, 1 / dc**2
+    i4w2c, i4w1c = 1 / (4 * dw2 * dc), 1 / (4 * dw1 * dc)
     ui = u[1:-1, 1:-1, 1:-1]
     lap = (u[2:, 1:-1, 1:-1] - 2 * ui + u[:-2, 1:-1, 1:-1]) * idw1sq \
         + (u[1:-1, 2:, 1:-1] - 2 * ui + u[1:-1, :-2, 1:-1]) * idw2sq
@@ -680,5 +685,5 @@ def test_numpy_stepper_zero_dt_is_identity():
     u = np.random.default_rng(3).normal(size=(8, 8, 9))
     out = np.zeros_like(u)
     w = np.linspace(-1, 1, 8)
-    _step_numpy(u, out, w, w, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    _step_numpy(u, out, (w, w, np.linspace(-1, 1, 9)), 0.0)
     assert np.allclose(out[1:-1, 1:-1, 1:-1], u[1:-1, 1:-1, 1:-1])

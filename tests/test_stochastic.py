@@ -141,19 +141,19 @@ class TestMeanSe:
         rng = np.random.default_rng(43)
         for scale in (1e-120, 1e-3, 1.0, 1e90):
             v = rng.normal(size=257) * scale
-            assert stochastic._mean_se(v) == (v.mean(), v.std(ddof=1) / np.sqrt(257))
+            assert stochastic.mean_se(v) == (v.mean(), v.std(ddof=1) / np.sqrt(257))
 
     def test_tiny_values_do_not_underflow(self):
         # one path at a bump's support edge, as on wiener_truncation(8,2):
         # its square, 1e-351, is below the smallest double
         v = np.zeros(1000)
         v[3] = 3.4e-176
-        mean, se = stochastic._mean_se(v)
+        mean, se = stochastic.mean_se(v)
         assert mean == pytest.approx(3.4e-179, rel=1e-12, abs=0.0)
         assert se == pytest.approx(3.4e-179, rel=1e-12, abs=0.0)   # a / N for one value a
         # below the cut-over the error scales exactly with the values
         w = np.random.default_rng(44).normal(size=257)
-        assert stochastic._mean_se(np.ldexp(w, -600))[1] == np.ldexp(stochastic._mean_se(w)[1], -600)
+        assert stochastic.mean_se(np.ldexp(w, -600))[1] == np.ldexp(stochastic.mean_se(w)[1], -600)
 
 
 class TestProjection:
