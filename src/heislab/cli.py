@@ -10,14 +10,16 @@ both read it), and writes three files to the output directory:
                   across runs for equal configs
 * summary.json  - pass/fail counts and experiment-specific report values
 * manifest.json - resolved config echo (every params default filled in from
-                  PARAMS_DEFAULTS, and the ranks and points that runners
-                  derive), artifact version, wall clock, the seconds spent
-                  loading and validating the config (config_s), the number of
-                  sample paths drawn (paths_drawn), failure list (the only
-                  file carrying timing)
+                  its schema, and the ranks and points that runners derive),
+                  artifact version, wall clock, the seconds spent loading and
+                  validating the config (config_s), the number of sample
+                  paths drawn (paths_drawn), failure list (the only file
+                  carrying timing)
 
 Exit code 0 when every record passes, 1 when any verification fails, 2 on
-configuration errors.
+configuration errors.  A form that fails the rank rule (HormanderError) fails
+a record named after the experiment (curvature: that rank's record), with the
+message in summary.json's report.error.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ from .records import VerificationRecord, coords_str, csv_text, fmt_float, record
 from .rng import child_seed
 from .stochastic import convergence_study, mean_se, sample_endpoints, within_3se
 
-EXPERIMENTS = [
-    "curvature", "distance", "simulate", "convergence", "verify-cd",
-    "verify-harnack", "verify-reverse-poincare", "verify-reverse-logsobolev",
-    "verify-integrated-harnack", "verify-strong-feller", "oracle-h3",
-    "list-presets",
-]
-
 
 class ConfigError(ValueError):
     pass
@@ -86,189 +81,153 @@ class RunConfig:
         }
 
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"type": "string", "enum": EXPERIMENTS},
-        "preset": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "name": {"type": "string"},
-                "params": {"type": "object"},
-            },
-            "required": ["name"],
-        },
-        "ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        # rng._encode packs each key part into 16 signed bytes
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**127 - 1},
-        "out": {"type": "string"},
-        "params": {"type": "object"},
-    },
-}
-
 _NUM = {"type": "number"}
 _POSNUM = {"type": "number", "exclusiveMinimum": 0}
 _POSINT = {"type": "integer", "minimum": 1}
 _EXPONENT = {"type": "number", "exclusiveMinimum": 1}
 _VEC = {"type": "array", "items": _NUM}
-_POINT = {
-    "type": "object", "additionalProperties": False,
-    "properties": {"w": _VEC, "c": _VEC}, "required": ["w", "c"],
-}
-_BUMP = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "center": _POINT, "radius": _POSNUM, "height": _POSNUM,
-        "floor": {"type": "number", "minimum": 0},
-    },
-}
-_GRID = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "box": {"type": "array", "items": {"type": "array", "items": _NUM,
-                                           "minItems": 2, "maxItems": 2},
-                "minItems": 3, "maxItems": 3},
-        "shape": {"type": "array", "items": _POSINT, "minItems": 3, "maxItems": 3},
-        # cfl_fraction: accepted and ignored; the grid solve takes no time steps
-        "cfl_fraction": _POSNUM,
-        "mollifier_cells": _POSNUM,
-    },
-}
-_REVERSE = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "T_grid": {"type": "array", "items": _POSNUM, "minItems": 1},
-        "samples": _POSINT, "steps": _POSINT,
-        "points": {"type": "array", "items": _POINT, "minItems": 1},
-        "bump": _BUMP,
-    },
-}
 
-PARAMS_SCHEMAS = {
-    "curvature": {"type": "object", "additionalProperties": False, "properties": {}},
-    "list-presets": {"type": "object", "additionalProperties": False, "properties": {}},
-    "distance": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            # restarts: accepted and ignored; every distance is exact
-            "target": _POINT, "segments": _POSINT, "restarts": _POSINT,
-        },
-        "required": ["target"],
-    },
-    "simulate": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"T": _POSNUM, "steps": _POSINT,
-                       "samples": {"type": "integer", "minimum": 2}},
-    },
-    "convergence": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T": _POSNUM, "samples": _POSINT,
-            "K_list": {"type": "array", "items": _POSINT, "minItems": 2},
-            "p_moments": {"type": "array", "items": _POSINT, "minItems": 1},
-        },
-    },
-    "verify-cd": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "functions": _POSINT, "points": _POSINT, "max_degree": _POSINT,
-            "terms": _POSINT, "nu_grid": {"type": "array", "items": _POSNUM, "minItems": 1},
-            "box_half_width": _POSNUM,
-            "vertical_coeff_scale": _POSNUM,
-        },
-    },
-    "verify-harnack": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T": _POSNUM, "samples": _POSINT, "steps": _POSINT,
-            "p_grid": {"type": "array", "items": _EXPONENT, "minItems": 1},
-            "pairs": {"type": "array", "minItems": 1, "items": {
-                "type": "object", "additionalProperties": False,
-                "properties": {"x": _POINT, "y": _POINT, "dist_sq": {"type": "number", "minimum": 0}},
-                "required": ["x", "y"],
-            }},
-            "bump": _BUMP,
-        },
-    },
-    "verify-reverse-poincare": _REVERSE,
-    "verify-reverse-logsobolev": _REVERSE,
-    "verify-integrated-harnack": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T": _POSNUM,
-            "q_grid": {"type": "array", "items": _EXPONENT, "minItems": 1},
-            "ys": {"type": "array", "items": _POINT, "minItems": 1},
-            "grid": _GRID, "grid_tol": _POSNUM,
-        },
-    },
-    "verify-strong-feller": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "T": _POSNUM, "samples": _POSINT, "steps": _POSINT,
-            "x": _POINT, "direction": _VEC,
-            "offsets": {"type": "array", "items": _POSNUM, "minItems": 1},
-            "bump": _BUMP,
-        },
-    },
-    "oracle-h3": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"T": _POSNUM, "grid": _GRID},
-    },
-}
 
+def _object(properties: dict, required=None) -> dict:
+    schema = {"type": "object", "additionalProperties": False, "properties": properties}
+    return {**schema, "required": required} if required else schema
+
+
+def _default(schema: dict, value) -> dict:
+    """``schema`` annotated with its JSON Schema ``default``, which
+    validation ignores and ``PARAMS_DEFAULTS`` collects."""
+    return {**schema, "default": value}
+
+
+def _array(items: dict, default, min_items=1) -> dict:
+    return _default({"type": "array", "items": items, "minItems": min_items}, default)
+
+
+_POINT = _object({"w": _VEC, "c": _VEC}, ["w", "c"])
 _ZERO = {"w": [0.0], "c": [0.0]}
-_BUMP_DEFAULTS = {"center": _ZERO, "radius": 2.5, "height": 1.0, "floor": 0.0}
-_SAMPLER_DEFAULTS = {"samples": 30000, "steps": 256}
-_GRID_DEFAULTS = {"T": 1.0, "grid": {"box": [[-6, 6], [-6, 6], [-8, 8]], "shape": [96, 96, 128],
-                                     "mollifier_cells": 3.0}}
-_REVERSE_DEFAULTS = {"T_grid": [0.25, 0.5, 1.0, 2.0], **_SAMPLER_DEFAULTS, "bump": _BUMP_DEFAULTS}
+_T = _default(_POSNUM, 1.0)
+_SAMPLER = {"samples": _default(_POSINT, 30000), "steps": _default(_POSINT, 256)}
 
-# Every experiment's params defaults.  load_config merges a config's params
-# over them, one level into the nested bump and grid objects, and the runners
-# read the result.  The runners fill in the defaults derived from the form,
-# and write them back into the config so that the manifest echoes them: the
-# reverse sweeps' points, and the ranks of curvature and convergence.
-PARAMS_DEFAULTS = {
-    "curvature": {},
-    "list-presets": {},
-    "distance": {"segments": 64},
-    "simulate": {"T": 1.0, "steps": 256, "samples": 10000},
-    "convergence": {"T": 1.0, "samples": 2000, "K_list": [16, 32, 64, 128, 256],
-                    "p_moments": [1, 2, 4]},
-    "verify-cd": {"functions": 50, "points": 20, "max_degree": 4, "terms": 8,
-                  "nu_grid": [0.1, 1.0, 10.0], "box_half_width": 3.0, "vertical_coeff_scale": 1.0},
-    "verify-harnack": {"T": 1.0, **_SAMPLER_DEFAULTS, "p_grid": [1.5, 2.0, 4.0],
-                       "bump": _BUMP_DEFAULTS, "pairs": [
-        {"x": _ZERO, "y": _ZERO}, {"x": _ZERO, "y": {"w": [1.0], "c": [0.0]}},
-        {"x": _ZERO, "y": {"w": [0.0, 0.5], "c": [0.0]}},
-        {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}},
-        {"x": _ZERO, "y": {"w": [0.4, 0.4], "c": [0.1]}},
-        {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}}]},
-    "verify-reverse-poincare": _REVERSE_DEFAULTS,
-    "verify-reverse-logsobolev": {**_REVERSE_DEFAULTS, "bump": {**_BUMP_DEFAULTS, "floor": 0.1}},
-    "verify-integrated-harnack": {**_GRID_DEFAULTS, "q_grid": [1.5, 2.0, 3.0], "grid_tol": 0.02,
-                                  "ys": [_ZERO, {"w": [0.5], "c": [0.0]},
-                                         {"w": [0.0, -0.4], "c": [0.0]}, {"w": [0.0], "c": [0.25]},
-                                         {"w": [0.3, 0.3], "c": [0.1]}]},
-    "verify-strong-feller": {"T": 1.0, **_SAMPLER_DEFAULTS, "x": {"w": [0.4, 0.2], "c": [0.1]},
-                             "direction": [1.0], "offsets": [0.5, 0.25, 0.125],
-                             "bump": _BUMP_DEFAULTS},
-    "oracle-h3": _GRID_DEFAULTS,
+
+def _bump_schema(floor=0.0) -> dict:
+    return _object({"center": _default(_POINT, _ZERO), "radius": _default(_POSNUM, 2.5),
+                    "height": _default(_POSNUM, 1.0),
+                    "floor": _default({"type": "number", "minimum": 0}, floor)})
+
+
+_GRID = _object({
+    "box": _default({"type": "array", "items": {"type": "array", "items": _NUM,
+                                                "minItems": 2, "maxItems": 2},
+                     "minItems": 3, "maxItems": 3}, [[-6, 6], [-6, 6], [-8, 8]]),
+    "shape": _default({"type": "array", "items": _POSINT, "minItems": 3, "maxItems": 3},
+                      [96, 96, 128]),
+    # cfl_fraction: accepted and ignored; the grid solve takes no time steps
+    "cfl_fraction": _POSNUM,
+    "mollifier_cells": _default(_POSNUM, 3.0),
+})
+
+
+def _reverse(floor) -> dict:
+    return _object({
+        "T_grid": _array(_POSNUM, [0.25, 0.5, 1.0, 2.0]), **_SAMPLER,
+        "points": {"type": "array", "items": _POINT, "minItems": 1},
+        "bump": _bump_schema(floor),
+    })
+
+
+# Every experiment's params schema, the one home of each key and its default.
+# Keys with no default are required (target), accepted and ignored (restarts
+# and cfl_fraction), optional (dist_sq) or derived from the form (points).
+PARAMS_SCHEMAS = {
+    "curvature": _object({}),
+    "distance": _object({
+        # restarts: accepted and ignored; every distance is exact
+        "target": _POINT, "segments": _default(_POSINT, 64), "restarts": _POSINT,
+    }, ["target"]),
+    "simulate": _object({"T": _T, "steps": _default(_POSINT, 256),
+                         "samples": _default({"type": "integer", "minimum": 2}, 10000)}),
+    "convergence": _object({
+        "T": _T, "samples": _default(_POSINT, 2000),
+        # three step counts give two RMS differences, the fewest a slope needs
+        "K_list": _array(_POSINT, [16, 32, 64, 128, 256], min_items=3),
+        "p_moments": _array(_POSINT, [1, 2, 4]),
+    }),
+    "verify-cd": _object({
+        "functions": _default(_POSINT, 50), "points": _default(_POSINT, 20),
+        "max_degree": _default(_POSINT, 4), "terms": _default(_POSINT, 8),
+        "nu_grid": _array(_POSNUM, [0.1, 1.0, 10.0]),
+        "box_half_width": _default(_POSNUM, 3.0),
+        "vertical_coeff_scale": _default(_POSNUM, 1.0),
+    }),
+    "verify-harnack": _object({
+        "T": _T, **_SAMPLER, "p_grid": _array(_EXPONENT, [1.5, 2.0, 4.0]),
+        "pairs": _array(_object({"x": _POINT, "y": _POINT,
+                                 "dist_sq": {"type": "number", "minimum": 0}}, ["x", "y"]), [
+            {"x": _ZERO, "y": _ZERO}, {"x": _ZERO, "y": {"w": [1.0], "c": [0.0]}},
+            {"x": _ZERO, "y": {"w": [0.0, 0.5], "c": [0.0]}},
+            {"x": {"w": [0.3], "c": [0.0]}, "y": {"w": [0.9], "c": [0.0]}},
+            {"x": _ZERO, "y": {"w": [0.4, 0.4], "c": [0.1]}},
+            {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}}]),
+        "bump": _bump_schema(),
+    }),
+    "verify-reverse-poincare": _reverse(floor=0.0),
+    "verify-reverse-logsobolev": _reverse(floor=0.1),
+    "verify-integrated-harnack": _object({
+        "T": _T, "q_grid": _array(_EXPONENT, [1.5, 2.0, 3.0]),
+        "ys": _array(_POINT, [_ZERO, {"w": [0.5], "c": [0.0]}, {"w": [0.0, -0.4], "c": [0.0]},
+                              {"w": [0.0], "c": [0.25]}, {"w": [0.3, 0.3], "c": [0.1]}]),
+        "grid": _GRID, "grid_tol": _default(_POSNUM, 0.02),
+    }),
+    "verify-strong-feller": _object({
+        "T": _T, **_SAMPLER, "x": _default(_POINT, {"w": [0.4, 0.2], "c": [0.1]}),
+        "direction": _default(_VEC, [1.0]), "offsets": _array(_POSNUM, [0.5, 0.25, 0.125]),
+        "bump": _bump_schema(),
+    }),
+    "oracle-h3": _object({"T": _T, "grid": _GRID}),
+    "list-presets": _object({}),
 }
+EXPERIMENTS = list(PARAMS_SCHEMAS)
+
+
+def _defaults(schema: dict) -> dict:
+    """The default of each property of an object schema: its ``default``, or
+    for a nested object (bump, grid) the defaults of its own properties."""
+    out = {}
+    for name, sub in schema["properties"].items():
+        if "default" in sub:
+            out[name] = sub["default"]
+        elif "properties" in sub and (nested := _defaults(sub)):
+            out[name] = nested
+    return out
+
+
+# load_config merges a config's params over these, one level into the nested
+# bump and grid objects.  The runners fill in the defaults derived from the
+# form and write them back into the config, so that the manifest echoes them:
+# the reverse sweeps' points, and the ranks of curvature and convergence.
+PARAMS_DEFAULTS = {name: _defaults(schema) for name, schema in PARAMS_SCHEMAS.items()}
+
+CONFIG_SCHEMA = _object({
+    "experiment": {"type": "string", "enum": EXPERIMENTS},
+    "preset": _object({"name": {"type": "string"}, "params": {"type": "object"}}, ["name"]),
+    "ranks": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+    # rng._encode packs each key part into 16 signed bytes
+    "seed": {"type": "integer", "minimum": 0, "maximum": 2**127 - 1},
+    "out": {"type": "string"},
+    "params": {"type": "object"},
+})
 
 # load_config checks configs against the schemas above with _schema_errors.
 # It implements only the JSON Schema keywords they use (_SCHEMA_KEYWORDS, with
-# additionalProperties false only), and words and picks each error as the
-# reference validator in the tests does; only the tests need that package,
-# and they also check the schemas against their meta-schema.  Unlike draft
-# 2020-12, an integer is never a float: 16.0 at an integer key would crash
-# its runner.
+# additionalProperties false only, and default an annotation that enforces
+# nothing), and words and picks each error as the reference validator in the
+# tests does; only the tests need that package, and they also check the
+# schemas against their meta-schema.  Unlike draft 2020-12, an integer is
+# never a float: 16.0 at an integer key would crash its runner.
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float), "integer": int}
 _SCHEMA_KEYWORDS = frozenset({"type", "enum", "minimum", "maximum", "exclusiveMinimum", "items",
                               "minItems", "maxItems", "properties", "additionalProperties",
-                              "required"})
+                              "required", "default"})
 
 
 def _is(instance, name: str) -> bool:
@@ -404,11 +363,7 @@ def exp_distance(cfg, form):
     p = cfg.params
     target = _point(form, p["target"])
     e = identity(form)
-    try:
-        res = cc_distance(form, e, target, opts=DistanceOptions(segments=p["segments"]))
-    except HormanderError as exc:
-        rec = VerificationRecord(record_id="distance", rank=form.n, passed=False)
-        return [rec], {"error": str(exc)}, {}
+    res = cc_distance(form, e, target, opts=DistanceOptions(segments=p["segments"]))
     rec = VerificationRecord(
         record_id="distance", rank=form.n,
         x=coords_str(e.coords()), y=coords_str(target.coords()),
@@ -466,7 +421,7 @@ def exp_convergence(cfg, form):
         records.append(VerificationRecord(
             record_id=f"projection-monotone-p{pm}",
             rank=form.n, T=T, p_or_q=pm,
-            lhs=seq[-1], rhs=seq[0], margin=seq[0] - seq[-1], passed=rep.monotone_ok,
+            lhs=seq[-1], rhs=seq[0], margin=seq[0] - seq[-1], passed=rep.monotone(pm),
             detail={"errors": seq}))
     extras = {
         "refinement": {"K_list": ref.K_list, "rms": ref.rms, "order": ref.fitted_order},
@@ -541,17 +496,17 @@ def _default_points(form):
 
 def exp_verify_harnack(cfg, form):
     p = cfg.params
-    T, p_grid, pairs = p["T"], p["p_grid"], p["pairs"]
+    T, p_grid = p["T"], p["p_grid"]
     bump = _bump(form, p["bump"])
+    # every point is read before the rank rule can fail the form
+    pairs = [(_point(form, q["x"]), _point(form, q["y"]), q.get("dist_sq")) for q in p["pairs"]]
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
     records = []
-    for i, pair in enumerate(pairs):
-        x, y = _point(form, pair["x"]), _point(form, pair["y"])
+    for i, (x, y, d2) in enumerate(pairs):
         # the energy of a unit-time geodesic is d^2, without a round trip
         # through the square root
-        d2 = (float(pair["dist_sq"]) if "dist_sq" in pair
-              else cc_distance(form, x, y).energy)
+        d2 = float(d2) if d2 is not None else cc_distance(form, x, y).energy
         records += verify_wang_harnack(sampler, bump, x, y, p_grid, d2, constants,
                                        record_id=f"wang-pair{i}")
     return records, {"T": T, "pairs": len(pairs)}, {}
@@ -577,8 +532,8 @@ def _grid_solve(form, p):
 def exp_verify_integrated_harnack(cfg, form):
     p = cfg.params
     q_grid, grid_tol = p["q_grid"], p["grid_tol"]
+    density, extras = _grid_solve(form, p)      # a form it cannot solve is a config error
     constants = curvature_constants(form)
-    density, extras = _grid_solve(form, p)
     ys = [_point(form, q) for q in p["ys"]]
     records = []
     for i, y in enumerate(ys):
@@ -679,7 +634,11 @@ def run(cfg: RunConfig, config_s: float) -> int:
     form = preset.form
     if any(m > form.n for m in cfg.ranks):
         raise ConfigError(f"rank exceeds horizontal dimension {form.n}")
-    records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form)
+    try:
+        records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form)
+    except HormanderError as exc:   # the form fails the rank rule: a failed record
+        records = [VerificationRecord(record_id=cfg.experiment, rank=form.n, passed=False)]
+        extras, artifacts = {"error": str(exc)}, {}
     for rec in records:
         rec.preset = rec.preset or preset.name
 
@@ -727,7 +686,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         cfg = load_config(args.experiment, args.config, args.seed, args.out)
         return run(cfg, time.perf_counter() - t0)
-    except ValueError as exc:     # ConfigError and HormanderError among them
+    except ValueError as exc:     # ConfigError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

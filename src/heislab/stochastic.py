@@ -184,10 +184,15 @@ class ApproximationReport:
     ranks: list
     errors: dict          # (rank, p) -> Monte Carlo mean of sup-norm^p
     stderrs: dict
-    monotone_ok: bool
 
     def sequence(self, p):
         return [self.errors[(m, p)] for m in self.ranks]
+
+    def monotone(self, p) -> bool:
+        """Whether the p-th moment falls with the rank within 3 standard errors."""
+        e, se = self.errors, self.stderrs
+        return all(within_3se(e[(a, p)] - e[(b, p)], se[(a, p)], se[(b, p)])
+                   for a, b in zip(self.ranks, self.ranks[1:]))
 
 
 def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
@@ -201,6 +206,8 @@ def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
     standard errors).  Returns (RefinementReport, ApproximationReport).
     """
     K_list, ranks = list(K_list), list(ranks)
+    if len(K_list) < 3:
+        raise ValueError("a slope needs at least three step counts")
     if any(b <= a for a, b in zip(K_list, K_list[1:])):
         raise ValueError("step counts must be strictly increasing")
     if any(K_list[-1] % k for k in K_list):
@@ -219,7 +226,7 @@ def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
     # squared and summed once over all paths, so no batch size moves the sum
     rms = np.sqrt(np.sum(np.concatenate(diffs, axis=1) ** 2, axis=(1, 2)) / samples)
     steps = [T / k for k in K_list[:-1]]
-    if len(steps) >= 2 and np.all(rms > 0):
+    if np.all(rms > 0):
         order = float(np.polyfit(np.log(steps), np.log(rms), 1)[0])
     else:
         order = float("nan")
@@ -228,7 +235,5 @@ def convergence_study(form: OmegaForm, T: float, K_list, ranks, samples: int,
     for m, row in zip(ranks, sup):
         for p in p_moments:
             errors[(m, p)], stderrs[(m, p)] = mean_se(row ** p)
-    monotone = all(within_3se(errors[(a, p)] - errors[(b, p)], stderrs[(a, p)], stderrs[(b, p)])
-                   for p in p_moments for a, b in zip(ranks, ranks[1:]))
     return (RefinementReport(K_list, [float(v) for v in rms], order),
-            ApproximationReport(ranks, errors, stderrs, monotone))
+            ApproximationReport(ranks, errors, stderrs))

@@ -45,7 +45,7 @@ TINY = {
     "curvature": {},
     "distance": {"target": {"w": [0.3, 0.2], "c": [0.4]}},
     "simulate": {"samples": 50, "steps": 8},
-    "convergence": {"samples": 50, "K_list": [4, 8]},
+    "convergence": {"samples": 50, "K_list": [4, 8, 16]},
     "verify-cd": {"functions": 2, "points": 3},
     "verify-harnack": TINY_MC,
     "verify-reverse-poincare": {**TINY_MC, "T_grid": [0.5, 1.0]},
@@ -122,6 +122,8 @@ class TestConfigValidation:
         ("verify-reverse-poincare", {"points": []}),
         # one rank has nothing to be compared with
         ("convergence", {"ranks": [2]}),
+        # two step counts give one RMS difference, and no refinement order
+        ("convergence", {"K_list": [4, 8]}),
     ])
     def test_config_that_cannot_fail_is_rejected(self, tmp_path, experiment, params):
         # ranks is a top-level key, the one such key among the cases
@@ -134,7 +136,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("experiment, params", [
         # draft 2020-12 counts 16.0 as an integer; the runners cannot
         ("simulate", {"steps": 16.0, "samples": 100}),
-        ("convergence", {"K_list": [16.0, 32]}),
+        ("convergence", {"K_list": [16.0, 32, 64]}),
     ])
     def test_integral_float_at_an_integer_key_is_rejected(self, tmp_path, capsys, experiment,
                                                           params):
@@ -244,6 +246,18 @@ def _at(doc, path):
     return doc
 
 
+def _misplaced_defaults(schema, path=(), in_items=False):
+    """The paths of the defaults that PARAMS_DEFAULTS cannot reach, under an
+    items schema, or that fail their own subschema; jsonschema checks neither."""
+    if "default" in schema and (
+            in_items or _jsonschema_message(_StrictIntegers, schema, schema["default"])):
+        yield path
+    for name, sub in schema.get("properties", {}).items():
+        yield from _misplaced_defaults(sub, path + (name,), in_items)
+    if "items" in schema:
+        yield from _misplaced_defaults(schema["items"], path + ("items",), True)
+
+
 FULL_CONFIG = {"experiment": "simulate", "preset": {"name": "heisenberg", "params": {"pairs": 1}},
                "ranks": [1, 2], "seed": 3, "out": "o", "params": {"samples": 10}}
 
@@ -322,9 +336,9 @@ class TestSchemaValidators:
 
 
 class TestParamsDefaults:
-    """Every params default lives in PARAMS_DEFAULTS; load_config resolves it."""
+    """Every params default lives in its schema; load_config resolves it."""
 
-    # keys with no table default: required, accepted and ignored, or derived
+    # keys with no default: required, accepted and ignored, or derived
     # from the form in their runner
     NO_DEFAULT = {"target", "restarts", "points", "cfl_fraction"}
 
@@ -343,6 +357,20 @@ class TestParamsDefaults:
             if isinstance(value, dict):
                 nested = set(schema["properties"][key]["properties"])
                 assert set(value) <= nested and nested - set(value) <= self.NO_DEFAULT
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_every_default_is_reachable_and_valid(self, experiment):
+        assert list(_misplaced_defaults(PARAMS_SCHEMAS[experiment])) == []
+
+    def test_an_unreachable_or_invalid_default_is_found(self):
+        schema = copy.deepcopy(PARAMS_SCHEMAS["verify-harnack"])
+        pair = schema["properties"]["pairs"]["items"]["properties"]
+        # under items: PARAMS_DEFAULTS never descends into a pair
+        pair["dist_sq"]["default"] = 1.0
+        # below its own minimum
+        schema["properties"]["T"] = {**schema["properties"]["T"], "default": -1.0}
+        assert sorted(_misplaced_defaults(schema)) == [
+            ("T",), ("pairs", "items", "dist_sq")]
 
     def test_partial_bump_keeps_the_other_defaults(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"params": {"bump": {"radius": 3.0}}})
@@ -431,6 +459,9 @@ class TestRankRule:
     @pytest.mark.parametrize("experiment,record_id,params", [
         ("curvature", "curvature-rank4", {}),
         ("distance", "distance", {"target": {"w": [0.3, 0.2, 0.0, 0.0], "c": [0.4, 0.0]}}),
+        *((name, name, TINY[name]) for name in [
+            "verify-cd", "verify-harnack", "verify-reverse-poincare",
+            "verify-reverse-logsobolev", "verify-strong-feller"]),
     ])
     def test_a_nearly_degenerate_block_fails_everywhere(self, tmp_path, experiment,
                                                         record_id, params):
@@ -438,10 +469,31 @@ class TestRankRule:
             "preset": {"name": "block_sum", "params": {"weights": [1, 1e-6]}},
             "params": params})
         out = str(tmp_path / "o")
+        # a numerical failure, not a configuration error
         assert main([experiment, "--config", cfg, "--out", out]) == 1
         [row] = csv.DictReader(io.StringIO(Path(out, "records.csv").read_text()))
         assert (row["record_id"], row["rank"], row["lhs"], row["pass"]) == (
             record_id, "4", "", "false")
+        assert "vertical Gram matrix at rank 4 is singular" in str(
+            read_summary(out)["report"]["error"])
+
+    @pytest.mark.parametrize("experiment,params,message", [
+        ("verify-harnack", {**TINY_MC, "pairs": [{"x": {"w": [0.0] * 5, "c": [0.0]},
+                                                  "y": {"w": [0.0], "c": [0.0]}}]},
+         "point has too many coordinates for n=4, d=2"),
+        ("verify-strong-feller", {**TINY_MC, "direction": [1.0] * 5},
+         "direction has too many coordinates for n=4"),
+        ("verify-integrated-harnack", TINY_GRID, "the grid experiments require"),
+    ])
+    def test_a_config_error_outranks_the_rank_rule(self, tmp_path, capsys, experiment, params,
+                                                   message):
+        cfg = write_config(tmp_path, "c.json", {
+            "preset": {"name": "block_sum", "params": {"weights": [1, 1e-6]}},
+            "params": params})
+        out = tmp_path / "o"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+        assert not out.exists()
 
     def test_curvature_reports_the_rank_rule_error_by_rank(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
@@ -514,6 +566,30 @@ class TestSimulateAndConvergence:
         rep = read_summary(out)["report"]
         assert abs(rep["refinement"]["order"] - 0.5) <= 0.15
         assert rep["projection"]["ranks"] == [2, 4, 8]
+
+    def test_each_projection_record_passes_on_its_own_moment(self, tmp_path, monkeypatch):
+        # p = 1 falls with the rank and p = 4 rises by seven combined standard
+        # errors: only the p = 4 record may fail
+        import heislab.cli as cli
+
+        real = cli.convergence_study
+
+        def rising_fourth_moment(*args, **kwargs):
+            ref, rep = real(*args, **kwargs)
+            low, high = rep.ranks
+            rep.errors = {(low, 1): 1.0, (high, 1): 0.5, (low, 4): 0.5, (high, 4): 1.5}
+            rep.stderrs = dict.fromkeys(rep.errors, 0.1)
+            return ref, rep
+
+        monkeypatch.setattr(cli, "convergence_study", rising_fourth_moment)
+        cfg = write_config(tmp_path, "c.json",
+                           {"params": {**TINY["convergence"], "p_moments": [1, 4]}})
+        out = str(tmp_path / "o")
+        assert main(["convergence", "--config", cfg, "--out", out]) == 1
+        with open(os.path.join(out, "records.csv")) as fh:
+            passed = {r["record_id"]: r["pass"] for r in csv.DictReader(fh)
+                      if r["record_id"].startswith("projection")}
+        assert passed == {"projection-monotone-p1": "true", "projection-monotone-p4": "false"}
 
     @pytest.mark.parametrize("preset, ranks", [
         ({"name": "heisenberg", "params": {"pairs": 1}}, [1, 2]),

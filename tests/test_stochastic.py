@@ -206,23 +206,23 @@ class TestProjection:
             BS.restrict(rank).running_path_integral(B[..., :rank])
         drawn = stochastic.paths_drawn
         with pytest.raises(ValueError, match="rank"):
-            convergence_study(BS, 1.0, [8], [rank], 4, seed=61)
+            convergence_study(BS, 1.0, [2, 4, 8], [rank], 4, seed=61)
         assert stochastic.paths_drawn == drawn      # rejected before any draw
 
 
 class TestApproximationReport:
     def test_full_rank_error_zero_and_monotone(self):
         form = make_preset("wiener_truncation", pairs=8, s=2).form
-        _, rep = convergence_study(form, 1.0, [128], [4, 8, 16], 600, seed=61)
-        assert rep.monotone_ok
+        _, rep = convergence_study(form, 1.0, [32, 64, 128], [4, 8, 16], 600, seed=61)
+        assert all(rep.monotone(p) for p in (1, 2, 4))
         assert rep.errors[(16, 2)] == 0.0
         seq = rep.sequence(2)
         assert seq[0] >= seq[1] >= seq[2]
 
     def test_stderr_scales_with_samples(self):
         form = make_preset("wiener_truncation", pairs=4, s=2).form
-        _, r1 = convergence_study(form, 1.0, [64], [2, 4], 500, seed=67)
-        _, r4 = convergence_study(form, 1.0, [64], [2, 4], 2000, seed=67)
+        _, r1 = convergence_study(form, 1.0, [16, 32, 64], [2, 4], 500, seed=67)
+        _, r4 = convergence_study(form, 1.0, [16, 32, 64], [2, 4], 2000, seed=67)
         ratio = r1.stderrs[(2, 2)] / r4.stderrs[(2, 2)]
         assert ratio == pytest.approx(2.0, rel=0.35)
 
@@ -270,10 +270,13 @@ class TestRefinement:
         assert rep.rms[0] > rep.rms[1] > rep.rms[2]
 
     def test_bad_k_lists(self):
-        with pytest.raises(ValueError):
-            convergence_study(H1, 1.0, [32, 16], [H1.n], 10, seed=1)
-        with pytest.raises(ValueError):
-            convergence_study(H1, 1.0, [12, 64], [H1.n], 10, seed=1)
+        # two levels give one RMS difference, and no slope
+        with pytest.raises(ValueError, match="three step counts"):
+            convergence_study(H1, 1.0, [32, 64], [H1.n], 10, seed=1)
+        with pytest.raises(ValueError, match="increasing"):
+            convergence_study(H1, 1.0, [8, 32, 16], [H1.n], 10, seed=1)
+        with pytest.raises(ValueError, match="divide"):
+            convergence_study(H1, 1.0, [8, 12, 64], [H1.n], 10, seed=1)
 
     @pytest.mark.parametrize("name,kw", PRESETS[1:])
     def test_subsampled_levels_equal_summed_increments(self, name, kw):
