@@ -541,7 +541,10 @@ def exp_verify_integrated_harnack(cfg, form):
         records += verify_integrated_harnack(
             density, form, y, q_grid, d2, constants, grid_tol=grid_tol,
             record_id=f"integrated-harnack-y{i}")
-    return records, {**extras, "mass_ok": density.mass_ok}, {}
+    # each y's diagnostics, from the first of its len(q_grid) records
+    per_y = {key: [r.detail[key] for r in records[::len(q_grid)]]
+             for key in ("dist_sq", "excluded_mass", "flagged")}
+    return records, {**extras, "mass_ok": density.mass_ok, **per_y}, {}
 
 
 def exp_verify_strong_feller(cfg, form):

@@ -173,6 +173,7 @@ def _squared_sum(D, fvals=None):
 class GridDensity:
     axes: tuple          # (w1, w2, c) node coordinate arrays
     values: np.ndarray   # (len(w1), len(w2), len(c))
+    weights: np.ndarray  # the trapezoid rule's weight at every node, same shape
     T: float
     mass: float
     mass_ok: bool
@@ -184,49 +185,45 @@ class GridDensity:
     def quadrature(self, integrand=None) -> float:
         """Trapezoid integral of integrand (defaults to the density itself)."""
         vals = self.values if integrand is None else integrand
-        return _trapezoid3(self.axes, vals)
+        return float(np.sum(self.weights * vals))
 
-    def interpolate(self, points, fill=0.0) -> np.ndarray:
-        """Trilinear interpolation at (N, 3) ``points``; ``fill`` outside the box.
+    def right_translate(self, form: OmegaForm, y: GroupElement) -> np.ndarray:
+        """p(z y^-1) at every node z, trilinear in the grid values; NaN where
+        z y^-1 = (w - y.w, c - y.c - form(w, y.w)/2) leaves the box.
 
-        A point is outside when a coordinate lies below the first or above
-        the last node of its axis, compared in coordinates, so the outside set
-        and the values are those of scipy's ``RegularGridInterpolator``.  The
-        axes are uniform, so a point's cell is a floor, not a search.
-        """
-        pts = np.asarray(points, dtype=float)
-        out = np.full(len(pts), fill, dtype=float)
-        inside = np.ones(len(pts), dtype=bool)
-        for k, a in enumerate(self.axes):
-            inside &= (pts[:, k] >= a[0]) & (pts[:, k] <= a[-1])
-        cells, fracs = [], []
-        for k, a in enumerate(self.axes):
-            x = pts[inside, k]
-            i = np.clip(np.floor((x - a[0]) / (a[1] - a[0])).astype(np.intp), 0, len(a) - 2)
-            cells.append(i)
-            fracs.append((x - a[i]) / (a[i + 1] - a[i]))
-        _, J, L = self.values.shape
-        flat = self.values.ravel()
-        (i, j, l), (t, u, s) = cells, fracs
-        base = (i * J + j) * L + l
-
-        def along_c(offset):
-            return flat[base + offset] * (1.0 - s) + flat[base + offset + 1] * s
-
-        lo = along_c(0) * (1.0 - u) + along_c(L) * u
-        hi = along_c(J * L) * (1.0 - u) + along_c(J * L + L) * u
-        out[inside] = lo * (1.0 - t) + hi * t
-        return out
-
-    def grid_coords(self):
-        w1, w2, c = np.meshgrid(*self.axes, indexing="ij")
-        return w1, w2, c
+        A node's cell and weight along w1 (w2) depend only on its w1 (w2)
+        index, so the values are a bilinear mix of column slabs, then one
+        linear interpolation in c per node.  Coordinates are rounded as by
+        ``multiply_arrays`` and tested against the end nodes of each axis, so
+        the outside set is that of scipy's ``RegularGridInterpolator``."""
+        w1, w2, c = self.axes
+        (in1, c1, f1), (in2, c2, f2) = (_cells(a, a + (-s)) for a, s in zip((w1, w2), y.w))
+        slab = (self.values[c1] * (1.0 - f1)[:, None, None]
+                + self.values[c1 + 1] * f1[:, None, None])
+        slab = slab[:, c2] * (1.0 - f2)[None, :, None] + slab[:, c2 + 1] * f2[None, :, None]
+        columns = np.stack(np.meshgrid(w1, w2, indexing="ij"), axis=-1)
+        in3, cell, frac = _cells(c, (c + (-y.c[0])) + 0.5 * form.pair(columns, -y.w))
+        shifted = (np.take_along_axis(slab, cell, axis=2) * (1.0 - frac)
+                   + np.take_along_axis(slab, cell + 1, axis=2) * frac)
+        return np.where(in1[:, None, None] & in2[None, :, None] & in3, shifted, np.nan)
 
 
-def _trapezoid3(axes, vals) -> float:
-    w1, w2, c = axes
-    return float(np.trapezoid(np.trapezoid(np.trapezoid(vals, c, axis=2),
-                                           w2, axis=1), w1, axis=0))
+def _cells(a, x):
+    """Whether each coordinate x lies on the uniform axis a, and its
+    linear-interpolation cell and fraction.  The cell is a floor, not a
+    search, clipped to the last one, so the last node has fraction 1."""
+    cell = np.clip(np.floor((x - a[0]) / (a[1] - a[0])).astype(np.intp), 0, len(a) - 2)
+    return (x >= a[0]) & (x <= a[-1]), cell, (x - a[cell]) / (a[cell + 1] - a[cell])
+
+
+def _trapezoid_weights(axes):
+    """Node weights of the trapezoid rule on the grid of ``axes``: the
+    product over the axes of half the spacing on each side of the node."""
+    weights = np.ones(())
+    for a in axes:
+        d = np.diff(a)
+        weights = weights[..., None] * (0.5 * (np.pad(d, (0, 1)) + np.pad(d, (1, 0))))
+    return weights
 
 
 def _spectral_radius_bound(w1, w2, c):
@@ -287,52 +284,64 @@ def _chebyshev_coefficients(z):
     return c[:m], float(tail[m])
 
 
-def _step_work(shape):
-    """Work buffers for ``_step_numpy``: the vertical central difference of u
-    and three interior-sized arrays."""
-    I, J, L = shape
-    inner = (I - 2, J - 2, L - 2)
-    return (np.empty((I, J, L - 2)), np.empty(inner), np.empty(inner), np.empty(inner))
-
-
-def _step_numpy(u, unew, axes, dt, work=None):
-    """One explicit Euler step of du/dt = (X^2 + Y^2)u/2 on the interior of
-    unew, on the uniform grid of ``axes`` (w1, w2, c).
-
-    Both mixed derivatives come from one vertical central difference, the
-    three second differences share one 2u buffer, and the scalar factors are
-    folded into the multiplies.  Every intermediate goes to ``work`` (see
-    ``_step_work``), so a solve that passes the same buffers at every step
-    allocates only the small per-column coefficients.
-    """
+def _stencil(axes, dt, scale=1.0):
+    """scale * (1 + dt L), L the stencil of (X^2 + Y^2)/2 on the grid of
+    ``axes``, for ``_step_numpy``: the flat span of the interior w1-planes of
+    a C-ordered grid less a face node at each end, the flat strides of w1 and
+    w2, the coefficients k1, k2 (scalars) and kc, centre, ma, mb (one per node
+    of the span), and work buffers.  The centres of the three second
+    differences, the identity and ``scale`` are folded into ``centre``."""
     w1, w2, c = axes
+    I, J, L = (len(x) for x in axes)
     dw1, dw2, dc = w1[1] - w1[0], w2[1] - w2[0], c[1] - c[0]
-    dcu, two_u, acc, tmp = _step_work(u.shape) if work is None else work
-    ui = u[1:-1, 1:-1, 1:-1]
-    a = w1[1:-1, None, None]
-    b = w2[None, 1:-1, None]
-    np.subtract(u[:, :, 2:], u[:, :, :-2], out=dcu)
-    np.add(ui, ui, out=two_u)
-    # second differences along w1, w2 and c
-    np.add(u[2:, 1:-1, 1:-1], u[:-2, 1:-1, 1:-1], out=acc)
-    np.subtract(acc, two_u, out=acc)
-    np.multiply(acc, 0.5 * dt * (1 / dw1**2), out=acc)
-    np.add(u[1:-1, 2:, 1:-1], u[1:-1, :-2, 1:-1], out=tmp)
-    np.subtract(tmp, two_u, out=tmp)
-    np.multiply(tmp, 0.5 * dt * (1 / dw2**2), out=tmp)
+    span = slice(J * L + 1, (I - 1) * J * L - 1)
+    n = span.stop - span.start
+    k = 0.5 * dt * scale
+    a, b = w1[:, None, None], w2[None, :, None]
+    k1, k2, kc = k / dw1**2, k / dw2**2, (a * a + b * b) * (0.25 * k / dc**2)
+    per_node = [np.broadcast_to(x, (I, J, L)).reshape(-1)[span]
+                for x in (kc, scale - 2.0 * (k1 + k2 + kc),
+                          a * (k / (4 * dw2 * dc)), b * (k / (4 * dw1 * dc)))]
+    work = (np.empty(n + 2 * J * L), np.empty(n), np.empty(n))
+    return span, (J * L, L), (k1, k2, *per_node), work
+
+
+def _step_numpy(u, unew, stencil, prev=None):
+    """unew = scale * (u + dt L u) - prev on the interior and 0 on the faces,
+    for the ``_stencil`` of scale and dt (prev zero when omitted; unew may be
+    prev): an explicit Euler step at scale 1, the Chebyshev recurrence
+    2A u - prev at scale 2 and dt = 2/rho_G.  Every pass runs over one
+    contiguous flat span, the faces between the interior planes included,
+    which are zeroed at the end; both mixed terms come from one vertical
+    central difference, and nothing is allocated."""
+    span, (S1, S2), (k1, k2, kc, centre, ma, mb), (dcu, acc, tmp) = stencil
+    p0, p1, x = span.start, span.stop, u.reshape(-1)
+    n = p1 - p0
+
+    def at(offset):
+        return x[p0 + offset:p1 + offset]
+
+    np.multiply(at(0), centre, out=acc)
+    for offset, coeff in ((S1, k1), (S2, k2), (1, kc)):
+        np.add(at(offset), at(-offset), out=tmp)
+        np.multiply(tmp, coeff, out=tmp)
+        np.add(acc, tmp, out=acc)
+    # dcu[q] is the difference at flat index p0 - S1 + q
+    np.subtract(x[p0 - S1 + 1:p1 + S1 + 1], x[p0 - S1 - 1:p1 + S1 - 1], out=dcu)
+    np.subtract(dcu[S1 + S2:S1 + S2 + n], dcu[S1 - S2:S1 - S2 + n], out=tmp)
+    np.multiply(tmp, ma, out=tmp)
     np.add(acc, tmp, out=acc)
-    np.add(u[1:-1, 1:-1, 2:], u[1:-1, 1:-1, :-2], out=tmp)
-    np.subtract(tmp, two_u, out=tmp)
-    np.multiply(tmp, (a * a + b * b) * (0.125 * dt * (1 / dc**2)), out=tmp)
-    np.add(acc, tmp, out=acc)
-    # mixed terms a * d2u/dw2dc - b * d2u/dw1dc
-    np.subtract(dcu[1:-1, 2:], dcu[1:-1, :-2], out=tmp)
-    np.multiply(tmp, a * (0.5 * dt * (1 / (4 * dw2 * dc))), out=tmp)
-    np.add(acc, tmp, out=acc)
-    np.subtract(dcu[2:, 1:-1], dcu[:-2, 1:-1], out=tmp)
-    np.multiply(tmp, b * (0.5 * dt * (1 / (4 * dw1 * dc))), out=tmp)
-    np.subtract(acc, tmp, out=acc)
-    np.add(ui, acc, out=unew[1:-1, 1:-1, 1:-1])
+    np.subtract(dcu[2 * S1:], dcu[:n], out=tmp)
+    np.multiply(tmp, mb, out=tmp)
+    out = unew.reshape(-1, copy=False)[p0:p1]      # raises unless unew is contiguous
+    if prev is None:
+        np.subtract(acc, tmp, out=out)
+    else:
+        np.subtract(acc, tmp, out=acc)
+        np.subtract(acc, prev.reshape(-1)[p0:p1], out=out)
+    unew[0] = unew[-1] = 0.0
+    unew[:, 0] = unew[:, -1] = 0.0
+    unew[:, :, 0] = unew[:, :, -1] = 0.0
 
 
 def _mollified_delta(axes, cells):
@@ -370,8 +379,9 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
     ``meta`` reports the stencil applications as ``steps`` (m - 1), rho_G as
     ``spectral_bound`` and tail * ||u_0||_2 as ``truncation_bound``.
 
-    The stencil's work buffers, the sum and the three grids of the
-    recurrence are allocated once per solve.
+    Each term is one stencil application at scale 2, which writes T_{k+1}
+    over T_{k-1} (``_step_numpy``).  The stencil's work buffers, the sum and
+    the two grids of the recurrence are allocated once per solve.
     """
     if not T > 0:
         raise ValueError("terminal time must be positive")
@@ -389,30 +399,30 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
     u[:, 0, :] = u[:, -1, :] = 0.0
     u[:, :, 0] = u[:, :, -1] = 0.0
 
+    weights = _trapezoid_weights(axes)
     if is_density:
-        u /= _trapezoid3(axes, u)
+        u /= np.sum(weights * u)
 
     rho = float(_spectral_radius_bound(*axes))
     coeffs, tail = _chebyshev_coefficients(0.5 * T * rho)
-    dt = 2.0 / rho      # a step of dt = 2 / rho_G applies A
     truncation = tail * float(np.linalg.norm(u))
-    work = _step_work(u.shape)
-    # the faces of every grid stay zero: the stencil writes only interiors
-    total, prev, cur, scratch = coeffs[0] * u, u, np.zeros_like(u), np.zeros_like(u)
+    stencil = _stencil(axes, 2.0 / rho, scale=2.0)    # 2A, with A = 1 + 2L/rho_G
+    span, term = stencil[0], stencil[3][-1]   # faces are zero: the sum runs over the span
+    total, prev, cur = coeffs[0] * u, u, np.empty_like(u)
+    inner = total.reshape(-1)[span]
     for k, ck in enumerate(coeffs[1:], start=1):
         if k == 1:
-            _step_numpy(prev, cur, axes, dt, work=work)
+            _step_numpy(prev, cur, stencil)
+            cur *= 0.5          # T_1 = A T_0, exactly half the scale-2 step
         else:
-            _step_numpy(cur, scratch, axes, dt, work=work)
-            np.multiply(scratch, 2.0, out=scratch)
-            np.subtract(scratch, prev, out=prev)
+            _step_numpy(cur, prev, stencil, prev=prev)
             prev, cur = cur, prev
-        np.multiply(cur, ck, out=scratch)
-        np.add(total, scratch, out=total)
+        np.multiply(cur.reshape(-1)[span], ck, out=term)
+        np.add(inner, term, out=inner)
 
-    mass = _trapezoid3(axes, total)
+    mass = float(np.sum(weights * total))
     mass_ok = (MASS_FLOOR <= mass <= 1.0 + 1e-9) if is_density else True
-    return GridDensity(axes, total, T, mass, mass_ok,
+    return GridDensity(axes, total, weights, T, mass, mass_ok,
                        {"steps": len(coeffs) - 1, "spectral_bound": rho,
                         "truncation_bound": truncation,
                         "mollifier_cells": mollifier_cells if is_density else None})
@@ -519,31 +529,25 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
     """L^q norms of the density ratio under right translation, from the grid.
 
     One record per q in ``q_grid``, with id ``{record_id}-q{q:g}``.  LHS is
-    the 1/q power of the trapezoid integral of (p(z y^-1) / p(z))^q p(z);
-    p(z y^-1) is trilinear-interpolated, undefined outside the box, once per
-    call and shared by every q.  A record is flagged when the density mass
-    excluded by the shifted evaluation or the positivity floor exceeds one
-    percent.
+    the 1/q power of the trapezoid integral of (p(z y^-1) / p(z))^q p(z)
+    over the nodes where both densities are defined; p(z y^-1) comes from
+    ``GridDensity.right_translate`` once per call and is shared by every q.
+    A record is flagged when the density mass excluded by the shifted
+    evaluation or the positivity floor exceeds one percent.
     """
     q_grid = list(q_grid)
     if not all(q > 1 for q in q_grid):
         raise ValueError("the exponent must exceed one")
     T = density.T
-    # z * y^-1 at every grid point z, written over z
-    z = np.stack(density.grid_coords(), axis=-1).reshape(-1, 3)
-    z[:, :2], z[:, 2:] = multiply_arrays(form, z[:, :2], z[:, 2:], -y.w, -y.c)
-    p_shift = density.interpolate(z, fill=np.nan).reshape(density.values.shape)
-    floor = 1e-15 * float(density.values.max())
-    valid = ~np.isnan(p_shift) & (density.values > floor)
-    pv = density.values[valid]
-    ratio = p_shift[valid] / pv
-    excluded_mass = density.quadrature(np.where(valid, 0.0, density.values))
+    p_shift = density.right_translate(form, y)
+    node_mass = density.weights * density.values
+    valid = ~np.isnan(p_shift) & (density.values > 1e-15 * float(density.values.max()))
+    ratio, node_mass_valid = p_shift[valid] / density.values[valid], node_mass[valid]
+    excluded_mass = float(np.sum(node_mass[~valid]))
     flagged = excluded_mass > 0.01
-    integrand = np.zeros_like(density.values)
     records = []
     for q in q_grid:
-        integrand[valid] = ratio ** q * pv
-        lhs = density.quadrature(integrand) ** (1.0 / q)
+        lhs = float(np.sum(node_mass_valid * ratio ** q)) ** (1.0 / q)
         rhs = math.exp(constants.harnack_coeff * q * dist_sq / (4.0 * T))
         margin = rhs * (1.0 + grid_tol) - lhs
         records.append(VerificationRecord(

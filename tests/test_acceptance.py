@@ -34,7 +34,7 @@ from test_differential import (
     bracket_relation, commutation, coordinates, gamma2z_squares, gamma_expansion,
     generator_expansion, rel_close,
 )
-from test_heat import mollified_sampler
+from test_heat import grid_coords, mollified_sampler
 
 H1 = make_preset("heisenberg", pairs=1).form
 E2 = GroupElement([0.0, 0.0], [0.0])
@@ -262,7 +262,7 @@ def test_criterion_06_brownian_statistics():
 
 def test_criterion_07_mc_pde_consistency(acceptance_density, acceptance_sampler):
     dens, samp = acceptance_density, acceptance_sampler
-    w1, w2, c = dens.grid_coords()
+    w1, w2, c = grid_coords(dens)
     pts = np.stack([w1.ravel(), w2.ravel(), c.ravel()], axis=1)
     bumps = [
         BumpFunction(E2, 2.0, 1.0),

@@ -702,6 +702,24 @@ class TestVerifyCommands:
                        "grid": SMALL_GRID}})
         out = str(tmp_path / "o")
         assert main(["verify-integrated-harnack", "--config", cfg, "--out", out]) == 0
+        report = read_summary(out)["report"]
+        assert report["flagged"] == [False] and report["excluded_mass"][0] < 0.01
+        assert report["dist_sq"] == [pytest.approx(0.16)]
+
+    def test_integrated_harnack_reports_each_y_and_flags_lost_mass(self, tmp_path):
+        # y = (3, 0, 0) moves more than 1% of the mass out of the box
+        cfg = write_config(tmp_path, "c.json", {
+            "params": {"T": 0.6, "q_grid": [2.0, 3.0],
+                       "ys": [{"w": [0.4], "c": [0]}, {"w": [3.0], "c": [0]}],
+                       "grid": SMALL_GRID}})
+        out = str(tmp_path / "o")
+        assert main(["verify-integrated-harnack", "--config", cfg, "--out", out]) == 1
+        summary = read_summary(out)
+        report = summary["report"]
+        assert report["flagged"] == [False, True]
+        assert report["excluded_mass"][0] < 0.01 < report["excluded_mass"][1]
+        assert report["dist_sq"] == [pytest.approx(0.16), pytest.approx(9.0)]
+        assert summary["failed"] == 2
 
     def test_integrated_harnack_needs_h3(self, tmp_path):
         _assert_grid_rejects_non_unit_h3(tmp_path, "verify-integrated-harnack")

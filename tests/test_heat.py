@@ -11,8 +11,9 @@ from heislab.heat import (
     SemigroupSampler,
     _mollified_delta,
     _spectral_radius_bound,
+    _stencil,
     _step_numpy,
-    _step_work,
+    _trapezoid_weights,
     pde_oracle_h3,
     strong_feller_modulus,
     verify_integrated_harnack,
@@ -52,6 +53,60 @@ def mollified_sampler(form, T, steps, samples, seed, widths):
     samp._W, samp._C = multiply_arrays(form, start[:, :form.n], start[:, form.n:],
                                        *samp.endpoints())
     return samp
+
+
+def grid_coords(density):
+    """The (w1, w2, c) coordinates of every node, one grid each."""
+    return np.meshgrid(*density.axes, indexing="ij")
+
+
+def trilinear(density, points, fill=0.0) -> np.ndarray:
+    """Trilinear interpolation of the density at (N, 3) ``points``; ``fill``
+    outside the box.  The reference for ``GridDensity.right_translate``.
+
+    A point is outside when a coordinate lies below the first or above the
+    last node of its axis, compared in coordinates, so the outside set and
+    the values are those of scipy's ``RegularGridInterpolator``.  The axes
+    are uniform, so a point's cell is a floor, not a search.
+    """
+    pts = np.asarray(points, dtype=float)
+    out = np.full(len(pts), fill, dtype=float)
+    inside = np.ones(len(pts), dtype=bool)
+    for k, a in enumerate(density.axes):
+        inside &= (pts[:, k] >= a[0]) & (pts[:, k] <= a[-1])
+    cells, fracs = [], []
+    for k, a in enumerate(density.axes):
+        x = pts[inside, k]
+        i = np.clip(np.floor((x - a[0]) / (a[1] - a[0])).astype(np.intp), 0, len(a) - 2)
+        cells.append(i)
+        fracs.append((x - a[i]) / (a[i + 1] - a[i]))
+    _, J, L = density.values.shape
+    flat = density.values.ravel()
+    (i, j, l), (t, u, s) = cells, fracs
+    base = (i * J + j) * L + l
+
+    def along_c(offset):
+        return flat[base + offset] * (1.0 - s) + flat[base + offset + 1] * s
+
+    lo = along_c(0) * (1.0 - u) + along_c(L) * u
+    hi = along_c(J * L) * (1.0 - u) + along_c(J * L + L) * u
+    out[inside] = lo * (1.0 - t) + hi * t
+    return out
+
+
+def shifted_by_trilinear(density, form, y):
+    """p(z y^-1) at every node z by ``trilinear`` at the points
+    ``multiply_arrays`` gives; NaN outside the box."""
+    z = np.stack(grid_coords(density), axis=-1).reshape(-1, 3)
+    z[:, :2], z[:, 2:] = multiply_arrays(form, z[:, :2], z[:, 2:], -y.w, -y.c)
+    return trilinear(density, z, fill=np.nan).reshape(density.values.shape)
+
+
+def nested_trapezoid(axes, vals) -> float:
+    """np.trapezoid along c, then w2, then w1."""
+    w1, w2, c = axes
+    return float(np.trapezoid(np.trapezoid(np.trapezoid(vals, c, axis=2), w2, axis=1),
+                              w1, axis=0))
 
 
 @pytest.fixture(scope="module")
@@ -162,29 +217,32 @@ class TestPdeOracle:
         assert asym < 5e-3
 
     def test_stepper_matches_reference_stencil(self):
-        u, unew, args = _random_stencil_problem()
-        work = _step_work(u.shape)
-        for _ in range(4):
-            ref = _reference_step(u, *args)
-            faces = unew.copy()
-            faces[1:-1, 1:-1, 1:-1] = 0.0
-            _step_numpy(u, unew, *args, work=work)
-            inner = unew[1:-1, 1:-1, 1:-1]
-            assert np.abs(inner - ref).max() <= 1e-14 * np.abs(ref).max()
-            got = unew.copy()
-            got[1:-1, 1:-1, 1:-1] = 0.0
-            assert np.array_equal(got, faces)
-            u, unew = unew, u
+        # the Euler step, and the recurrence 2(u + dt L u) - prev written
+        # over prev; faces nonzero on input and zero on output
+        for recurrence in (False, True):
+            u, unew, (axes, dt) = _random_stencil_problem()
+            scale = 2.0 if recurrence else 1.0
+            stencil = _stencil(axes, dt, scale)
+            for _ in range(4):
+                prev = unew.copy() if recurrence else np.zeros_like(u)
+                ref = scale * _reference_step(u, axes, dt) - prev[1:-1, 1:-1, 1:-1]
+                _step_numpy(u, unew, stencil, prev=unew if recurrence else None)
+                inner = unew[1:-1, 1:-1, 1:-1]
+                assert np.abs(inner - ref).max() <= 1e-14 * np.abs(ref).max()
+                got = unew.copy()
+                got[1:-1, 1:-1, 1:-1] = 0.0
+                assert np.array_equal(got, np.zeros_like(u))
+                u, unew = unew, u
 
     def test_stepper_work_buffers_carry_no_state(self):
-        u0, unew0, args = _random_stencil_problem()
-        work = _step_work(u0.shape)
-        for buf in work:
+        u0, unew0, (axes, dt) = _random_stencil_problem()
+        stencil = _stencil(axes, dt)
+        for buf in stencil[3]:
             buf.fill(np.nan)
         shared, fresh = (u0.copy(), unew0.copy()), (u0.copy(), unew0.copy())
         for _ in range(5):
-            _step_numpy(*shared, *args, work=work)
-            _step_numpy(*fresh, *args)
+            _step_numpy(*shared, stencil)
+            _step_numpy(*fresh, _stencil(axes, dt))
             shared, fresh = shared[::-1], fresh[::-1]
         assert np.array_equal(shared[0], fresh[0])
         assert np.array_equal(shared[1], fresh[1])
@@ -210,16 +268,27 @@ class TestPdeOracle:
             pde_oracle_h3("delta", T=-1.0, box=SMALL_BOX, shape=SMALL_SHAPE)
 
     def test_quadrature_and_interpolation(self, small_density):
-        # interpolate at exact nodes reproduces values
+        # the trilinear reference at exact nodes reproduces values
         w1, w2, c = small_density.axes
-        val = small_density.interpolate(np.array([w1[20], w2[20], c[24]])[None])[0]
+        val = trilinear(small_density, np.array([w1[20], w2[20], c[24]])[None])[0]
         assert val == pytest.approx(small_density.values[20, 20, 24], rel=1e-12)
+
+    def test_weights_are_the_nested_trapezoid_rule(self, small_density):
+        axes = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(TINY_BOX, TINY_SHAPE))
+        rng = np.random.default_rng(5)
+        cases = [(small_density.axes, small_density.values),
+                 (axes, rng.uniform(0.5, 2.0, TINY_SHAPE)), (axes, np.ones(TINY_SHAPE))]
+        for axes, vals in cases:
+            ref = nested_trapezoid(axes, vals)
+            assert abs(np.sum(_trapezoid_weights(axes) * vals) - ref) <= 1e-14 * abs(ref)
+        assert small_density.quadrature() == small_density.mass
+        assert np.array_equal(small_density.weights, _trapezoid_weights(small_density.axes))
 
     def test_interpolation_matches_scipy(self, small_density):
         from scipy.interpolate import RegularGridInterpolator
 
         rng = np.random.default_rng(12)
-        w1, w2, c = small_density.grid_coords()
+        w1, w2, c = grid_coords(small_density)
         nodes = np.stack([w1.ravel(), w2.ravel(), c.ravel()], axis=1)
         # random points over a box larger than the grid's, every node, and
         # points one rounding step off the nodes, the faces among them
@@ -228,21 +297,20 @@ class TestPdeOracle:
         for fill in (0.0, np.nan):
             ref = RegularGridInterpolator(small_density.axes, small_density.values,
                                           bounds_error=False, fill_value=fill)(pts)
-            got = small_density.interpolate(pts, fill)
+            got = trilinear(small_density, pts, fill)
             assert np.array_equal(np.isnan(got), np.isnan(ref))
             inside = ~np.isnan(ref)
             assert np.abs(got[inside] - ref[inside]).max() <= \
                 1e-12 * np.abs(small_density.values).max()
-        outside = np.isnan(small_density.interpolate(pts, np.nan))
+        outside = np.isnan(trilinear(small_density, pts, np.nan))
         assert 0 < outside.sum() < len(pts)
 
 
 def apply_h3_generator(axes, values) -> np.ndarray:
-    """One application of (X^2 + Y^2)/2 by the stencil of ``_step_numpy``;
-    zero on the boundary."""
-    out = np.zeros_like(values)
-    _step_numpy(values, out, axes, 1.0)
-    out[1:-1, 1:-1, 1:-1] -= values[1:-1, 1:-1, 1:-1]
+    """One application of (X^2 + Y^2)/2 by the stencil of ``_step_numpy``,
+    as (u + L u) - u; zero on the boundary."""
+    out = np.empty_like(values)
+    _step_numpy(values, out, _stencil(axes, 1.0), prev=values)
     return out
 
 
@@ -283,11 +351,11 @@ def _explicit_euler(axes, T, dt, cells):
     u[[0, -1], :, :] = 0.0
     u[:, [0, -1], :] = 0.0
     u[:, :, [0, -1]] = 0.0
-    u /= heat._trapezoid3(axes, u)
+    u /= nested_trapezoid(axes, u)
     steps = math.ceil(T / dt)
-    unew, work = np.zeros_like(u), _step_work(u.shape)
+    unew, stencil = np.zeros_like(u), _stencil(axes, T / steps)
     for _ in range(steps):
-        _step_numpy(u, unew, axes, T / steps, work=work)
+        _step_numpy(u, unew, stencil)
         u, unew = unew, u
     return u
 
@@ -321,7 +389,7 @@ def _mass_and_moment_errors():
     T = COARSE_T
     s1, s2, sc = (2.0 * h for h in sol.steps())
     exact = (s1 * s1 + T, s2 * s2 + T, sc * sc + T * T / 4 + T * (s1 * s1 + s2 * s2) / 4)
-    moments = [sol.quadrature(sol.values * x * x) / sol.mass for x in sol.grid_coords()]
+    moments = [sol.quadrature(sol.values * x * x) / sol.mass for x in grid_coords(sol)]
     return [abs(sol.mass - 1.0)] + [abs(m / e - 1.0) for m, e in zip(moments, exact)]
 
 
@@ -344,7 +412,7 @@ def _expm_errors():
     errors = []
     for T in TINY_TIMES:
         sol = pde_oracle_h3(TINY_BUMP, T, box=TINY_BOX, shape=TINY_SHAPE)
-        u0 = TINY_BUMP(np.stack([g.ravel() for g in sol.grid_coords()], axis=1))
+        u0 = TINY_BUMP(np.stack([g.ravel() for g in grid_coords(sol)], axis=1))
         ref = expm(T * dense) @ u0.reshape(TINY_SHAPE)[1:-1, 1:-1, 1:-1].ravel()
         got = sol.values[1:-1, 1:-1, 1:-1].ravel()
         errors.append(np.abs(got - ref).max() / np.abs(ref).max())
@@ -422,7 +490,7 @@ class TestChebyshevSolve:
         assert meta["steps"] == len(coeffs) - 1
         u0 = _mollified_delta(axes, 3.0)
         u0[[0, -1], :, :] = u0[:, [0, -1], :] = u0[:, :, [0, -1]] = 0.0
-        u0 /= heat._trapezoid3(axes, u0)
+        u0 /= nested_trapezoid(axes, u0)
         assert meta["truncation_bound"] == pytest.approx(tail * np.linalg.norm(u0), rel=1e-12)
 
     def test_no_less_accurate_than_explicit_euler(self, explicit_references):
@@ -433,10 +501,56 @@ class TestChebyshevSolve:
         assert max(_mass_and_moment_errors()) <= 2e-3
 
 
+def _translations(density):
+    """Named right translations: the identity, shifts on grid lines, a
+    vertical-only shift, one leaving each face of the box, and 20 random."""
+    h1, h2, hc = density.steps()
+    ys = {"identity": [E],
+          "grid-lines": [GroupElement([3 * h1, -2 * h2], [0.0]),
+                         GroupElement([-h1, 4 * h2], [5 * hc]),
+                         GroupElement([0.0, 0.0], [-7 * hc])],
+          "vertical": [GroupElement([0.0, 0.0], [0.37])]}
+    for k, sign in np.ndindex(3, 2):
+        coords = np.zeros(3)
+        coords[k] = (3.1 if k < 2 else 4.2) * (1 - 2 * sign)
+        ys[f"face-{k}{'+-'[sign]}"] = [GroupElement(coords[:2], coords[2:])]
+    rng = np.random.default_rng(29)
+    ys["random"] = [GroupElement(rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.0, 1.0, 1))
+                    for _ in range(20)]
+    return ys
+
+
+class TestRightTranslate:
+    @pytest.mark.parametrize("kind", ["identity", "grid-lines", "vertical", "face-0+",
+                                      "face-0-", "face-1+", "face-1-", "face-2+", "face-2-",
+                                      "random"])
+    def test_matches_the_trilinear_reference(self, small_density, kind):
+        peak = small_density.values.max()
+        for y in _translations(small_density)[kind]:
+            got = small_density.right_translate(H1, y)
+            ref = shifted_by_trilinear(small_density, H1, y)
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            inside = ~np.isnan(ref)
+            assert np.abs(got[inside] - ref[inside]).max() <= 1e-12 * peak
+            if kind.startswith("face"):
+                assert 0 < np.isnan(ref).sum() < ref.size
+        if kind == "identity":
+            assert np.array_equal(got, small_density.values)
+
+    def test_outside_set_follows_the_product_coordinates(self, small_density):
+        # a shift by a whole box width in w1 leaves only the nodes on one face
+        w1 = small_density.axes[0]
+        y = GroupElement([w1[-1] - w1[0], 0.0], [0.0])
+        got = small_density.right_translate(H1, y)
+        ref = shifted_by_trilinear(small_density, H1, y)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.isnan(got[:-1]).all()
+
+
 class TestMcPdeConsistency:
     def test_mollified_sampler_matches_quadrature(self, small_density):
         samp = mollified_sampler(H1, 0.6, 256, 40000, 91, 3.0 * np.array(small_density.steps()))
-        w1, w2, c = small_density.grid_coords()
+        w1, w2, c = grid_coords(small_density)
         pts = np.stack([w1.ravel(), w2.ravel(), c.ravel()], axis=1)
         # the unit bump at e sees the peak, where the mollifier matters most:
         # an unmollified sampler misses the grid there by far more than the
@@ -458,7 +572,7 @@ class TestMcPdeConsistency:
         x = np.array([0.25, 0.1, 0.05])
         h = 0.05
         def u(pt):
-            return sol.interpolate(pt[None])[0]
+            return trilinear(sol, pt[None])[0]
 
         # group translations x * (h e_i, 0) move the vertical slot too
         def shift(pt, i, s):
@@ -640,6 +754,31 @@ class TestVerifiers:
         with pytest.raises(ValueError):
             verify_integrated_harnack(small_density, H1, y, [2.0, 1.0], 0.16, CC)
 
+    def test_integrated_harnack_flags_mass_shifted_out_of_the_box(self, small_density):
+        y = GroupElement([3.0, 0.0], [0.0])
+        recs = verify_integrated_harnack(small_density, H1, y, [1.5, 2.0], 9.0, CC)
+        assert all(r.detail["flagged"] and not r.passed for r in recs)
+        assert recs[0].detail["excluded_mass"] > 0.01
+        assert recs[0].margin >= 0.0     # the bound holds; only the flag fails it
+
+    @pytest.mark.parametrize("y", [E, GroupElement([0.3, -0.2], [0.1]),
+                                   GroupElement([0.0, 0.0], [-0.6]),
+                                   GroupElement([3.0, 0.0], [0.0])])
+    def test_integrated_harnack_matches_the_trilinear_reference(self, small_density, y):
+        # the parent algorithm: trilinear p(z y^-1), zero-filled full-grid
+        # integrands and nested trapezoid rules
+        d = small_density
+        p_shift = shifted_by_trilinear(d, H1, y)
+        valid = ~np.isnan(p_shift) & (d.values > 1e-15 * d.values.max())
+        excluded = nested_trapezoid(d.axes, np.where(valid, 0.0, d.values))
+        recs = verify_integrated_harnack(d, H1, y, [1.5, 2.0, 3.0], 0.2, CC)
+        for rec in recs:
+            integrand = np.zeros_like(d.values)
+            integrand[valid] = (p_shift[valid] / d.values[valid]) ** rec.p_or_q * d.values[valid]
+            lhs = nested_trapezoid(d.axes, integrand) ** (1.0 / rec.p_or_q)
+            assert rec.lhs == pytest.approx(lhs, rel=1e-12)
+            assert rec.detail["excluded_mass"] == pytest.approx(excluded, rel=1e-12, abs=1e-15)
+
     def test_integrated_harnack_shares_the_shift_across_q(self, small_density):
         y = GroupElement([0.3, -0.2], [0.1])
         recs = verify_integrated_harnack(small_density, H1, y, [1.5, 2.0, 3.0], 0.2, CC)
@@ -685,5 +824,5 @@ def test_numpy_stepper_zero_dt_is_identity():
     u = np.random.default_rng(3).normal(size=(8, 8, 9))
     out = np.zeros_like(u)
     w = np.linspace(-1, 1, 8)
-    _step_numpy(u, out, (w, w, np.linspace(-1, 1, 9)), 0.0)
-    assert np.allclose(out[1:-1, 1:-1, 1:-1], u[1:-1, 1:-1, 1:-1])
+    _step_numpy(u, out, _stencil((w, w, np.linspace(-1, 1, 9)), 0.0))
+    assert np.array_equal(out[1:-1, 1:-1, 1:-1], u[1:-1, 1:-1, 1:-1])

@@ -4,6 +4,7 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import heislab
@@ -73,15 +74,56 @@ def _outside_imports(tree):
     return out
 
 
-def _attributes_read(path):
+# Public names that numpy arrays, dicts, lists or strings also carry
+# (``copy``, ``values``, ``sum``): a read of one names a heislab method only
+# off an owner that resolves to a heislab class.
+SHARED_NAMES = {n for t in (np.ndarray, dict, list, str) for n in dir(t)
+                if not n.startswith("_")}
+
+
+def _names_class(expr, classes):
+    """Whether an annotation or a called expression names one of ``classes``:
+    ``GridDensity``, ``heat.GridDensity``, ``"GridDensity"`` or a constructor
+    ``GridDensity.make``."""
+    if isinstance(expr, ast.Constant):
+        return expr.value in classes
+    if isinstance(expr, ast.Attribute):
+        return expr.attr in classes or _names_class(expr.value, classes)
+    return isinstance(expr, ast.Name) and expr.id in classes
+
+
+def _class_owners(tree, classes):
+    """Names of a file that resolve to a heislab class: ``self``, the class
+    names, and the parameters and variables annotated with one or assigned
+    a call of one."""
+    owners = {"self"} | classes
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and _names_class(node.annotation, classes):
+            owners.add(node.arg)
+        elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and _names_class(node.annotation, classes)):
+            owners.add(node.target.id)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and _names_class(node.value.func, classes)):
+            owners |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return owners
+
+
+def _attributes_read(path, classes=frozenset()):
     """Every attribute name a file reads, of any value (``res.witness``), but
     those read off a module or name imported from outside heislab, through
-    attributes, calls and subscripts (``copy.copy``, ``np.asarray(x).copy``)."""
+    attributes, calls and subscripts (``copy.copy``, ``np.asarray(x).copy``),
+    and a name in SHARED_NAMES read off an owner that is not a name resolving
+    to one of ``classes`` (``arr.copy``, ``self.values``)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     outside = _outside_imports(tree)
+    owners = _class_owners(tree, classes)
     read = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr in SHARED_NAMES and not (isinstance(node.value, ast.Name)
+                                                  and node.value.id in owners):
+                continue
             root = node.value
             while isinstance(root, (ast.Attribute, ast.Call, ast.Subscript)):
                 root = root.func if isinstance(root, ast.Call) else root.value
@@ -108,7 +150,8 @@ def unused_exports():
 def unused_methods():
     """Public methods and properties of exported classes whose name no file of
     src/ or bench/ reads as an attribute."""
-    read = set().union(*map(_attributes_read, PROGRAM))
+    classes = frozenset(q.split(".")[1] for q, obj in _exports().items() if inspect.isclass(obj))
+    read = set().union(*(_attributes_read(path, classes) for path in PROGRAM))
     return sorted(f"{q}.{attr}" for q, obj in _exports().items() if inspect.isclass(obj)
                   for attr, value in vars(obj).items()
                   if not attr.startswith("_") and attr not in read
@@ -141,6 +184,38 @@ def test_the_method_audit_ignores_reads_off_outside_modules(monkeypatch):
     from heislab import geometry
     monkeypatch.setattr(geometry.DistanceResult, "copy", lambda self: None, raising=False)
     assert unused_methods() == ["geometry.DistanceResult.copy"]
+
+
+def test_the_method_audit_ignores_shared_names_off_other_values(monkeypatch, tmp_path):
+    # ``arr.copy()`` copies an array: it calls no heislab method named copy
+    import test_package
+    from heislab import heat
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "def double(x):\n"
+                     "    arr = np.asarray(x)\n"
+                     "    return arr.copy() * 2\n", encoding="utf-8")
+    monkeypatch.setattr(test_package, "PROGRAM", [*PROGRAM, probe])
+    monkeypatch.setattr(heat.GridDensity, "copy", lambda self: None, raising=False)
+    assert unused_methods() == ["heat.GridDensity.copy"]
+
+
+def test_the_method_audit_counts_shared_names_off_heislab_classes(tmp_path):
+    classes = frozenset({"GridDensity", "SemigroupSampler"})
+    probe = tmp_path / "probe.py"
+    probe.write_text("from heislab import heat\n"
+                     "from heislab.heat import SemigroupSampler\n"
+                     "def mean(sampler: SemigroupSampler, f, x):\n"
+                     "    return sampler.values(f, x).mean()\n"
+                     "def solve(a):\n"
+                     "    density = heat.GridDensity(a)\n"
+                     "    return density.copy(), a.items()\n"
+                     "class Probe:\n"
+                     "    def index(self):\n"
+                     "        return self.count()\n", encoding="utf-8")
+    read = _attributes_read(probe, classes)
+    assert {"values", "copy", "count"} <= read
+    assert not {"mean", "items"} & read
 
 
 def _private_imports(path):
