@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import json
 import os
 import sys
@@ -107,12 +106,12 @@ _POINT = _object({"w": _VEC, "c": _VEC}, ["w", "c"])
 _ZERO = {"w": [0.0], "c": [0.0]}
 _T = _default(_POSNUM, 1.0)
 _SAMPLER = {"samples": _default(_POSINT, 30000), "steps": _default(_POSINT, 256)}
+_FLOOR = _default({"type": "number", "minimum": 0}, 0.0)
 
 
-def _bump_schema(floor=0.0) -> dict:
+def _bump_schema(floor=_FLOOR) -> dict:
     return _object({"center": _default(_POINT, _ZERO), "radius": _default(_POSNUM, 2.5),
-                    "height": _default(_POSNUM, 1.0),
-                    "floor": _default({"type": "number", "minimum": 0}, floor)})
+                    "height": _default(_POSNUM, 1.0), "floor": floor})
 
 
 _GRID = _object({
@@ -170,8 +169,9 @@ PARAMS_SCHEMAS = {
             {"x": {"w": [0.2, 0.1], "c": [0.0]}, "y": {"w": [-0.4, 0.6], "c": [0.15]}}]),
         "bump": _bump_schema(),
     }),
-    "verify-reverse-poincare": _reverse(floor=0.0),
-    "verify-reverse-logsobolev": _reverse(floor=0.1),
+    "verify-reverse-poincare": _reverse(_FLOOR),
+    # the logarithm needs a strictly positive test function
+    "verify-reverse-logsobolev": _reverse(_default(_POSNUM, 0.1)),
     "verify-integrated-harnack": _object({
         "T": _T, "q_grid": _array(_EXPONENT, [1.5, 2.0, 3.0]),
         "ys": _array(_POINT, [_ZERO, {"w": [0.5], "c": [0.0]}, {"w": [0.0, -0.4], "c": [0.0]},
@@ -378,7 +378,8 @@ def exp_distance(cfg, form):
     rows = ([fmt_float(k / max(K, 1)), *map(fmt_float, node), *map(fmt_float, a)]
             for k, (node, a) in enumerate(zip(res.witness, vertical)))
     extras = {"distance": res.distance, "energy": res.energy,
-              "constraint_residual": res.constraint_residual}
+              "constraint_residual": res.constraint_residual,
+              "loop_area": res.diagnostics["loop_area"]}
     return [rec], extras, {"witness.csv": csv_text(header, rows)}
 
 
@@ -443,10 +444,8 @@ def exp_verify_cd(cfg, form):
         rng = np.random.default_rng(child_seed(cfg.seed, "verify-cd", idx))
         f = random_polynomial(nvars, p["max_degree"], rng, terms=p["terms"])
         pts = rng.uniform(-half_width, half_width, size=(p["points"], nvars))
-        recs = check_cd_inequality(form, f, pts, nu_grid, constants, vertical_coeff=vc)
-        for rec, (j, nu) in zip(recs, itertools.product(range(p["points"]), nu_grid)):
-            rec.record_id = f"cd-f{idx}-x{j}-nu{nu:g}"
-        records += recs
+        records += check_cd_inequality(form, f, pts, nu_grid, constants, vertical_coeff=vc,
+                                       record_id=f"cd-f{idx}")
     worst = min((r.margin for r in records), default=float("nan"))
     return records, {"worst_margin": worst, "vertical_coeff": vc}, {}
 
@@ -494,33 +493,33 @@ def _default_points(form):
     return pts
 
 
+def _dist_sq(form, x, y, supplied=None) -> float:
+    """d(x, y)^2 as a unit-time geodesic's energy; a ``supplied`` one must match to 1e-9."""
+    d2 = cc_distance(form, x, y).energy
+    if supplied is not None and not abs(supplied - d2) <= 1e-9 * d2:     # NaN fails too
+        raise ConfigError(f"dist_sq {supplied!r} is not d(x, y)^2 = {d2!r} for "
+                          f"x = {coords_str(x.coords())}, y = {coords_str(y.coords())}")
+    return d2
+
+
 def exp_verify_harnack(cfg, form):
     p = cfg.params
     T, p_grid = p["T"], p["p_grid"]
     bump = _bump(form, p["bump"])
-    # every point is read before the rank rule can fail the form
+    # every point is read before the rank rule, and every d^2 computed before the draw
     pairs = [(_point(form, q["x"]), _point(form, q["y"]), q.get("dist_sq")) for q in p["pairs"]]
+    pairs = [(x, y, _dist_sq(form, x, y, d2)) for x, y, d2 in pairs]
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
     records = []
     for i, (x, y, d2) in enumerate(pairs):
-        # the energy of a unit-time geodesic is d^2, without a round trip
-        # through the square root
-        d2 = float(d2) if d2 is not None else cc_distance(form, x, y).energy
         records += verify_wang_harnack(sampler, bump, x, y, p_grid, d2, constants,
                                        record_id=f"wang-pair{i}")
     return records, {"T": T, "pairs": len(pairs)}, {}
 
 
-def _grid_solve(form, p):
-    """The H3 grid solve of a grid experiment, and the facts it reports.
-
-    The stencil discretizes X = d/dw1 - (w2/2) d/dc and Y = d/dw2 + (w1/2) d/dc,
-    so it solves only the n = 2, d = 1 form of unit weight.
-    """
-    if form.n != 2 or form.d != 1 or form.coeffs[0, 1, 0] != 1.0:
-        raise ConfigError("the grid experiments require the n=2, d=1 group with "
-                          "unit form coefficient")
+def _grid_solve(p):
+    """The H3 grid solve of a grid experiment, and the facts it reports."""
     grid = p["grid"]
     density = pde_oracle_h3(
         "delta", p["T"], box=tuple(tuple(b) for b in grid["box"]), shape=tuple(grid["shape"]),
@@ -532,12 +531,12 @@ def _grid_solve(form, p):
 def exp_verify_integrated_harnack(cfg, form):
     p = cfg.params
     q_grid, grid_tol = p["q_grid"], p["grid_tol"]
-    density, extras = _grid_solve(form, p)      # a form it cannot solve is a config error
-    constants = curvature_constants(form)
     ys = [_point(form, q) for q in p["ys"]]
+    dist_sq = [_dist_sq(form, identity(form), y) for y in ys]      # before the solve
+    constants = curvature_constants(form)
+    density, extras = _grid_solve(p)
     records = []
-    for i, y in enumerate(ys):
-        d2 = cc_distance(form, identity(form), y).energy
+    for i, (y, d2) in enumerate(zip(ys, dist_sq)):
         records += verify_integrated_harnack(
             density, form, y, q_grid, d2, constants, grid_tol=grid_tol,
             record_id=f"integrated-harnack-y{i}")
@@ -554,9 +553,14 @@ def exp_verify_strong_feller(cfg, form):
     if len(dirspec) > form.n:
         raise ConfigError(f"direction has too many coordinates for n={form.n}")
     direction = np.pad(np.asarray(dirspec, dtype=float), (0, form.n - len(dirspec)))
+    if not np.any(direction):
+        raise ConfigError("strong Feller offsets need a nonzero direction")
+    direction = direction / np.linalg.norm(direction)
+    dist_sq = [_dist_sq(form, identity(form), GroupElement(h * direction, np.zeros(form.d)))
+               for h in offsets]        # d(x, x * step) = d(e, step) by left invariance
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
-    records = strong_feller_modulus(sampler, bump, x, direction, offsets, constants,
+    records = strong_feller_modulus(sampler, bump, x, direction, offsets, dist_sq, constants,
                                     bump.sup_bound())
     return records, {"offsets": offsets,
                      "differences": [r.detail["difference"] for r in records]}, {}
@@ -591,7 +595,7 @@ def _symmetry_record(density):
 
 
 def exp_oracle_h3(cfg, form):
-    density, extras = _grid_solve(form, cfg.params)
+    density, extras = _grid_solve(cfg.params)
     symmetry = _symmetry_record(density)
     records = [
         VerificationRecord(record_id="oracle-mass", rank=form.n,
@@ -637,6 +641,11 @@ def run(cfg: RunConfig, config_s: float) -> int:
     form = preset.form
     if any(m > form.n for m in cfg.ranks):
         raise ConfigError(f"rank exceeds horizontal dimension {form.n}")
+    # the grid's stencil discretizes X = d/dw1 - (w2/2) d/dc and
+    # Y = d/dw2 + (w1/2) d/dc: the n = 2, d = 1 form of unit weight
+    if "grid" in cfg.params and (form.n != 2 or form.d != 1 or form.coeffs[0, 1, 0] != 1.0):
+        raise ConfigError("the grid experiments require the n=2, d=1 group with "
+                          "unit form coefficient")
     try:
         records, extras, artifacts = RUNNERS[cfg.experiment](cfg, form)
     except HormanderError as exc:   # the form fails the rank rule: a failed record

@@ -104,16 +104,16 @@ def cd_terms(form, f):
 
 
 def check_cd_inequality(form, f, points, nu_grid, constants: CurvatureConstants,
-                        vertical_coeff: float) -> list[VerificationRecord]:
+                        vertical_coeff: float, record_id="cd-inequality") -> list:
     """Pointwise curvature-dimension margins of f at points, for each coupling nu.
 
     ``points`` holds one row (w, c) per point.  The four polynomials of
     ``cd_terms`` are built once and evaluated at all points in one batch.
-    Each record carries margin = G2 + nu*G2Z - vc*GZ + (hs/nu)*G at one
-    (point, nu), points in the outer loop, with vc = ``vertical_coeff`` and
-    hs = ``constants.hs_norm_sq``, the constants of ``form``; it passes when
-    the margin is above -1e-8 times the scale of the terms.  The sharp
-    coefficient is rho2/4 (see ``curvature``).
+    Record ``{record_id}-x{j}-nu{nu:g}`` carries margin = G2 + nu*G2Z -
+    vc*GZ + (hs/nu)*G at point j and coupling nu, points in the outer loop,
+    with vc = ``vertical_coeff`` and hs = ``constants.hs_norm_sq``, the
+    constants of ``form``; it passes when the margin is above -1e-8 times
+    the scale of the terms.  The sharp coefficient is rho2/4 (see ``curvature``).
     """
     for nu in nu_grid:
         if not nu > 0:
@@ -123,7 +123,7 @@ def check_cd_inequality(form, f, points, nu_grid, constants: CurvatureConstants,
     vc = float(vertical_coeff)
     hs = constants.hs_norm_sq
     records = []
-    for pt, (t_g2, t_g2z, t_gz, t_g) in zip(pts, values):
+    for j, (pt, (t_g2, t_g2z, t_gz, t_g)) in enumerate(zip(pts, values)):
         x = coords_str(pt)
         for nu in nu_grid:
             lhs = t_g2 + nu * t_g2z
@@ -131,7 +131,7 @@ def check_cd_inequality(form, f, points, nu_grid, constants: CurvatureConstants,
             scale = abs(t_g2) + nu * abs(t_g2z) + vc * abs(t_gz) + (hs / nu) * abs(t_g)
             margin = lhs - rhs
             records.append(VerificationRecord(
-                record_id="cd-inequality", rank=form.n, p_or_q=nu, x=x, lhs=lhs, rhs=rhs,
-                margin=margin, passed=bool(margin >= -CD_RTOL * scale),
+                record_id=f"{record_id}-x{j}-nu{nu:g}", rank=form.n, p_or_q=nu, x=x,
+                lhs=lhs, rhs=rhs, margin=margin, passed=bool(margin >= -CD_RTOL * scale),
                 detail={"scale": scale, "vertical_coeff": vc}))
     return records

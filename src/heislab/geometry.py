@@ -77,7 +77,8 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
     curvature_constants(form)
     z = multiply(form, inverse(x), y)
     if homogeneous_norm(z) == 0.0:
-        return DistanceResult(0.0, x.w[None, :], 0.0, 0.0, {"shortcut": "coincident"})
+        return DistanceResult(0.0, x.w[None, :], 0.0, 0.0,
+                              {"shortcut": "coincident", "loop_area": [0.0] * form.d})
     basis = _pair_basis(form)
     if basis is None:
         if np.any(z.c):

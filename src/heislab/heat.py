@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import CurvatureConstants
-from .geometry import cc_distance
-from .groups import GroupElement, OmegaForm, identity, multiply, multiply_arrays
+from .groups import GroupElement, OmegaForm, multiply, multiply_arrays
 from .records import VerificationRecord, coords_str
 from .stochastic import mean_se, sample_endpoints, within_3se
 
@@ -358,11 +357,12 @@ MASS_FLOOR = 0.99
 
 
 def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
-                  mollifier_cells: float = 2.0) -> GridDensity:
+                  mollifier_cells=None) -> GridDensity:
     """Grid solve of the group heat equation on the n=2, d=1 group.
 
     ``initial`` is "delta" (a Gaussian of ``mollifier_cells`` cells per axis,
-    normalized to unit mass) or a callable on (N, 3) coordinates; anything
+    normalized to unit mass; a delta without that width raises ValueError)
+    or a callable on (N, 3) coordinates, which ignores the width; anything
     else raises ValueError.  Boundary values are pinned to zero, so mass
     leaks only through the box walls.  ``cfl_fraction`` is accepted and
     ignored: the solve takes no time steps.
@@ -389,6 +389,8 @@ def pde_oracle_h3(initial, T: float, box, shape, cfl_fraction=None,
 
     is_density = isinstance(initial, str) and initial == "delta"
     if is_density:
+        if mollifier_cells is None:
+            raise ValueError("a delta start needs its width, mollifier_cells")
         u = _mollified_delta(axes, mollifier_cells)
     elif callable(initial):
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -578,32 +580,24 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
 
 
 def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
-                          direction: np.ndarray, offsets,
+                          direction: np.ndarray, offsets, dist_sq,
                           constants: CurvatureConstants, sup_bound: float) -> list:
-    """One modulus-bound record per horizontal offset h.
+    """One modulus-bound record ``strong-feller-h{h:g}`` per horizontal offset h.
 
-    Offsets move y = x * (h * direction, 0), at CC distance h from x, and
-    P_T f is read once at x and at each y.  Every CRN difference
-    |P_T f(x) - P_T f(y)| must satisfy the modulus bound, whose rhs falls to
-    0 with h (record ``strong-feller-h{h:g}``), so the records witness the
-    continuity of P_T f.  They claim no monotone fall of the differences over
-    the offsets, which fails wherever x + h * direction crosses a critical
-    point of P_T f.
+    The k-th offset h moves y = x * (h * direction, 0) along the unit vector
+    ``direction``, with d(x, y)^2 = ``dist_sq[k]``; P_T f is read once at x
+    and at each y.  Every CRN difference |P_T f(x) - P_T f(y)| must satisfy the
+    modulus bound, whose rhs falls to 0 with h, so the records witness the
+    continuity of P_T f.  They claim no monotone fall of the differences
+    over the offsets, which fails wherever x + h * direction crosses a
+    critical point of P_T f.
     """
-    direction = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        raise ValueError("strong Feller offsets need a nonzero direction")
-    direction = direction / norm
     form = sampler.form
     fx = sampler.values(f, x)
     records = []
-    for h in offsets:
-        step = GroupElement(h * direction, np.zeros(form.d))
-        y = multiply(form, x, step)
-        # d(x, x * step) = d(e, step) by left invariance
+    for h, d2 in zip(offsets, dist_sq):
+        y = multiply(form, x, GroupElement(h * direction, np.zeros(form.d)))
         records.append(verify_strong_feller(
-            sampler, fx - sampler.values(f, y), x, y,
-            cc_distance(form, identity(form), step).energy,
+            sampler, fx - sampler.values(f, y), x, y, d2,
             constants, sup_bound, record_id=f"strong-feller-h{h:g}"))
     return records

@@ -452,6 +452,22 @@ class TestDistanceCommand:
         assert witness[0] == "t,A1,A2,a1"
         assert len(witness) == 66  # header + 65 nodes
 
+    @pytest.mark.parametrize("target,loop_area", [
+        # the geodesic to (0, 0, c) is a circle of area c, d^2 = 4 pi c
+        ({"w": [0.0, 0.0], "c": [1.0]}, 1.0),
+        ({"w": [0.0, 0.0], "c": [-0.25]}, 0.25),
+        ({"w": [0.3, 0.4], "c": [0.0]}, 0.0),
+        ({"w": [0.0, 0.0], "c": [0.0]}, 0.0),
+    ])
+    def test_reports_the_loop_area(self, tmp_path, target, loop_area):
+        cfg = write_config(tmp_path, "c.json", {"params": {"target": target}})
+        out = str(tmp_path / "o")
+        assert main(["distance", "--config", cfg, "--out", out]) == 0
+        report = read_summary(out)["report"]
+        assert report["loop_area"] == [pytest.approx(loop_area, rel=1e-12)]
+        if loop_area:
+            assert report["energy"] == pytest.approx(4 * np.pi * loop_area, rel=1e-12)
+
 
 class TestRankRule:
     # block_sum([1, 1e-6]) has rho2 = 2e-12 against a Gram trace of 2, below
@@ -484,6 +500,12 @@ class TestRankRule:
         ("verify-strong-feller", {**TINY_MC, "direction": [1.0] * 5},
          "direction has too many coordinates for n=4"),
         ("verify-integrated-harnack", TINY_GRID, "the grid experiments require"),
+        # refused before the draw, which the rank rule would fail
+        ("verify-strong-feller", {**TINY_MC, "direction": [0.0]},
+         "strong Feller offsets need a nonzero direction"),
+        ("verify-reverse-logsobolev", {**TINY_MC, "bump": {"floor": 0}},
+         "invalid params for verify-reverse-logsobolev: 0 is less than or equal to the "
+         "minimum of 0"),
     ])
     def test_a_config_error_outranks_the_rank_rule(self, tmp_path, capsys, experiment, params,
                                                    message):
@@ -823,6 +845,86 @@ def _q_max(form):
     # per vertical coordinate, and over all of them
     q = np.abs(form.coeffs).max(axis=(0, 1))
     return q, float(q.max())
+
+
+def _forbid_work(monkeypatch):
+    """Make any path draw or grid solve of a run raise."""
+    import heislab.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run drew paths or solved the grid")
+
+    monkeypatch.setattr(cli, "SemigroupSampler", forbidden)
+    monkeypatch.setattr(cli, "pde_oracle_h3", forbidden)
+
+
+class TestRunnerInputs:
+    """Every Harnack-family d^2 comes from cc_distance in the runner, before
+    any work; a supplied dist_sq is checked against it, never used."""
+
+    # a wide bump at x = e, y = (1, 0, 0), where d^2 = 1: at seed 2 the run
+    # fails wang-pair0-p2, because the Wang factor is too small at p = 2
+    FINDING_B = {"T": 1.0, "samples": 200000, "p_grid": [1.5, 2.0, 4.0],
+                 "pairs": [{"x": {"w": [0, 0], "c": [0]}, "y": {"w": [1, 0], "c": [0]}}],
+                 "bump": {"center": {"w": [-6, 0], "c": [0]}, "radius": 7}}
+
+    def test_a_dist_sq_that_would_hide_finding_b_is_refused(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # dist_sq 4.0 would raise the rhs of wang-pair0-p2 from 0.0021 to
+        # 0.0199 and let the run pass
+        _forbid_work(monkeypatch)
+        pair = {**self.FINDING_B["pairs"][0], "dist_sq": 4.0}
+        cfg = write_config(tmp_path, "c.json", {
+            "seed": 2, "params": {**self.FINDING_B, "pairs": [pair]}})
+        out = tmp_path / "o"
+        assert main(["verify-harnack", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: dist_sq 4.0 is not d(x, y)^2 = 1.0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,params,message", [
+        ("verify-harnack", {**TINY_MC, "pairs": [
+            {"x": {"w": [0.0], "c": [0.0]}, "y": {"w": [0.3, 0.4], "c": [0.0]}, "dist_sq": 0.25},
+            {"x": {"w": [0.0], "c": [0.0]}, "y": {"w": [1.0], "c": [0.0]},
+             "dist_sq": 1.0 + 2e-9}]},
+         "dist_sq 1.000000002 is not d(x, y)^2 = 1.0"),
+        ("verify-harnack", {**TINY_MC, "pairs": [{"x": {"w": [0.0], "c": [0.0]},
+                                                  "y": {"w": [1.0], "c": [0.0]},
+                                                  "dist_sq": float("nan")}]},
+         "dist_sq nan is not d(x, y)^2 = 1.0"),
+        ("verify-integrated-harnack", {"ys": [{"w": [0.1, 0.2, 0.3], "c": [0.0]}]},
+         "point has too many coordinates for n=2, d=1"),
+    ])
+    def test_a_bad_input_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    experiment, params, message):
+        _forbid_work(monkeypatch)
+        cfg = write_config(tmp_path, "c.json", {"params": params})
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+
+    def test_a_matching_dist_sq_changes_no_record(self, tmp_path):
+        x, y = {"w": [0.2, 0.1], "c": [0.0]}, {"w": [-0.4, 0.6], "c": [0.15]}
+        form = make_preset("heisenberg", pairs=1).form
+        exact = cc_distance(form, GroupElement(x["w"], x["c"]), GroupElement(y["w"], y["c"])).energy
+        texts = []
+        # a value 1e-10 relative off passes the check, and the records still
+        # carry the exact d^2
+        for extra in ({}, {"dist_sq": exact}, {"dist_sq": exact * (1 + 1e-10)}):
+            cfg = write_config(tmp_path, "c.json", {
+                "params": {**TINY_MC, "pairs": [{"x": x, "y": y, **extra}]}})
+            out = tmp_path / f"o{len(texts)}"
+            assert main(["verify-harnack", "--config", cfg, "--out", str(out)]) in (0, 1)
+            texts.append((out / "records.csv").read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_verify_cd_names_records_point_major(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {
+            "params": {"functions": 2, "points": 2, "nu_grid": [0.5, 2.0]}})
+        out = tmp_path / "o"
+        assert main(["verify-cd", "--config", cfg, "--out", str(out)]) in (0, 1)
+        rows = csv.DictReader(io.StringIO((out / "records.csv").read_text()))
+        assert [row["record_id"] for row in rows] == [
+            f"cd-f{f}-x{j}-nu{nu}" for f in (0, 1) for j in (0, 1) for nu in ("0.5", "2")]
 
 
 class TestDistanceSq:

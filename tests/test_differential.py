@@ -277,6 +277,13 @@ class TestCurvatureDimension:
                                     vertical_coeff=RHO2)
         assert rec.passed and rec.margin == 0.0
 
+    def test_names_its_records_point_major(self):
+        recs = check_cd_inequality(H1, W1, [[0, 0, 0], [1, 1, 1]], [0.5, 2.0], CC,
+                                   vertical_coeff=RHO2, record_id="cd-f3")
+        assert [r.record_id for r in recs] == [
+            "cd-f3-x0-nu0.5", "cd-f3-x0-nu2", "cd-f3-x1-nu0.5", "cd-f3-x1-nu2"]
+        assert [r.x for r in recs][1:3] == ["0 0 0", "1 1 1"]
+
     def test_horizontal_coordinate(self):
         # all iterated terms vanish, leaving the positive hs/nu * Gamma term
         nu = 0.7

@@ -267,6 +267,15 @@ class TestPdeOracle:
         with pytest.raises(ValueError):
             pde_oracle_h3("delta", T=-1.0, box=SMALL_BOX, shape=SMALL_SHAPE)
 
+    def test_a_delta_needs_its_width(self):
+        # the width has one home, the grid schema's mollifier_cells
+        with pytest.raises(ValueError, match="mollifier_cells"):
+            pde_oracle_h3("delta", T=0.01, box=SMALL_BOX, shape=SMALL_SHAPE)
+        # a callable start ignores it
+        zero = pde_oracle_h3(lambda pts: np.zeros(len(pts)), T=0.01, box=SMALL_BOX,
+                             shape=SMALL_SHAPE, mollifier_cells=3.0)
+        assert zero.meta["mollifier_cells"] is None and np.all(zero.values == 0.0)
+
     def test_quadrature_and_interpolation(self, small_density):
         # the trilinear reference at exact nodes reproduces values
         w1, w2, c = small_density.axes
@@ -722,7 +731,7 @@ class TestVerifiers:
         f = BumpFunction(E, radius=2.0)
         recs = strong_feller_modulus(
             sampler, f, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
-            [0.5, 0.25, 0.125], CC, f.sup_bound())
+            [0.5, 0.25, 0.125], [0.25, 0.0625, 0.015625], CC, f.sup_bound())
         assert [r.record_id for r in recs] == [
             "strong-feller-h0.5", "strong-feller-h0.25", "strong-feller-h0.125"]
         assert all(r.passed for r in recs)
@@ -739,7 +748,8 @@ class TestVerifiers:
         samp = SemigroupSampler(H1, 0.582, 64, 20000, seed=3)
         x = GroupElement([-0.137, 0.150], [0.161])
         recs = strong_feller_modulus(
-            samp, bump, x, np.array([1.0, 0.0]), [0.5, 0.25, 0.125], CC, bump.sup_bound())
+            samp, bump, x, np.array([1.0, 0.0]), [0.5, 0.25, 0.125],
+            [0.25, 0.0625, 0.015625], CC, bump.sup_bound())
         diffs = [abs(r.detail["difference"]) for r in recs]
         assert diffs[2] > diffs[1]
         assert all(r.passed for r in recs)
