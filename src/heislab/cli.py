@@ -379,7 +379,7 @@ def exp_distance(cfg, form):
             for k, (node, a) in enumerate(zip(res.witness, vertical)))
     extras = {"distance": res.distance, "energy": res.energy,
               "constraint_residual": res.constraint_residual,
-              "loop_area": res.diagnostics["loop_area"]}
+              "loop_area": res.loop_area}
     return [rec], extras, {"witness.csv": csv_text(header, rows)}
 
 
@@ -455,8 +455,8 @@ def _sampler_for(cfg, form, T, p, key=None):
                             child_seed(cfg.seed, key or f"sampler-T{T:g}", 0))
 
 
-def exp_verify_reverse_poincare(cfg, form, log_version=False):
-    """Reverse Poincare (or log-Sobolev) records over a sweep of T.
+def exp_verify_reverse(cfg, form):
+    """Reverse Poincare or log-Sobolev records over a sweep of T, as ``cfg.experiment`` names.
 
     One endpoint set is drawn at T = 1 and dilated to every T of the sweep,
     so the sweep uses common random numbers across T: the records at
@@ -466,8 +466,8 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
     T_grid, bump = p["T_grid"], _bump(form, p["bump"])
     points = [_point(form, q) for q in p.setdefault("points", _default_points(form))]
     constants = curvature_constants(form)
-    verify = verify_reverse_logsobolev if log_version else verify_reverse_poincare
-    name = "reverse-logsobolev" if log_version else "reverse-poincare"
+    name = cfg.experiment.removeprefix("verify-")
+    verify = verify_reverse_logsobolev if name == "reverse-logsobolev" else verify_reverse_poincare
 
     base = _sampler_for(cfg, form, 1.0, p, key="sampler-sweep")
     records = []
@@ -477,10 +477,6 @@ def exp_verify_reverse_poincare(cfg, form, log_version=False):
             records.append(verify(sampler, bump, x, constants,
                                   record_id=f"{name}-T{T:g}-x{j}"))
     return records, {"T_grid": T_grid, "points": len(points)}, {}
-
-
-def exp_verify_reverse_logsobolev(cfg, form):
-    return exp_verify_reverse_poincare(cfg, form, log_version=True)
 
 
 def _default_points(form):
@@ -560,8 +556,7 @@ def exp_verify_strong_feller(cfg, form):
                for h in offsets]        # d(x, x * step) = d(e, step) by left invariance
     constants = curvature_constants(form)
     sampler = _sampler_for(cfg, form, T, p)
-    records = strong_feller_modulus(sampler, bump, x, direction, offsets, dist_sq, constants,
-                                    bump.sup_bound())
+    records = strong_feller_modulus(sampler, bump, x, direction, offsets, dist_sq, constants)
     return records, {"offsets": offsets,
                      "differences": [r.detail["difference"] for r in records]}, {}
 
@@ -624,8 +619,10 @@ def exp_list_presets(cfg, form):
     return records, {"presets": catalog}, {}
 
 
-# every experiment runs the function named exp_<name, with "-" as "_">
-RUNNERS = {name: globals()["exp_" + name.replace("-", "_")] for name in EXPERIMENTS}
+# every experiment runs the function named exp_<name, with "-" as "_">, but
+# the two reverse experiments, which share exp_verify_reverse
+RUNNERS = {name: exp_verify_reverse if name.startswith("verify-reverse-")
+           else globals()["exp_" + name.replace("-", "_")] for name in EXPERIMENTS}
 
 
 def run(cfg: RunConfig, config_s: float) -> int:

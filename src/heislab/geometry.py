@@ -25,7 +25,7 @@ gets ``HormanderError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class DistanceResult:
     witness: np.ndarray         # (K+1, n) horizontal nodes of the geodesic
     energy: float
     constraint_residual: float
-    diagnostics: dict = field(default_factory=dict)
+    loop_area: list             # per vertical coordinate, the area of the geodesic's loop
 
 
 def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
@@ -77,8 +77,7 @@ def cc_distance(form: OmegaForm, x: GroupElement, y: GroupElement,
     curvature_constants(form)
     z = multiply(form, inverse(x), y)
     if homogeneous_norm(z) == 0.0:
-        return DistanceResult(0.0, x.w[None, :], 0.0, 0.0,
-                              {"shortcut": "coincident", "loop_area": [0.0] * form.d})
+        return DistanceResult(0.0, x.w[None, :], 0.0, 0.0, [0.0] * form.d)
     basis = _pair_basis(form)
     if basis is None:
         if np.any(z.c):
@@ -233,5 +232,4 @@ def _closed_form_distance(form, x, z, e1, e2, q, owner, K) -> DistanceResult:
     rel = t[:, None] * free[None, :] + paths.real @ e1.T + paths.imag @ e2.T
     rel[-1] = z.w
     residual = float(np.linalg.norm(0.5 * form.path_integral(rel) - z.c))
-    return DistanceResult(math.sqrt(energy), rel + x.w[None, :], energy, residual,
-                          {"loop_area": loops})
+    return DistanceResult(math.sqrt(energy), rel + x.w[None, :], energy, residual, loops)

@@ -444,7 +444,7 @@ def _record(lhs, rhs, se_lhs, se_rhs, **fields) -> VerificationRecord:
 
 def _reverse_record(sampler, f, x, constants, log_fvals, core, se_core,
                     record_id, **detail) -> VerificationRecord:
-    """Gamma(g) + rho2 T Gamma^Z(g) against (harnack_coeff / T) core at x.
+    """Gamma(g) + v Gamma^Z(g) against k core at x, (v, k) = ``constants.reverse_weights(T)``.
 
     g is P_T f, or ln P_T f given ``log_fvals``, the values of f the verifier
     read; ``core`` is the variance or entropy term with standard error
@@ -454,8 +454,7 @@ def _reverse_record(sampler, f, x, constants, log_fvals, core, se_core,
     D = sampler.derivatives(f, x)
     grad, se_g = _squared_sum(D[:, :form.n], log_fvals)
     gradz, se_gz = _squared_sum(D[:, form.n:], log_fvals)
-    coeff = constants.harnack_coeff / T
-    vertical = constants.rho2 * T
+    vertical, coeff = constants.reverse_weights(T)
     return _record(
         grad + vertical * gradz, coeff * core, math.hypot(se_g, vertical * se_gz),
         coeff * se_core, record_id=record_id, rank=form.n, T=T,
@@ -501,7 +500,7 @@ def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
                         y: GroupElement, p_grid, dist_sq: float,
                         constants: CurvatureConstants,
                         record_id: str = "wang-harnack") -> list:
-    """(P_T f)^p(x) against P_T f^p(y) times the distance-exponential factor:
+    """(P_T f)^p(x) against P_T f^p(y) times ``constants.wang_factor``:
     one record ``{record_id}-p{p:g}`` per p in ``p_grid``, from one read of x
     and one of y."""
     p_grid = list(p_grid)
@@ -513,7 +512,7 @@ def verify_wang_harnack(sampler: SemigroupSampler, f, x: GroupElement,
     records = []
     for p in p_grid:
         my, sy = mean_se(fy ** p)
-        factor = math.exp(constants.harnack_coeff * dist_sq / (4.0 * (p - 1.0) * T))
+        factor = constants.wang_factor(dist_sq, p, T)
         records.append(_record(
             mx ** p, my * factor, p * mx ** (p - 1.0) * sx, factor * sy,
             record_id=f"{record_id}-p{p:g}", rank=sampler.form.n, T=T, p_or_q=p,
@@ -534,8 +533,9 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
     the 1/q power of the trapezoid integral of (p(z y^-1) / p(z))^q p(z)
     over the nodes where both densities are defined; p(z y^-1) comes from
     ``GridDensity.right_translate`` once per call and is shared by every q.
-    A record is flagged when the density mass excluded by the shifted
-    evaluation or the positivity floor exceeds one percent.
+    RHS is ``constants.integrated_harnack_bound``.  A record is flagged when
+    the density mass excluded by the shifted evaluation or the positivity
+    floor exceeds one percent.
     """
     q_grid = list(q_grid)
     if not all(q > 1 for q in q_grid):
@@ -550,7 +550,7 @@ def verify_integrated_harnack(density: GridDensity, form: OmegaForm,
     records = []
     for q in q_grid:
         lhs = float(np.sum(node_mass_valid * ratio ** q)) ** (1.0 / q)
-        rhs = math.exp(constants.harnack_coeff * q * dist_sq / (4.0 * T))
+        rhs = constants.integrated_harnack_bound(dist_sq, q, T)
         margin = rhs * (1.0 + grid_tol) - lhs
         records.append(VerificationRecord(
             record_id=f"{record_id}-q{q:g}", rank=form.n, T=T, p_or_q=q,
@@ -566,11 +566,11 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
                          x: GroupElement, y: GroupElement, dist_sq: float,
                          constants: CurvatureConstants, sup_bound: float,
                          record_id: str = "strong-feller") -> VerificationRecord:
-    """|P_T f(x) - P_T f(y)|^2 against the distance-modulus bound, from the
-    per-path differences ``diffs`` = f(x * g_i) - f(y * g_i) of ``sampler``."""
+    """|P_T f(x) - P_T f(y)|^2 against sup_bound^2 * ``constants.feller_modulus``,
+    from the per-path differences ``diffs`` = f(x * g_i) - f(y * g_i) of ``sampler``."""
     T = sampler.T
     m, se_m = mean_se(diffs)
-    rhs = sup_bound**2 * math.expm1(constants.harnack_coeff * dist_sq / (2.0 * T))
+    rhs = sup_bound**2 * constants.feller_modulus(dist_sq, T)
     return _record(
         m * m, rhs, 2.0 * abs(m) * se_m, 0.0,
         record_id=record_id, rank=sampler.form.n, T=T,
@@ -581,18 +581,18 @@ def verify_strong_feller(sampler: SemigroupSampler, diffs: np.ndarray,
 
 def strong_feller_modulus(sampler: SemigroupSampler, f, x: GroupElement,
                           direction: np.ndarray, offsets, dist_sq,
-                          constants: CurvatureConstants, sup_bound: float) -> list:
+                          constants: CurvatureConstants) -> list:
     """One modulus-bound record ``strong-feller-h{h:g}`` per horizontal offset h.
 
     The k-th offset h moves y = x * (h * direction, 0) along the unit vector
     ``direction``, with d(x, y)^2 = ``dist_sq[k]``; P_T f is read once at x
     and at each y.  Every CRN difference |P_T f(x) - P_T f(y)| must satisfy the
-    modulus bound, whose rhs falls to 0 with h, so the records witness the
-    continuity of P_T f.  They claim no monotone fall of the differences
-    over the offsets, which fails wherever x + h * direction crosses a
-    critical point of P_T f.
+    modulus bound at ``f.sup_bound()``, whose rhs falls to 0 with h, so the
+    records witness the continuity of P_T f.  They claim no monotone fall of
+    the differences over the offsets, which fails wherever x + h * direction
+    crosses a critical point of P_T f.
     """
-    form = sampler.form
+    form, sup_bound = sampler.form, f.sup_bound()
     fx = sampler.values(f, x)
     records = []
     for h, d2 in zip(offsets, dist_sq):

@@ -326,7 +326,7 @@ def test_criterion_08_functional_inequalities(acceptance_density):
 
     sf = strong_feller_modulus(
         samp, bump, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
-        [0.5, 0.25, 0.125], [0.25, 0.0625, 0.015625], cc, bump.sup_bound())
+        [0.5, 0.25, 0.125], [0.25, 0.0625, 0.015625], cc)
     sf_ok = all(r.passed for r in sf)
 
     ok = rp_ok and wang_ok and ih_ok and sf_ok

@@ -698,6 +698,28 @@ class TestVerifyCommands:
         out = str(tmp_path / "o")
         assert main(["verify-reverse-logsobolev", "--config", cfg, "--out", out]) == 0
 
+    @pytest.mark.parametrize("experiment,other", [
+        ("verify-reverse-poincare", "verify_reverse_logsobolev"),
+        ("verify-reverse-logsobolev", "verify_reverse_poincare")])
+    def test_one_reverse_runner_reads_the_experiment(self, tmp_path, monkeypatch,
+                                                     experiment, other):
+        # the runner takes the verifier and the record prefix from the name
+        from heislab import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{experiment} called {other}")
+
+        monkeypatch.setattr(cli, other, refuse)
+        cfg = write_config(tmp_path, "c.json", {
+            "params": {"T_grid": [0.5, 1.0], "samples": 500, "steps": 16,
+                       "bump": {"radius": 2.5, "floor": 0.1}}})
+        out = str(tmp_path / "o")
+        assert main([experiment, "--config", cfg, "--out", out]) in (0, 1)
+        rows = csv.DictReader(io.StringIO(Path(out, "records.csv").read_text()))
+        ids = [r["record_id"] for r in rows]
+        prefix = experiment.removeprefix("verify-")
+        assert ids == [f"{prefix}-T{T}-x{j}" for T in ("0.5", "1") for j in range(5)]
+
     def test_harnack_small(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {
             "params": {"T": 1.0, "samples": 4000, "steps": 64,
@@ -982,7 +1004,7 @@ class TestDistanceSq:
         x, y = identity(form), GroupElement(np.zeros(4), [0.375])
         res = cc_distance(form, x, y)
         assert res.distance ** 2 == pytest.approx(4.0 * np.pi * 0.375 / 2.0, rel=1e-12)
-        assert res.diagnostics["loop_area"] == pytest.approx([0.375 / 2.0], rel=1e-12)
+        assert res.loop_area == pytest.approx([0.375 / 2.0], rel=1e-12)
 
     @pytest.mark.parametrize("name,params,q_max", PRESETS)
     def test_other_targets_use_the_solver(self, name, params, q_max):
@@ -1012,7 +1034,7 @@ class TestDistanceSq:
         for c0 in (2.0, 2.5):
             c[0] = c0
             res = cc_distance(form, identity(form), GroupElement(w, c))
-            assert res.diagnostics["loop_area"][0] > 0
+            assert res.loop_area[0] > 0
             d2.append(res.distance ** 2)
             # on the rotated copy the resting pair's chord is round-off, not
             # zero: it turns by nearly 2 pi instead of looping, to the same

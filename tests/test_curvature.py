@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,52 @@ def test_constants_bundle():
     assert np.trace(c.gram) == pytest.approx(c.hs_norm_sq)
     d = c.as_dict()
     assert d["gram"] == [[2.0]]
+    assert sorted(d) == ["gram", "harnack_coeff", "hs_norm_sq", "rho2"]
+
+
+def test_harnack_coeff_reads_the_hs_norm_not_the_gram_trace():
+    # np.trace(gram) and hs_norm_sq differ in the last bit at some ranks of
+    # wiener_truncation(16, 2); the coefficient is built on hs_norm_sq
+    form = make_preset("wiener_truncation", pairs=16, s=2).form
+    for m in range(2, form.n + 1, 2):
+        c = curvature_constants(form.restrict(m))
+        hs = hs_norm_sq(form.restrict(m))
+        assert c.hs_norm_sq == hs
+        assert c.harnack_coeff == 1.0 + 2.0 * hs / c.rho2
+
+
+# (d^2, p or q, T); on heisenberg(1) rho2 = 2 and harnack_coeff = 3
+RHS_ARGS = [(0.0, 2.0, 1.0), (1.0, 2.0, 1.0), (0.25, 1.5, 0.5), (4.0, 4.0, 2.0)]
+
+
+class TestRightHandSides:
+    C = curvature_constants(make_preset("heisenberg", pairs=1).form)
+
+    @pytest.mark.parametrize("T", [0.25, 1.0, 2.0])
+    def test_reverse_weights(self, T):
+        assert self.C.reverse_weights(T) == pytest.approx((2.0 * T, 3.0 / T), rel=1e-15)
+
+    @pytest.mark.parametrize("d2,p,T", RHS_ARGS)
+    def test_wang_factor(self, d2, p, T):
+        assert self.C.wang_factor(d2, p, T) == pytest.approx(
+            math.exp(3.0 * d2 / (4.0 * (p - 1.0) * T)), rel=1e-15)
+
+    @pytest.mark.parametrize("d2,q,T", RHS_ARGS)
+    def test_integrated_harnack_bound(self, d2, q, T):
+        assert self.C.integrated_harnack_bound(d2, q, T) == pytest.approx(
+            math.exp(3.0 * q * d2 / (4.0 * T)), rel=1e-15)
+
+    @pytest.mark.parametrize("d2,T", [(d2, T) for d2, _, T in RHS_ARGS])
+    def test_feller_modulus(self, d2, T):
+        assert self.C.feller_modulus(d2, T) == pytest.approx(
+            math.expm1(1.5 * d2 / T), rel=1e-15)
+
+    def test_values_at_one_point(self):
+        # d^2 = 1, p = q = 2, T = 1: exp(3/4), exp(3/2) and e^{3/2} - 1
+        assert self.C.wang_factor(1.0, 2.0, 1.0) == pytest.approx(2.117000016612675)
+        assert self.C.integrated_harnack_bound(1.0, 2.0, 1.0) == pytest.approx(4.4816890703380645)
+        assert self.C.feller_modulus(1.0, 1.0) == pytest.approx(3.4816890703380645)
+        assert self.C.feller_modulus(0.0, 1.0) == 0.0
 
 
 def test_constants_build_one_gram_matrix(monkeypatch):

@@ -216,9 +216,9 @@ class TestDistance:
     def test_coincident_points(self):
         x = GroupElement([1.0, 2.0], [3.0])
         res = cc_distance(H1, x, x)
-        assert res.distance == 0.0
+        assert res.distance == 0.0 and res.energy == 0.0
         assert np.array_equal(res.witness, [x.w])
-        assert res.diagnostics.get("shortcut") == "coincident"
+        assert res.loop_area == [0.0]
 
     def test_rank_restriction_requires_hormander(self):
         lead = H1.restrict(1)
@@ -272,7 +272,7 @@ class TestDistance:
         for c in (5.0, 50.0):
             w = np.array([0.0, 0.0, 0.0, 0.0, 0.5, -0.3])
             exact = cc_distance(paired, identity(paired), GroupElement(w, [c]))
-            assert exact.diagnostics["loop_area"][0] > 0
+            assert exact.loop_area[0] > 0
             res = cc_distance(turned, identity(turned), GroupElement(rot @ w, [c]))
             assert res.distance == pytest.approx(exact.distance, rel=1e-12)
 

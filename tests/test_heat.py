@@ -731,7 +731,7 @@ class TestVerifiers:
         f = BumpFunction(E, radius=2.0)
         recs = strong_feller_modulus(
             sampler, f, GroupElement([0.4, 0.2], [0.1]), np.array([1.0, 0.0]),
-            [0.5, 0.25, 0.125], [0.25, 0.0625, 0.015625], CC, f.sup_bound())
+            [0.5, 0.25, 0.125], [0.25, 0.0625, 0.015625], CC)
         assert [r.record_id for r in recs] == [
             "strong-feller-h0.5", "strong-feller-h0.25", "strong-feller-h0.125"]
         assert all(r.passed for r in recs)
@@ -749,7 +749,7 @@ class TestVerifiers:
         x = GroupElement([-0.137, 0.150], [0.161])
         recs = strong_feller_modulus(
             samp, bump, x, np.array([1.0, 0.0]), [0.5, 0.25, 0.125],
-            [0.25, 0.0625, 0.015625], CC, bump.sup_bound())
+            [0.25, 0.0625, 0.015625], CC)
         diffs = [abs(r.detail["difference"]) for r in recs]
         assert diffs[2] > diffs[1]
         assert all(r.passed for r in recs)
@@ -836,3 +836,49 @@ def test_numpy_stepper_zero_dt_is_identity():
     w = np.linspace(-1, 1, 8)
     _step_numpy(u, out, _stencil((w, w, np.linspace(-1, 1, 9)), 0.0))
     assert np.array_equal(out[1:-1, 1:-1, 1:-1], u[1:-1, 1:-1, 1:-1])
+
+
+class TestRightHandSides:
+    """Each verifier's rhs is its ``CurvatureConstants`` method's value times
+    the verifier's own factor."""
+
+    X = GroupElement([0.5, 0.2], [0.1])
+
+    def test_reverse_poincare(self, sampler):
+        rec = verify_reverse_poincare(sampler, BumpFunction(E, radius=2.5), self.X, CC)
+        vertical, coeff = CC.reverse_weights(sampler.T)
+        assert rec.rhs == coeff * rec.detail["variance"]
+        assert rec.lhs == rec.detail["grad_sq"] + vertical * rec.detail["grad_z_sq"]
+
+    def test_reverse_logsobolev(self, sampler):
+        samp = sampler.dilated(0.5)
+        rec = verify_reverse_logsobolev(samp, BumpFunction(E, radius=2.5, floor=0.1),
+                                        self.X, CC)
+        vertical, coeff = CC.reverse_weights(0.5)
+        assert (vertical, coeff) == (1.0, 6.0)
+        assert rec.rhs == coeff * rec.detail["entropy_core"]
+        assert rec.lhs == rec.detail["grad_sq"] + vertical * rec.detail["grad_z_sq"]
+
+    def test_wang_harnack(self, sampler):
+        f, y, d2 = BumpFunction(E, radius=2.0), GroupElement([1.0, 0.0], [0.0]), 1.0
+        recs = verify_wang_harnack(sampler, f, self.X, y, [1.5, 2.0, 4.0], d2, CC)
+        fy = sampler.values(f, y)
+        for rec, p in zip(recs, (1.5, 2.0, 4.0)):
+            factor = CC.wang_factor(d2, p, sampler.T)
+            assert rec.detail["factor"] == factor
+            assert rec.rhs == mean_se(fy ** p)[0] * factor
+
+    def test_integrated_harnack(self, small_density):
+        y, d2 = GroupElement([0.4, 0.0], [0.0]), 0.16
+        recs = verify_integrated_harnack(small_density, H1, y, [1.5, 2.0, 3.0], d2, CC)
+        for rec, q in zip(recs, (1.5, 2.0, 3.0)):
+            assert rec.rhs == CC.integrated_harnack_bound(d2, q, small_density.T)
+            assert rec.margin == rec.rhs * 1.02 - rec.lhs
+
+    def test_strong_feller(self, sampler):
+        f = BumpFunction(E, radius=2.0, floor=0.2)
+        offsets, d2 = [0.5, 0.25], [0.25, 0.0625]
+        recs = strong_feller_modulus(sampler, f, self.X, np.array([1.0, 0.0]), offsets, d2, CC)
+        for rec, dist_sq in zip(recs, d2):
+            assert rec.detail["sup_bound"] == f.sup_bound()
+            assert rec.rhs == f.sup_bound() ** 2 * CC.feller_modulus(dist_sq, sampler.T)

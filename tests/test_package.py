@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -238,3 +239,28 @@ def test_the_private_import_check_fails_on_a_private_import(tmp_path):
                      "from .stochastic import _mean_se, sample_endpoints\n"
                      "from heislab.heat import _record\n", encoding="utf-8")
     assert _private_imports(probe) == ["_mean_se", "_record"]
+
+
+def _constant_reads(path):
+    """Fields of ``CurvatureConstants`` a file reads as attributes (``c.rho2``)."""
+    from heislab.curvature import CurvatureConstants
+    names = {f.name for f in dataclasses.fields(CurvatureConstants)}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in names})
+
+
+def test_heat_reads_no_curvature_constant():
+    # every right-hand side comes from a method of CurvatureConstants, so a
+    # change of constant is a change of curvature.py alone
+    assert _constant_reads(SRC / "heat.py") == []
+
+
+def test_the_constant_audit_fails_on_a_constant_read(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math\n"
+                     "def rhs(constants, d2, T):\n"
+                     "    factor = constants.wang_factor(d2, 2.0, T)\n"
+                     "    return math.exp(constants.harnack_coeff * d2 / T) * constants.rho2\n",
+                     encoding="utf-8")
+    assert _constant_reads(probe) == ["harnack_coeff", "rho2"]
